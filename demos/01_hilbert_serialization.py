@@ -8,15 +8,15 @@ variants give six genuinely different sequence views of the same points.
 
 import numpy as np
 
-from dest3d import AXIS_ORDERS, SerializationOrder, locality_score, serialize, synth_scene
-from dest3d.serialization import hilbert_index
+from dest3d import (AXIS_ORDERS, SerializationOrder, hilbert_indices, locality_score,
+                    serialize, synth_scene)
 
 # The curve itself: cell -> position along the curve. Consecutive positions
 # are always grid neighbors, which is the locality property everything else
 # rides on.
 print("order-2 curve, first 8 cells:")
-cells = sorted(((hilbert_index((x, y, z), 2), (x, y, z))
-                for x in range(4) for y in range(4) for z in range(4)))
+grid = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+cells = sorted(zip(hilbert_indices(np.array(grid), 2).tolist(), grid))
 for code, cell in cells[:8]:
     print(f"  code {code:2d} -> cell {cell}")
 

@@ -23,7 +23,6 @@ from .decoder import (
 from .geometry import (
     Box3D,
     Scene,
-    StateSet,
     box_local_coords,
     box_vertices,
     circumscribed_radius,
@@ -36,7 +35,6 @@ from .issm import (
     CorrelationMlp,
     CorrelationTable,
     IbsWeights,
-    IssmParams,
     delay_kernel,
     gen_params,
     ibs_forward,
@@ -46,18 +44,15 @@ from .issm import (
 from .numerics import (
     LinearWeights,
     PrngStream,
-    activation,
     depthwise_conv1d,
     layer_norm,
     linear,
-    prng_fill,
     softmax_attention,
 )
 from .serialization import (
     AXIS_ORDERS,
     SerializationOrder,
     apply_axis_order,
-    hilbert_index,
     hilbert_indices,
     locality_score,
     order_for_layer,

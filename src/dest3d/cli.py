@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +155,12 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     m_values = [int(v) for v in args.m_list.split(",")]
-    result = complexity_bench(m_values, k=args.k, e=args.e, repeats=args.repeats,
-                              threads=args.threads)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = complexity_bench(m_values, k=args.k, e=args.e, repeats=args.repeats,
+                                  threads=args.threads)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     print(f"{'M':>8}{'scan_time_s':>14}{'attention_time_s':>18}")
     for row in result["rows"]:
         print(f"{row['M']:>8}{row['scan_time']:>14.6f}{row['attention_time']:>18.6f}")

@@ -17,7 +17,6 @@ from .numerics import PrngStream, require_finite
 __all__ = [
     "Box3D",
     "Scene",
-    "StateSet",
     "box_vertices",
     "circumscribed_radius",
     "relative_offsets",
@@ -92,24 +91,6 @@ class Scene:
     @property
     def num_points(self) -> int:
         return self.positions.shape[0]
-
-
-@dataclass
-class StateSet:
-    """K state points: positions, features, and one predicted box each."""
-
-    positions: np.ndarray
-    features: np.ndarray
-    boxes: list[Box3D]
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        k = self.positions.shape[0]
-        if k < 1:
-            raise ValueError("need at least one state point")
-        if self.features.shape[0] != k or len(self.boxes) != k:
-            raise ValueError("positions, features and boxes must agree on K")
 
 
 def box_vertices(box: Box3D) -> np.ndarray:

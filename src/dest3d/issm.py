@@ -41,7 +41,6 @@ from .ssm import ScanInputs, discretize_zoh, scan_sequential
 __all__ = [
     "CorrelationTable",
     "CorrelationMlp",
-    "IssmParams",
     "DirectionWeights",
     "IbsWeights",
     "spatial_correlation",
@@ -82,28 +81,6 @@ class CorrelationMlp:
 
     hidden: LinearWeights  # 3 -> H
     out: LinearWeights     # H -> D
-
-
-@dataclass
-class IssmParams:
-    """Final scan parameters: delta (M,K,E) >= 0 post-softplus and delay, b/c (M,K)."""
-
-    delta: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        if (self.delta < 0).any():
-            raise ValueError("delta must be non-negative")
-
-
-@dataclass
-class RawIssmParams:
-    """Pre-softplus parameter logits from gen_params."""
-
-    delta_logits: np.ndarray  # (M, K, E)
-    b: np.ndarray             # (M, K)
-    c: np.ndarray             # (M, K)
 
 
 @dataclass
@@ -197,8 +174,8 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
 
 
 def gen_params(s: np.ndarray, x_feats: np.ndarray,
-               w: DirectionWeights) -> RawIssmParams:
-    """Additive parameter generation from point features and geometry.
+               w: DirectionWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-softplus scan parameters (delta_logits (M,K,E), b (M,K), c (M,K)).
 
     b[m, k] and c[m, k] each combine a scalar projection of x_feats[m]
     (broadcast over k) with a scalar projection of s[m, k]; delta_logits gets
@@ -211,7 +188,7 @@ def gen_params(s: np.ndarray, x_feats: np.ndarray,
     b = linear(x_feats, w.b_from_x) + linear(s, w.b_from_s)[..., 0]
     c = linear(x_feats, w.c_from_x) + linear(s, w.c_from_s)[..., 0]
     delta_logits = linear(x_feats, w.delta_from_x)[:, None, :] + linear(s, w.delta_from_s)
-    return RawIssmParams(delta_logits=delta_logits, b=b, c=c)
+    return delta_logits, b, c
 
 
 def _delay_distances(points: np.ndarray, boxes: list[Box3D], metric: str) -> np.ndarray:
@@ -252,24 +229,17 @@ def _run_direction(x_dir_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                    direction: str) -> tuple[np.ndarray, np.ndarray, dict]:
     """One scan direction of the bidirectional block. Returns (y, h_final, trace)."""
     x_conv = silu(depthwise_conv1d(x_dir_in, w.conv_kernel, direction))
-    raw = gen_params(s, x_conv, w)
-    params = IssmParams(delta=softplus(raw.delta_logits) * delay[:, :, None],
-                        b=raw.b, c=raw.c)
-    a_bar, b_bar = discretize_zoh(params.delta, w.a_vec, params.b, mode="euler")
-    if direction == "backward":
-        scan_in = ScanInputs(a_bar=a_bar[::-1], b_bar=b_bar[::-1],
-                             c=params.c[::-1], x=x_conv[::-1], h0=h0_hat)
-        out = scan_sequential(scan_in)
-        y = out.y[::-1]
-    else:
-        scan_in = ScanInputs(a_bar=a_bar, b_bar=b_bar, c=params.c, x=x_conv, h0=h0_hat)
-        out = scan_sequential(scan_in)
-        y = out.y
+    delta_logits, b, c = gen_params(s, x_conv, w)
+    delta = softplus(delta_logits) * delay[:, :, None]
+    a_bar, b_bar = discretize_zoh(delta, w.a_vec, b, mode="euler")
+    step = -1 if direction == "backward" else 1
+    out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
+                                     c=c[::step], x=x_conv[::step], h0=h0_hat))
     trace = {
-        "x_conv": x_conv, "b": params.b, "c": params.c,
-        "delta": params.delta, "a_bar": a_bar, "b_bar": b_bar,
+        "x_conv": x_conv, "b": b, "c": c,
+        "delta": delta, "a_bar": a_bar, "b_bar": b_bar,
     }
-    return y, out.h_final, trace
+    return out.y[::step], out.h_final, trace
 
 
 def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
@@ -312,7 +282,7 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
     y_bwd, h_bwd, tr_b = _run_direction(x_hat, h_hat0, s, delay, w.backward, "backward")
 
     gate = silu(z)
-    y = linear(y_fwd * gate + y_bwd * gate, w.out_y) + x
+    y = linear((y_fwd + y_bwd) * gate, w.out_y) + x
     h_out = linear(h_fwd + h_bwd, w.out_h) + h0
     if return_trace:
         trace = {

@@ -18,13 +18,11 @@ __all__ = [
     "require_finite",
     "linear",
     "layer_norm",
-    "activation",
     "sigmoid",
     "silu",
     "softplus",
     "depthwise_conv1d",
     "softmax_attention",
-    "prng_fill",
 ]
 
 
@@ -73,18 +71,6 @@ class PrngStream:
         """Derive an independent child stream (consumes one draw)."""
         self.counter += 1
         return PrngStream(int(self._gen.integers(0, 2**63 - 1)))
-
-
-def prng_fill(stream: PrngStream, shape, dist: str = "uniform", **params) -> np.ndarray:
-    """Deterministic tensor from a seeded stream.
-
-    dist "uniform" takes low/high (default [0, 1)); "normal" takes mean/std.
-    """
-    if dist == "uniform":
-        return stream.uniform(shape, params.get("low", 0.0), params.get("high", 1.0))
-    if dist == "normal":
-        return stream.normal(shape, params.get("mean", 0.0), params.get("std", 1.0))
-    raise ValueError(f"unknown distribution {dist!r}")
 
 
 @dataclass
@@ -168,23 +154,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
 def silu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return x * sigmoid(x)
-
-
-_ACTIVATIONS = {
-    "silu": silu,
-    "softplus": softplus,
-    "relu": lambda x: np.maximum(np.asarray(x), 0.0),
-    "sigmoid": sigmoid,
-}
-
-
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise nonlinearity; kind in {silu, softplus, relu, sigmoid}."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
 
 
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,

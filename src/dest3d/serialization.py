@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "AXIS_ORDERS",
     "SerializationOrder",
-    "hilbert_index",
     "hilbert_indices",
     "apply_axis_order",
     "serialize",
@@ -88,13 +87,6 @@ def hilbert_indices(cells: np.ndarray, bits: int) -> np.ndarray:
         for i in range(3):
             codes = (codes << one) | ((x[:, i] >> np.uint64(bit)) & one)
     return codes
-
-
-def hilbert_index(cell, bits: int) -> int:
-    """Single-cell Hilbert code; cell is three non-negative ints."""
-    if 3 * bits > 63:
-        raise ValueError("3*bits must be <= 63 for a 64-bit code")
-    return int(hilbert_indices(np.asarray(cell, dtype=np.int64)[None, :], bits)[0])
 
 
 def apply_axis_order(cell, axis_order: str):

@@ -113,17 +113,28 @@ def discretize_zoh(delta: np.ndarray, a: np.ndarray, b: np.ndarray,
     return a_bar, phi * scaled
 
 
+def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
+    """Advance state h over the given steps and return the last state.
+
+    The one forward recurrence step of this package. y[t] = c[t] @ h_t is
+    written when y is given, h_t into trace when trace is given.
+    """
+    for t in range(x.shape[0]):
+        h = a_bar[t] * h + b_bar[t] * x[t]
+        if y is not None:
+            y[t] = c[t] @ h
+        if trace is not None:
+            trace[t] = h
+    return h
+
+
 def scan_sequential(inputs: ScanInputs, keep_trace: bool = False) -> ScanOutputs:
     """Plain left-to-right recurrence."""
     m, k, e = inputs.shape
-    h = inputs.h0.copy()
     y = np.empty((m, e), dtype=np.float64)
     trace = np.empty((m, k, e), dtype=np.float64) if keep_trace else None
-    for t in range(m):
-        h = inputs.a_bar[t] * h + inputs.b_bar[t] * inputs.x[t]
-        y[t] = inputs.c[t] @ h
-        if keep_trace:
-            trace[t] = h
+    h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0.copy(),
+               inputs.c, y, trace)
     return ScanOutputs(y=y, h_final=h, h_trace=trace)
 
 
@@ -139,33 +150,22 @@ def scan_chunked(inputs: ScanInputs, chunk: int, keep_trace: bool = False) -> Sc
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     m, k, e = inputs.shape
-    starts = list(range(0, m, chunk))
-    # Phase 1: per-chunk affine summaries (A = prod a, B = zero-init scan tail).
-    summaries = []
-    for s in starts:
-        t_end = min(s + chunk, m)
-        acc_a = np.ones((k, e), dtype=np.float64)
-        acc_b = np.zeros((k, e), dtype=np.float64)
-        for t in range(s, t_end):
-            acc_b = inputs.a_bar[t] * acc_b + inputs.b_bar[t] * inputs.x[t]
-            acc_a = inputs.a_bar[t] * acc_a
-        summaries.append((acc_a, acc_b))
-    # Phase 2: exact entry state per chunk.
+    spans = [slice(s, min(s + chunk, m)) for s in range(0, m, chunk)]
+    # Exact entry state per chunk from the summaries of the chunks before it:
+    # A = prod a_bar, B = the chunk's scan from a zero state.
     entries = [inputs.h0]
-    for acc_a, acc_b in summaries[:-1]:
+    for sl in spans[:-1]:
+        acc_a = np.prod(inputs.a_bar[sl], axis=0)
+        acc_b = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl],
+                       np.zeros((k, e), dtype=np.float64))
         entries.append(acc_a * entries[-1] + acc_b)
-    # Phase 3: replay each chunk from its entry state.
+    # Replay each chunk from its entry state.
     y = np.empty((m, e), dtype=np.float64)
     trace = np.empty((m, k, e), dtype=np.float64) if keep_trace else None
     h = inputs.h0
-    for s, h_in in zip(starts, entries):
-        t_end = min(s + chunk, m)
-        h = h_in
-        for t in range(s, t_end):
-            h = inputs.a_bar[t] * h + inputs.b_bar[t] * inputs.x[t]
-            y[t] = inputs.c[t] @ h
-            if keep_trace:
-                trace[t] = h
+    for sl, h_in in zip(spans, entries):
+        h = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl], h_in,
+                   inputs.c[sl], y[sl], None if trace is None else trace[sl])
     return ScanOutputs(y=y, h_final=h, h_trace=trace)
 
 

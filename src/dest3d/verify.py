@@ -279,16 +279,6 @@ def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
                              max_rel_err=worst_rel, cases=seeds, tolerance=tol)
 
 
-def _f32_scan(a_bar, b_bar, c, x, h0):
-    """Minimal f32 recurrence used only for timing."""
-    h = h0.copy()
-    y = np.empty((x.shape[0], x.shape[1]), dtype=np.float32)
-    for t in range(x.shape[0]):
-        h = a_bar[t] * h + b_bar[t] * x[t]
-        y[t] = c[t] @ h
-    return y
-
-
 def _f32_attention(feats: np.ndarray, block: int = 256) -> np.ndarray:
     """Dense self-attention used only for timing.
 
@@ -313,15 +303,17 @@ def _f32_attention(feats: np.ndarray, block: int = 256) -> np.ndarray:
 
 def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
                      repeats: int = 5, seed: int = 0, threads: int | None = 1) -> dict:
-    """Median wall-times of the M-step scan vs M x M self-attention, in f32.
+    """Median wall-times of the decoder's f64 scan_sequential vs f32 M x M attention.
 
-    Returns rows {M, scan_time, attention_time} plus fitted log-log slopes.
-    Machine constants cancel in the slopes: the scan should sit near 1, dense
+    Returns rows {M, scan_time, attention_time} plus log-log slopes. Machine
+    constants cancel in the slopes: the scan should sit near 1, dense
     attention near 2. Every size gets one untimed warmup pass and the timed
     repeats interleave across sizes, so page faults and clock ramp-up do not
-    bias the small sizes. Timing requires a pinned worker count: BLAS pools
-    are limited to `threads` (default one) when threadpoolctl is importable;
-    pass threads=None to leave the pools alone.
+    bias the small sizes. Each slope is the median of the slopes fitted to
+    single sweeps over all sizes, so a machine whose speed drifts between
+    sweeps moves every point of a fit alike. Timing requires a pinned worker
+    count: BLAS pools are limited to `threads` (default one) when
+    threadpoolctl is importable; pass threads=None to leave the pools alone.
     """
     if sorted(m_values) != list(m_values):
         raise ValueError("m_values must be ascending")
@@ -340,15 +332,15 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     cases = {}
     for m in m_values:
         stream = PrngStream(seed)
-        a_bar = np.exp(-stream.uniform((m, k, e), 0.0, 1.0)).astype(np.float32)
-        b_bar = stream.normal((m, k, e), 0.0, 0.1).astype(np.float32)
-        c = stream.normal((m, k), 0.0, 1.0).astype(np.float32)
-        x = stream.normal((m, e), 0.0, 1.0).astype(np.float32)
-        h0 = np.zeros((k, e), dtype=np.float32)
+        inputs = ScanInputs(a_bar=np.exp(-stream.uniform((m, k, e), 0.0, 1.0)),
+                            b_bar=stream.normal((m, k, e), 0.0, 0.1),
+                            c=stream.normal((m, k), 0.0, 1.0),
+                            x=stream.normal((m, e), 0.0, 1.0),
+                            h0=np.zeros((k, e)))
         feats = stream.normal((m, e), 0.0, 1.0).astype(np.float32)
 
-        def run_scan(a=a_bar, b=b_bar, cc=c, xx=x, hh=h0):
-            return _f32_scan(a, b, cc, xx, hh)
+        def run_scan(inp=inputs):
+            return scan_sequential(inp)
 
         def run_attn(f=feats):
             return _f32_attention(f)
@@ -372,7 +364,11 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
 
     rows = [{"M": m, "scan_time": float(np.median(times[m][0])),
              "attention_time": float(np.median(times[m][1]))} for m in m_values]
-    logm = np.log([r["M"] for r in rows])
-    scan_slope = float(np.polyfit(logm, np.log([r["scan_time"] for r in rows]), 1)[0])
-    attn_slope = float(np.polyfit(logm, np.log([r["attention_time"] for r in rows]), 1)[0])
-    return {"rows": rows, "scan_slope": scan_slope, "attention_slope": attn_slope}
+    logm = np.log(m_values)
+
+    def slope(side: int) -> float:
+        fits = [np.polyfit(logm, np.log([times[m][side][r] for m in m_values]), 1)[0]
+                for r in range(repeats)]
+        return float(np.median(fits))
+
+    return {"rows": rows, "scan_slope": slope(0), "attention_slope": slope(1)}

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import require_finite
 from .sceneio import atomic_write_bytes
 
 __all__ = [
@@ -53,7 +54,10 @@ def flatten_weights(weights) -> dict[str, np.ndarray]:
 
 
 def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
-    """Fill an initialized weight bundle in place from a flat name map."""
+    """Fill an initialized weight bundle in place from a flat name map.
+
+    Every array must be finite; the first that is not is named in the error.
+    """
     template = flatten_weights(weights)
     missing = sorted(set(template) - set(arrays))
     extra = sorted(set(arrays) - set(template))
@@ -74,13 +78,13 @@ def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
             else:
                 if target.shape != value.shape:
                     raise ValueError(
-                        f"shape mismatch at {head}: {target.shape} vs {value.shape}")
+                        f"shape mismatch at {name}: {target.shape} vs {value.shape}")
                 setattr(obj, head, value.astype(target.dtype))
             return
         assign(target, parts[1:], value)
 
     for name, value in arrays.items():
-        assign(weights, name.split("."), np.asarray(value))
+        assign(weights, name.split("."), require_finite(f"weight {name}", value))
 
 
 def manifest_path(bin_path: str | Path) -> Path:
@@ -112,10 +116,22 @@ def save_weights(bin_path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 def load_weights(bin_path: str | Path) -> dict[str, np.ndarray]:
     raw = Path(bin_path).read_bytes()
     manifest = json.loads(manifest_path(bin_path).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("weight manifest must be a JSON object of entries")
     out = {}
     for name, meta in manifest.items():
-        dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-        count = int(np.prod(meta["shape"])) if meta["shape"] else 1
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=meta["offset"])
-        out[name] = arr.reshape(meta["shape"]).astype(np.dtype(meta["dtype"]))
+        try:
+            dtype = np.dtype(meta["dtype"]).newbyteorder("<")
+            shape, offset, nbytes = meta["shape"], int(meta["offset"]), int(meta["nbytes"])
+            count = int(np.prod(shape)) if shape else 1
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"weight manifest entry {name!r}: bad field {exc}") from None
+        if count < 0 or nbytes != count * dtype.itemsize:
+            raise ValueError(f"weight manifest entry {name!r}: nbytes {nbytes} != "
+                             f"{count} x {dtype.itemsize} bytes of shape {shape}")
+        if not 0 <= offset <= len(raw) - nbytes:
+            raise ValueError(f"weight manifest entry {name!r}: bytes [{offset}, "
+                             f"{offset + nbytes}) lie outside the {len(raw)}-byte file")
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+        out[name] = arr.reshape(shape).astype(np.dtype(meta["dtype"]))
     return out

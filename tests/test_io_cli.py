@@ -130,6 +130,41 @@ class TestWeightsIO:
         np.testing.assert_array_equal(loaded["a"], arrays["a"])
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("offset", 10_000, "outside the 60-byte file"),
+        ("offset", -8, "outside the 60-byte file"),
+        ("nbytes", 40, "nbytes 40 != 6 x 8 bytes"),
+        ("dtype", "no-such-dtype", "bad field"),
+        ("shape", "ab", "bad field"),
+        ("shape", [-6], "nbytes 48 != -6 x 8 bytes"),
+    ])
+    def test_bad_manifest_entry_named(self, tmp_path, field, value, message):
+        path = tmp_path / "w.bin"
+        save_weights(path, {"a": np.arange(6, dtype=np.float64),
+                            "b": np.float32([1, 2, 3])})
+        mpath = tmp_path / "w.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["a"][field] = value
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"entry 'a'.*{message}"):
+            load_weights(path)
+
+    def test_manifest_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(path, {"a": np.arange(6, dtype=np.float64)})
+        (tmp_path / "w.manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_weights(path)
+
+    def test_shape_mismatch_named(self):
+        cfg = DecoderConfig(num_layers=1, channels=8, state_dim=8, corr_dim=4,
+                            ffn_dim=16, heads=2, num_states=2, num_classes=3)
+        w = decoder_weights_init(PrngStream(2), cfg)
+        flat = flatten_weights(w)
+        flat["head.obj.bias"] = np.zeros((1, 1))
+        with pytest.raises(ValueError, match=r"shape mismatch at head\.obj\.bias"):
+            unflatten_weights(w, flat)
+
     def test_name_mismatch_rejected(self, tmp_path):
         cfg = DecoderConfig(num_layers=1, channels=8, state_dim=8, corr_dim=4,
                             ffn_dim=16, heads=2, num_states=2, num_classes=3)
@@ -263,6 +298,33 @@ class TestCliDemo:
         assert code == 0
         assert len(out.strip().splitlines()) == 3 + 1
 
+    def test_non_finite_weight_exit_2(self, scene_path, tmp_path):
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "1", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        arrays = load_weights(wpath)
+        arrays["point_obj_out.weight"][0, 0] = np.nan
+        save_weights(wpath, arrays)
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "point_obj_out.weight" in err
+
+    def test_manifest_offset_past_end_exit_2(self, scene_path, tmp_path):
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "1", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        mpath = tmp_path / "w.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["head.obj.bias"]["offset"] = wpath.stat().st_size
+        mpath.write_text(json.dumps(manifest))
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "'head.obj.bias'" in err
+
     def test_unknown_config_key_exit_2(self, scene_path, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"frobnicate": True}))
@@ -299,3 +361,12 @@ class TestCliBench:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.strip() and l.lstrip()[0].isdigit()]) == 2
         assert "slope" in out
+
+    def test_one_warning_line_without_threadpoolctl(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        code = main(["bench", "--m-list", "64,128", "--k", "2", "--e", "4",
+                     "--repeats", "3"])
+        err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+        assert code == 0
+        assert err_lines == ["warning: threadpoolctl unavailable; "
+                             "timings use default BLAS threads"]

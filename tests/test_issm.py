@@ -242,10 +242,10 @@ class TestGenParams:
             a_vec=-np.ones(6))
         s = rng.normal((5, 2, 3))
         x = rng.normal((5, 6))
-        raw = gen_params(s, x, w)
+        delta_logits, b, _ = gen_params(s, x, w)
         # every state column identical: parameters depend on x alone
-        np.testing.assert_allclose(raw.b[:, 0], raw.b[:, 1], rtol=1e-14)
-        np.testing.assert_allclose(raw.delta_logits[:, 0], raw.delta_logits[:, 1],
+        np.testing.assert_allclose(b[:, 0], b[:, 1], rtol=1e-14)
+        np.testing.assert_allclose(delta_logits[:, 0], delta_logits[:, 1],
                                    rtol=1e-14)
 
     def test_zero_input_projections(self):
@@ -261,9 +261,10 @@ class TestGenParams:
             a_vec=-np.ones(6))
         s = rng.normal((5, 2, 3))
         x1, x2 = rng.normal((5, 6)), rng.normal((5, 6))
-        r1, r2 = gen_params(s, x1, w), gen_params(s, x2, w)
-        np.testing.assert_array_equal(r1.b, r2.b)
-        np.testing.assert_array_equal(r1.delta_logits, r2.delta_logits)
+        delta1, b1, _ = gen_params(s, x1, w)
+        delta2, b2, _ = gen_params(s, x2, w)
+        np.testing.assert_array_equal(b1, b2)
+        np.testing.assert_array_equal(delta1, delta2)
 
     def test_additive_structure_oracle(self):
         rng = PrngStream(6)
@@ -278,16 +279,16 @@ class TestGenParams:
             a_vec=-np.ones(4))
         s = rng.normal((3, 2, 3))
         x = rng.normal((3, 4))
-        raw = gen_params(s, x, w)
+        delta_logits, b, _ = gen_params(s, x, w)
         for m in range(3):
             for k in range(2):
                 b_exp = (s_linear(list(map(float, x[m])), w.b_from_x)[0]
                          + s_linear(list(map(float, s[m, k])), w.b_from_s)[0])
-                np.testing.assert_allclose(raw.b[m, k], b_exp, atol=1e-12)
+                np.testing.assert_allclose(b[m, k], b_exp, atol=1e-12)
                 d_exp = [dx + ds for dx, ds in zip(
                     s_linear(list(map(float, x[m])), w.delta_from_x),
                     s_linear(list(map(float, s[m, k])), w.delta_from_s))]
-                np.testing.assert_allclose(raw.delta_logits[m, k], d_exp, atol=1e-12)
+                np.testing.assert_allclose(delta_logits[m, k], d_exp, atol=1e-12)
 
 
 class TestDelayKernel:

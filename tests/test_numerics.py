@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from dest3d.numerics import (
     LinearWeights,
     PrngStream,
-    activation,
     depthwise_conv1d,
     layer_norm,
     linear,
-    prng_fill,
+    silu,
     softmax_attention,
+    softplus,
 )
 
 
@@ -85,27 +85,21 @@ class TestLayerNorm:
 
 class TestActivation:
     def test_silu_zero(self):
-        assert activation(np.array(0.0), "silu") == 0.0
+        assert silu(np.array(0.0)) == 0.0
 
     def test_softplus_zero_is_log2(self):
-        np.testing.assert_allclose(activation(np.array(0.0), "softplus"),
-                                   np.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(softplus(np.array(0.0)), np.log(2.0), rtol=1e-12)
 
     def test_softplus_large_asymptote(self):
-        np.testing.assert_allclose(activation(np.array(50.0), "softplus"), 50.0,
-                                   atol=1e-9)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activation(np.zeros(2), "gelu")
+        np.testing.assert_allclose(softplus(np.array(50.0)), 50.0, atol=1e-9)
 
     @given(st.floats(-700.0, 700.0))
     def test_softplus_positive(self, v):
-        assert activation(np.array(v), "softplus") > 0.0
+        assert softplus(np.array(v)) > 0.0
 
     @given(st.floats(-700.0, 700.0))
     def test_silu_lower_bound(self, v):
-        assert activation(np.array(v), "silu") >= -0.2785
+        assert silu(np.array(v)) >= -0.2785
 
 
 class TestDepthwiseConv:
@@ -182,23 +176,23 @@ class TestSoftmaxAttention:
 
 class TestPrng:
     def test_same_seed_identical(self):
-        a = prng_fill(PrngStream(123), (5, 5), "normal")
-        b = prng_fill(PrngStream(123), (5, 5), "normal")
+        a = PrngStream(123).normal((5, 5))
+        b = PrngStream(123).normal((5, 5))
         np.testing.assert_array_equal(a, b)
 
     def test_uniform_mean(self):
-        draws = prng_fill(PrngStream(42), (100_000,), "uniform")
+        draws = PrngStream(42).uniform((100_000,))
         assert 0.49 <= draws.mean() <= 0.51
 
     def test_normal_variance(self):
-        draws = prng_fill(PrngStream(43), (100_000,), "normal")
+        draws = PrngStream(43).normal((100_000,))
         assert 0.97 <= draws.var() <= 1.03
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
-            prng_fill(PrngStream(1), (3,), "uniform", low=2.0, high=1.0)
+            PrngStream(1).uniform((3,), low=2.0, high=1.0)
         with pytest.raises(ValueError):
-            prng_fill(PrngStream(1), (3,), "normal", std=-1.0)
+            PrngStream(1).normal((3,), std=-1.0)
 
     def test_counter_tracks_draws(self):
         stream = PrngStream(9)

@@ -9,7 +9,6 @@ from dest3d.serialization import (
     AXIS_ORDERS,
     SerializationOrder,
     apply_axis_order,
-    hilbert_index,
     hilbert_indices,
     locality_score,
     order_for_layer,
@@ -24,7 +23,7 @@ def lattice(n):
 class TestHilbertIndex:
     def test_origin_is_zero(self):
         for bits in (1, 3, 9, 16):
-            assert hilbert_index((0, 0, 0), bits) == 0
+            assert hilbert_indices(np.zeros((1, 3), dtype=np.int64), bits)[0] == 0
 
     def test_bits1_gray_code_path(self):
         # order-1 curve: a bijection on the 8 corners where consecutive cells
@@ -54,9 +53,9 @@ class TestHilbertIndex:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_index((4, 0, 0), 2)
+            hilbert_indices(np.array([[4, 0, 0]]), 2)
         with pytest.raises(ValueError):
-            hilbert_index((0, 0, 0), 22)
+            hilbert_indices(np.zeros((1, 3), dtype=np.int64), 22)
 
 
 class TestAxisOrder:
