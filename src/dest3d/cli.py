@@ -25,7 +25,7 @@ from .decoder import (
     point_objectness,
 )
 from .geometry import Scene, synth_scene
-from .numerics import PrngStream
+from .numerics import PrngStream, require_finite
 from .sceneio import (
     boxes_sidecar_path,
     read_boxes_json,
@@ -117,23 +117,29 @@ def cmd_demo(args) -> int:
     if args.save_weights:
         save_weights(args.save_weights, flatten_weights(weights))
     result = decoder_stack(scene, cfg, weights)
+    probs = point_objectness(result.final_x, weights)
+    loss = binary_focal_loss(probs, objectness_labels(scene))
+    # finite weights can still overflow; refuse by name rather than print NaN
+    lines = []
     for layer_idx, layer in enumerate(result.layers):
         for det in layer.detections:
-            line = {
+            for name, value in (("yaw", det.box.yaw), ("class_logits", det.class_logits),
+                                ("score", det.objectness)):
+                require_finite(f"layer {layer_idx} detection {name}", value)
+            lines.append({
                 "layer": layer_idx,
                 "center": [round(float(v), 6) for v in det.box.center],
                 "size": [round(float(v), 6) for v in det.box.size],
                 "yaw": round(float(det.box.yaw), 6),
                 "class": int(np.argmax(det.class_logits)),
                 "score": round(float(det.objectness), 6),
-            }
-            print(json.dumps(line, sort_keys=True))
-    probs = point_objectness(result.final_x, weights)
-    loss = binary_focal_loss(probs, objectness_labels(scene))
-    summary = {"summary": {"layers": cfg.num_layers, "states": cfg.num_states,
-                           "points": scene.num_points,
-                           "objectness_focal_loss": round(loss, 9)}}
-    print(json.dumps(summary, sort_keys=True))
+            })
+    require_finite("point objectness", probs)
+    lines.append({"summary": {"layers": cfg.num_layers, "states": cfg.num_states,
+                              "points": scene.num_points,
+                              "objectness_focal_loss": round(loss, 9)}})
+    for line in lines:
+        print(json.dumps(line, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -38,6 +38,11 @@ from .numerics import (
 )
 from .ssm import ScanInputs, discretize_zoh, scan_sequential
 
+# Serialized points per step of the streamed parameter pipeline in
+# _run_direction: the working set past the conv is O(CHUNK * K * E), and the
+# per-chunk Python overhead stays small next to the numpy work at 64.
+CHUNK = 64
+
 __all__ = [
     "CorrelationTable",
     "CorrelationMlp",
@@ -179,7 +184,8 @@ def gen_params(s: np.ndarray, x_feats: np.ndarray,
 
     b[m, k] and c[m, k] each combine a scalar projection of x_feats[m]
     (broadcast over k) with a scalar projection of s[m, k]; delta_logits gets
-    the same structure at width E.
+    the same structure at width E. Every row depends only on its own point,
+    so ibs_forward calls this on one chunk of points at a time.
     """
     s = np.asarray(s, dtype=np.float64)
     x_feats = np.asarray(x_feats, dtype=np.float64)
@@ -225,21 +231,45 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
 
 
 def _run_direction(x_dir_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
-                   delay: np.ndarray, w: DirectionWeights,
-                   direction: str) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One scan direction of the bidirectional block. Returns (y, h_final, trace)."""
+                   delay: np.ndarray, w: DirectionWeights, direction: str,
+                   keep_trace: bool) -> tuple[np.ndarray, np.ndarray, dict | None]:
+    """One scan direction of the bidirectional block. Returns (y, h_final, trace).
+
+    Past the depthwise conv, parameters and scan run on CHUNK points at a
+    time, carrying the state from chunk to chunk: gen_params -> softplus ->
+    delay -> discretize_zoh -> scan_sequential. The (M, K, E) parameters are
+    never held at full size; the backward direction walks the chunks last to
+    first and reverses each one. With keep_trace the chunk parameters are
+    copied into full-size arrays for the trace dict, otherwise it is None.
+    """
     x_conv = silu(depthwise_conv1d(x_dir_in, w.conv_kernel, direction))
-    delta_logits, b, c = gen_params(s, x_conv, w)
-    delta = softplus(delta_logits) * delay[:, :, None]
-    a_bar, b_bar = discretize_zoh(delta, w.a_vec, b, mode="euler")
-    step = -1 if direction == "backward" else 1
-    out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
-                                     c=c[::step], x=x_conv[::step], h0=h0_hat))
-    trace = {
-        "x_conv": x_conv, "b": b, "c": c,
-        "delta": delta, "a_bar": a_bar, "b_bar": b_bar,
-    }
-    return out.y[::step], out.h_final, trace
+    m = x_conv.shape[0]
+    starts = range(0, m, CHUNK)
+    step = 1
+    if direction == "backward":
+        starts, step = reversed(starts), -1
+    y = np.empty_like(x_conv)
+    trace = None
+    if keep_trace:
+        k, e = h0_hat.shape
+        trace = {"x_conv": x_conv, "b": np.empty((m, k)), "c": np.empty((m, k)),
+                 "delta": np.empty((m, k, e)), "a_bar": np.empty((m, k, e)),
+                 "b_bar": np.empty((m, k, e))}
+    h = h0_hat
+    for lo in starts:
+        sl = slice(lo, lo + CHUNK)
+        delta_logits, b, c = gen_params(s[sl], x_conv[sl], w)
+        delta = softplus(delta_logits) * delay[sl, :, None]
+        a_bar, b_bar = discretize_zoh(delta, w.a_vec, b, mode="euler")
+        out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
+                                         c=c[::step], x=x_conv[sl][::step], h0=h))
+        y[sl] = out.y[::step]
+        h = out.h_final
+        if trace is not None:
+            for name, value in (("b", b), ("c", c), ("delta", delta),
+                                ("a_bar", a_bar), ("b_bar", b_bar)):
+                trace[name][sl] = value
+    return y, h, trace
 
 
 def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
@@ -278,8 +308,10 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
     s = spatial_correlation(points, boxes, table, mode=corr_mode, mlp=corr_mlp)
     delay = delay_kernel(boxes, points, w.alpha_raw, metric=delay_metric)
 
-    y_fwd, h_fwd, tr_f = _run_direction(x_hat, h_hat0, s, delay, w.forward, "forward")
-    y_bwd, h_bwd, tr_b = _run_direction(x_hat, h_hat0, s, delay, w.backward, "backward")
+    y_fwd, h_fwd, tr_f = _run_direction(x_hat, h_hat0, s, delay, w.forward, "forward",
+                                        return_trace)
+    y_bwd, h_bwd, tr_b = _run_direction(x_hat, h_hat0, s, delay, w.backward, "backward",
+                                        return_trace)
 
     gate = silu(z)
     y = linear((y_fwd + y_bwd) * gate, w.out_y) + x

@@ -147,8 +147,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)), overflow-safe for large |x|."""
-    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), overflow-safe for large |x|.
+
+    np.logaddexp(0, x) evaluates the same formula one element at a time; as
+    whole-array operations it runs faster and agrees with it within one
+    rounding.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def silu(x: np.ndarray) -> np.ndarray:

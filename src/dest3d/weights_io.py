@@ -126,6 +126,9 @@ def load_weights(bin_path: str | Path) -> dict[str, np.ndarray]:
             count = int(np.prod(shape)) if shape else 1
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"weight manifest entry {name!r}: bad field {exc}") from None
+        if dtype.kind != "f":
+            raise ValueError(f"weight manifest entry {name!r}: dtype {meta['dtype']!r} "
+                             f"is not a floating-point type")
         if count < 0 or nbytes != count * dtype.itemsize:
             raise ValueError(f"weight manifest entry {name!r}: nbytes {nbytes} != "
                              f"{count} x {dtype.itemsize} bytes of shape {shape}")

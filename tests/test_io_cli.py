@@ -137,6 +137,9 @@ class TestWeightsIO:
         ("dtype", "no-such-dtype", "bad field"),
         ("shape", "ab", "bad field"),
         ("shape", [-6], "nbytes 48 != -6 x 8 bytes"),
+        ("dtype", "V8", "dtype 'V8' is not a floating-point type"),
+        ("dtype", "<M8[ns]", r"dtype '<M8\[ns\]' is not a floating-point type"),
+        ("dtype", "O", "dtype 'O' is not a floating-point type"),
     ])
     def test_bad_manifest_entry_named(self, tmp_path, field, value, message):
         path = tmp_path / "w.bin"
@@ -324,6 +327,42 @@ class TestCliDemo:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "'head.obj.bias'" in err
+
+    @pytest.mark.parametrize("dtype", ["V8", "<M8[ns]", "O"])
+    def test_non_float_manifest_dtype_exit_2(self, scene_path, tmp_path, dtype):
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "1", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        mpath = tmp_path / "w.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["head.obj.bias"]["dtype"] = dtype
+        mpath.write_text(json.dumps(manifest))
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "'head.obj.bias'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("names,message", [
+        (["head.obj.weight"], "error: layer 0 detection score contains non-finite values"),
+        (["point_obj_hidden.weight", "point_obj_out.weight"],
+         "error: point objectness contains non-finite values"),
+    ])
+    def test_overflowing_finite_weights_exit_2(self, scene_path, tmp_path, names, message):
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "1", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        arrays = load_weights(wpath)
+        for name in names:
+            arrays[name][:] = 1e308
+        save_weights(wpath, arrays)
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == message
+        assert "Traceback" not in err
 
     def test_unknown_config_key_exit_2(self, scene_path, tmp_path):
         cfg_path = tmp_path / "run.json"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dest3d.geometry import Box3D, synth_scene
 from dest3d.issm import (
+    CHUNK,
     CorrelationMlp,
     CorrelationTable,
     DirectionWeights,
@@ -17,7 +19,8 @@ from dest3d.issm import (
     ibs_weights_init,
     spatial_correlation,
 )
-from dest3d.numerics import LinearWeights, PrngStream
+from dest3d.numerics import LinearWeights, PrngStream, depthwise_conv1d, layer_norm, linear, silu
+from dest3d.ssm import ScanInputs, discretize_zoh, scan_sequential
 
 
 def make_boxes(rng, k):
@@ -479,3 +482,81 @@ class TestDeltaInvariants:
         assert (trace["delay"] <= 1.0).all() and (trace["delay"] > 0.0).all()
         for direction in ("forward", "backward"):
             assert (trace[direction]["delta"] >= 0).all()
+
+
+def unchunked_block(x, h0, points, boxes, w: IbsWeights, table, corr_mode, corr_mlp,
+                    delay_metric):
+    """ibs_forward with every (M, K, E) parameter array built at full size."""
+    xn = layer_norm(x, w.norm_x_gamma, w.norm_x_beta)
+    hn = layer_norm(h0, w.norm_h_gamma, w.norm_h_beta)
+    x_hat, z, h_hat0 = linear(xn, w.in_x), linear(xn, w.in_z), linear(hn, w.in_h)
+    s = spatial_correlation(points, boxes, table, mode=corr_mode, mlp=corr_mlp)
+    delay = delay_kernel(boxes, points, w.alpha_raw, metric=delay_metric)
+    ys, hs, params = [], [], {}
+    for direction, dw in (("forward", w.forward), ("backward", w.backward)):
+        x_conv = silu(depthwise_conv1d(x_hat, dw.conv_kernel, direction))
+        delta_logits, b, c = gen_params(s, x_conv, dw)
+        delta = np.logaddexp(0.0, delta_logits) * delay[:, :, None]
+        a_bar, b_bar = discretize_zoh(delta, dw.a_vec, b, mode="euler")
+        step = -1 if direction == "backward" else 1
+        out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
+                                         c=c[::step], x=x_conv[::step], h0=h_hat0))
+        ys.append(out.y[::step])
+        hs.append(out.h_final)
+        params[direction] = {"b": b, "c": c, "delta": delta, "a_bar": a_bar, "b_bar": b_bar}
+    y = linear((ys[0] + ys[1]) * silu(z), w.out_y) + x
+    h = linear(hs[0] + hs[1], w.out_h) + h0
+    return y, h, params
+
+
+def max_rel_err(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+class TestChunkedPipeline:
+    """ibs_forward streams parameters CHUNK points at a time; the chunk edges
+    must not show in its outputs."""
+
+    @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("corr_mode", ["table", "mlp"])
+    @pytest.mark.parametrize("metric", ["center", "vertex", "surface"])
+    def test_matches_unchunked_reference(self, m, corr_mode, metric):
+        rng = PrngStream(5000 + m)
+        k, c, e, d = 3, 4, 8, 3
+        w = ibs_weights_init(rng, channels=c, state_dim=e, corr_dim=d)
+        table = correlation_table_init(rng, d)
+        mlp = correlation_mlp_init(rng, d)
+        x, h0 = rng.normal((m, c)), rng.normal((k, c))
+        points = rng.normal((m, 3), 0.0, 2.0)
+        boxes = make_boxes(rng, k)
+        y, h, trace = ibs_forward(x, h0, points, boxes, w, table=table, corr_mode=corr_mode,
+                                  corr_mlp=mlp, delay_metric=metric, return_trace=True)
+        y_ref, h_ref, params = unchunked_block(x, h0, points, boxes, w, table, corr_mode,
+                                               mlp, metric)
+        assert max_rel_err(y, y_ref) <= 1e-12
+        assert max_rel_err(h, h_ref) <= 1e-12
+        for direction in ("forward", "backward"):
+            for name, ref in params[direction].items():
+                assert max_rel_err(trace[direction][name], ref) <= 1e-12, (direction, name)
+
+    def test_peak_memory_below_two_mke_arrays(self):
+        m, k, c, e, d = 1024, 32, 32, 32, 16
+        rng = PrngStream(77)
+        w = ibs_weights_init(rng, channels=c, state_dim=e, corr_dim=d)
+        table = correlation_table_init(rng, d)
+        x, h0 = rng.normal((m, c)), rng.normal((k, c))
+        points = rng.normal((m, 3), 0.0, 2.0)
+        boxes = make_boxes(rng, k)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ibs_forward(x, h0, points, boxes, w, table=table)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        mke_bytes = m * k * e * 8
+        assert peak < 2 * mke_bytes, peak / mke_bytes

@@ -93,6 +93,21 @@ class TestActivation:
     def test_softplus_large_asymptote(self):
         np.testing.assert_allclose(softplus(np.array(50.0)), 50.0, atol=1e-9)
 
+    def test_softplus_matches_logaddexp(self):
+        x = np.concatenate([[np.inf, -np.inf, 746.0, -746.0, 1e300, -1e300, 0.0],
+                            np.linspace(-800.0, 800.0, 2_000_001)])
+        ref = np.logaddexp(0.0, x)
+        got = softplus(x)
+        # 5e-16 relative; a subnormal result (x below about -708) has fewer
+        # significant bits, so there one subnormal spacing is the bound
+        tol = np.maximum(5e-16 * np.abs(ref), np.finfo(np.float64).smallest_subnormal)
+        with np.errstate(invalid="ignore"):
+            assert (np.abs(got - ref) <= tol)[np.isfinite(ref)].all()
+        np.testing.assert_array_equal(got[~np.isfinite(ref)], ref[~np.isfinite(ref)])
+        assert softplus(-np.inf) == 0.0
+        assert softplus(np.inf) == np.inf
+        assert np.isnan(softplus(np.nan))
+
     @given(st.floats(-700.0, 700.0))
     def test_softplus_positive(self, v):
         assert softplus(np.array(v)) > 0.0
