@@ -8,6 +8,7 @@ subcommand is deterministic for a fixed --seed (benchmark timings aside).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -105,7 +106,28 @@ def _scene_from_file(path: str, cfg: DecoderConfig, seed: int) -> Scene:
     return Scene(positions=positions, features=feats, colors=colors, gt_boxes=boxes)
 
 
+@contextlib.contextmanager
+def _warnings_as_lines():
+    """Print each distinct warning raised in the block once, as one stderr line
+    "warning: <message>" (no source-line echo), also when the block raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_demo(args) -> int:
+    with _warnings_as_lines():
+        lines = _demo_lines(args)
+    for line in lines:
+        print(json.dumps(line, sort_keys=True, allow_nan=False))
+    return 0
+
+
+def _demo_lines(args) -> list[dict]:
     overrides = {"num_layers": args.layers, "num_states": args.states,
                  "channels": args.channels, "serialization_bits": args.bits,
                  "seed": args.seed}
@@ -120,10 +142,11 @@ def cmd_demo(args) -> int:
     probs = point_objectness(result.final_x, weights)
     loss = binary_focal_loss(probs, objectness_labels(scene))
     # finite weights can still overflow; refuse by name rather than print NaN
+    # (decoder_stack already refuses non-finite boxes)
     lines = []
     for layer_idx, layer in enumerate(result.layers):
         for det in layer.detections:
-            for name, value in (("yaw", det.box.yaw), ("class_logits", det.class_logits),
+            for name, value in (("class_logits", det.class_logits),
                                 ("score", det.objectness)):
                 require_finite(f"layer {layer_idx} detection {name}", value)
             lines.append({
@@ -138,9 +161,7 @@ def cmd_demo(args) -> int:
     lines.append({"summary": {"layers": cfg.num_layers, "states": cfg.num_states,
                               "points": scene.num_points,
                               "objectness_focal_loss": round(loss, 9)}})
-    for line in lines:
-        print(json.dumps(line, sort_keys=True, allow_nan=False))
-    return 0
+    return lines
 
 
 def cmd_verify(args) -> int:
@@ -161,12 +182,9 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     m_values = [int(v) for v in args.m_list.split(",")]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_as_lines():
         result = complexity_bench(m_values, k=args.k, e=args.e, repeats=args.repeats,
                                   threads=args.threads)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
     print(f"{'M':>8}{'scan_time_s':>14}{'attention_time_s':>18}")
     for row in result["rows"]:
         print(f"{row['M']:>8}{row['scan_time']:>14.6f}{row['attention_time']:>18.6f}")

@@ -32,6 +32,7 @@ from .numerics import (
     layer_norm,
     linear,
     linear_init,
+    require_finite,
     sigmoid,
     silu,
     softmax_attention,
@@ -210,16 +211,18 @@ def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
 
 
 def detection_head(h: np.ndarray, ref_positions: np.ndarray,
-                   w: DetectionHeadWeights) -> list[Detection]:
+                   w: DetectionHeadWeights, label: str = "detection") -> list[Detection]:
     """Boxes, class logits and objectness from state features.
 
     Centers are offsets from the reference positions; sizes go through
     softplus plus a floor so they stay positive; yaw comes from a sin/cos
-    pair via atan2 (zero weights give yaw 0).
+    pair via atan2 (zero weights give yaw 0). A non-finite center, size or
+    yaw is refused by name, e.g. "<label> yaw contains non-finite values".
     """
-    centers = ref_positions + linear(h, w.offset)
-    sizes = softplus(linear(h, w.size)) + SIZE_FLOOR
-    yaw = np.arctan2(linear(h, w.yaw_sin)[:, 0], linear(h, w.yaw_cos)[:, 0])
+    centers = require_finite(f"{label} center", ref_positions + linear(h, w.offset))
+    sizes = require_finite(f"{label} size", softplus(linear(h, w.size)) + SIZE_FLOOR)
+    yaw = require_finite(f"{label} yaw", np.arctan2(linear(h, w.yaw_sin)[:, 0],
+                                                    linear(h, w.yaw_cos)[:, 0]))
     logits = linear(h, w.cls)
     obj = sigmoid(linear(h, w.obj))[:, 0]
     return [
@@ -289,12 +292,12 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
     idx = farthest_point_sampling(scene.positions, cfg.num_states, start=0)
     state_pos = scene.positions[idx]
     h = x[idx].copy()
-    boxes = [d.box for d in detection_head(h, state_pos, weights.head)]
+    boxes = [d.box for d in detection_head(h, state_pos, weights.head, "initial detection")]
     outputs = []
     for layer in range(cfg.num_layers):
         x, h = decoder_layer(x, h, scene.positions, boxes, layer,
                              weights.layers[layer], cfg)
-        dets = detection_head(h, state_pos, weights.head)
+        dets = detection_head(h, state_pos, weights.head, f"layer {layer} detection")
         boxes = [d.box for d in dets]
         outputs.append(LayerOutput(x=x, h=h, detections=dets))
     return StackResult(layers=outputs, final_x=x,

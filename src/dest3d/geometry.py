@@ -57,7 +57,7 @@ class Box3D:
             raise ValueError("center and size must be 3-vectors")
         if not (self.size > 0).all():
             raise ValueError(f"box size must be positive, got {self.size}")
-        self.yaw = normalize_yaw(float(self.yaw))
+        self.yaw = normalize_yaw(float(require_finite("yaw", self.yaw)))
 
     def rotation(self) -> np.ndarray:
         """World-from-local rotation about z."""

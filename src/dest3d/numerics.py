@@ -8,6 +8,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +112,24 @@ def linear_init(stream: PrngStream, out_features: int, in_features: int,
 
 
 def linear(x: np.ndarray, w: LinearWeights) -> np.ndarray:
-    """y[..., o] = sum_i x[..., i] * weight[o, i] + bias[o]."""
+    """y[..., o] = sum_i x[..., i] * weight[o, i] + bias[o].
+
+    Input of more than two dims runs as one 2-D GEMM over its flattened
+    leading axes (numpy's stacked matmul would run one small product per
+    leading index); the bias is added in place.
+    """
     x = np.asarray(x)
     if x.shape[-1] != w.in_features:
         raise ValueError(
             f"linear: input last dim {x.shape[-1]} != weight in dim {w.in_features}"
         )
+    lead = x.shape[:-1]
+    if x.ndim > 2:
+        x = x.reshape(math.prod(lead), w.in_features)
     y = x @ w.weight.T
     if w.bias is not None:
-        y = y + w.bias
-    return y
+        y += w.bias
+    return y.reshape(lead + (w.out_features,))
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -137,13 +146,20 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow, as where(x >= 0, 1, e) / (1 + e)
+    with e = exp(-|x|).
+
+    Equal bit for bit to evaluating 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) otherwise (a NaN's sign bit aside). Works in place
+    on two full-size buffers; 0-d input gives a 0-d array.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -158,8 +174,8 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    return np.multiply(x, s, out=s)
 
 
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,

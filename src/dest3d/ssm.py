@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Steps per block of _recur: bounds its scratch to O(_BLOCK * K * E) whatever
+# the sequence length, while the per-block ops stay large next to Python
+# overhead.
+_BLOCK = 64
+
 __all__ = [
     "ScanInputs",
     "ScanOutputs",
@@ -116,15 +121,25 @@ def discretize_zoh(delta: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
     """Advance state h over the given steps and return the last state.
 
-    The one forward recurrence step of this package. y[t] = c[t] @ h_t is
-    written when y is given, h_t into trace when trace is given.
+    The one forward recurrence step of this package. Steps run in blocks of
+    at most _BLOCK rows: the block's input terms b_bar[t] * x[t] are formed
+    in one op into a buffer (the trace rows when trace is given, else
+    O(_BLOCK * K * E) scratch), each step adds a_bar[t] * h into its row in
+    place, and y[t] = c[t] @ h_t is written for the whole block by one
+    stacked matmul when y is given. Inputs and h are not mutated; after at
+    least one step the returned state is a fresh array.
     """
-    for t in range(x.shape[0]):
-        h = a_bar[t] * h + b_bar[t] * x[t]
+    m = x.shape[0]
+    scratch = None if trace is not None else np.empty((min(m, _BLOCK),) + h.shape)
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        u = trace[lo:hi] if trace is not None else scratch[:hi - lo]
+        np.multiply(b_bar[lo:hi], x[lo:hi, None, :], out=u)
+        for a_t, u_t in zip(a_bar[lo:hi], u):
+            h = np.add(u_t, a_t * h, out=u_t)
         if y is not None:
-            y[t] = c[t] @ h
-        if trace is not None:
-            trace[t] = h
+            np.matmul(c[lo:hi, None, :], u, out=y[lo:hi, None, :])
+        h = h.copy()  # the next block refills the buffer h is a row of
     return h
 
 
@@ -133,8 +148,7 @@ def scan_sequential(inputs: ScanInputs, keep_trace: bool = False) -> ScanOutputs
     m, k, e = inputs.shape
     y = np.empty((m, e), dtype=np.float64)
     trace = np.empty((m, k, e), dtype=np.float64) if keep_trace else None
-    h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0.copy(),
-               inputs.c, y, trace)
+    h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, inputs.c, y, trace)
     return ScanOutputs(y=y, h_final=h, h_trace=trace)
 
 

@@ -23,6 +23,11 @@ class TestBox3D:
         with pytest.raises(ValueError):
             Box3D(center=np.zeros(3), size=np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("yaw", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_yaw(self, yaw):
+        with pytest.raises(ValueError, match="yaw contains non-finite values"):
+            Box3D(center=np.zeros(3), size=np.ones(3), yaw=yaw)
+
     def test_yaw_normalized(self):
         box = Box3D(center=np.zeros(3), size=np.ones(3), yaw=3 * np.pi)
         assert -np.pi < box.yaw <= np.pi

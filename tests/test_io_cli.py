@@ -364,6 +364,33 @@ class TestCliDemo:
         assert err.splitlines()[-1] == message
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name,message", [
+        ("head.offset.weight", "error: initial detection center contains non-finite values"),
+        ("head.size.weight", "error: initial detection size contains non-finite values"),
+        ("head.yaw_sin.weight", "error: initial detection yaw contains non-finite values"),
+        ("layers.0.ibs.out_h.weight",
+         "error: layer 0 detection center contains non-finite values"),
+    ])
+    def test_overflowing_box_names_its_source(self, scene_path, tmp_path, name, message):
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "1", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        arrays = load_weights(wpath)
+        arrays[name][:] = 1e308
+        save_weights(wpath, arrays)
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == message
+        assert "Traceback" not in err
+        # numpy's warnings come as single "warning: ..." lines, each once,
+        # without the echoed source line
+        warn_lines = err.splitlines()[:-1]
+        assert warn_lines and all(l.startswith("warning: ") for l in warn_lines)
+        assert len(set(warn_lines)) == len(warn_lines)
+        assert ".py:" not in err
+
     def test_unknown_config_key_exit_2(self, scene_path, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"frobnicate": True}))

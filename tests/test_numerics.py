@@ -9,6 +9,7 @@ from dest3d.numerics import (
     depthwise_conv1d,
     layer_norm,
     linear,
+    sigmoid,
     silu,
     softmax_attention,
     softplus,
@@ -51,6 +52,61 @@ class TestLinear:
         lhs = linear(a * x + b * y, w)
         rhs = a * linear(x, w) + b * linear(y, w) - (a + b - 1.0) * w.bias
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("shape", [(5,), (6, 5), (4, 3, 5), (2, 3, 4, 5)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_einsum_any_rank(self, shape, with_bias):
+        rng = PrngStream(len(shape) + 10 * with_bias)
+        w = LinearWeights(rng.normal((7, 5)), rng.normal((7,)) if with_bias else None)
+        x = rng.normal(shape)
+        expected = np.einsum("...i,oi->...o", x, w.weight)
+        if with_bias:
+            expected = expected + w.bias
+        y = linear(x, w)
+        assert y.shape == shape[:-1] + (7,)
+        np.testing.assert_allclose(y, expected, rtol=1e-15, atol=1e-15 * np.abs(expected).max())
+
+    def test_non_contiguous_input(self):
+        rng = PrngStream(12)
+        w = LinearWeights(rng.normal((4, 3)), rng.normal((4,)))
+        x = rng.normal((3, 6, 5)).transpose(2, 1, 0)  # (5, 6, 3) view
+        assert not x.flags.c_contiguous
+        expected = np.einsum("...i,oi->...o", x, w.weight) + w.bias
+        np.testing.assert_allclose(linear(x, w), expected, rtol=1e-15,
+                                   atol=1e-15 * np.abs(expected).max())
+
+
+def two_branch_sigmoid(x):
+    """Reference: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) otherwise."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_two_branch_form(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 745.2, -745.2, np.nan]
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4_000_001), edges])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = two_branch_sigmoid(x)
+        np.testing.assert_array_equal(sigmoid(x), expected)  # NaNs compare equal
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+    def test_zero_d_input(self):
+        y = sigmoid(np.array(0.0))
+        assert isinstance(y, np.ndarray) and y.shape == () and y == 0.5
+        assert silu(np.array(0.0)) == 0.0
+        assert np.shape(silu(np.array(-1.0))) == ()
+
+    def test_input_unchanged(self):
+        x = PrngStream(13).normal((4, 5))
+        before = x.copy()
+        silu(x)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestLayerNorm:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,69 @@ class TestScanChunked:
     def test_bad_chunk(self):
         with pytest.raises(ValueError):
             scan_chunked(random_inputs(1, 4, 1, 1), 0)
+
+
+def loop_scan(inputs, h, steps, y, trace):
+    """Per-step reference recurrence over the given steps; returns the last state."""
+    for t in steps:
+        h = inputs.a_bar[t] * h + inputs.b_bar[t] * inputs.x[t]
+        if y is not None:
+            y[t] = inputs.c[t] @ h
+            trace[t] = h
+    return h
+
+
+def loop_chunked(inputs, chunk):
+    """Per-step reference of scan_chunked's summaries and replay; returns (y, h, trace)."""
+    m, k, e = inputs.shape
+    spans = [range(s, min(s + chunk, m)) for s in range(0, m, chunk)]
+    entries = [inputs.h0]
+    for sp in spans[:-1]:
+        acc_a = np.prod(inputs.a_bar[sp.start:sp.stop], axis=0)
+        acc_b = loop_scan(inputs, np.zeros((k, e)), sp, None, None)
+        entries.append(acc_a * entries[-1] + acc_b)
+    y, trace = np.empty((m, e)), np.empty((m, k, e))
+    for sp, h_in in zip(spans, entries):
+        h = loop_scan(inputs, h_in, sp, y, trace)
+    return y, h, trace
+
+
+class TestBlockedRecurrence:
+    """The blocked recurrence equals a plain per-step loop bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 257])
+    @pytest.mark.parametrize("k", [1, 4, 64])
+    @pytest.mark.parametrize("keep_trace", [False, True])
+    def test_bitwise_equal_to_step_loop(self, m, k, keep_trace):
+        inputs = random_inputs(100 + m + k, m, k, 8)
+        saved = {f: getattr(inputs, f).copy() for f in ("a_bar", "b_bar", "c", "x", "h0")}
+        y_ref, trace_ref = np.empty((m, 8)), np.empty((m, k, 8))
+        h_ref = loop_scan(inputs, inputs.h0, range(m), y_ref, trace_ref)
+        runs = [(scan_sequential(inputs, keep_trace), (y_ref, h_ref, trace_ref))]
+        for chunk in (1, 7, 64, m):
+            runs.append((scan_chunked(inputs, chunk, keep_trace), loop_chunked(inputs, chunk)))
+        for out, (y, h, trace) in runs:
+            np.testing.assert_array_equal(out.y, y)
+            np.testing.assert_array_equal(out.h_final, h)
+            if keep_trace:
+                np.testing.assert_array_equal(out.h_trace, trace)
+                assert not np.shares_memory(out.h_final, out.h_trace)
+            else:
+                assert out.h_trace is None
+            assert not np.shares_memory(out.h_final, inputs.h0)
+        for f, before in saved.items():
+            np.testing.assert_array_equal(getattr(inputs, f), before)
+
+    def test_scratch_bounded_without_trace(self):
+        m, k, e = 4096, 16, 32
+        inputs = random_inputs(31, m, k, e)
+        tracemalloc.start()
+        try:
+            scan_sequential(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * k * e * 8
 
 
 class TestLtiConvForm:
