@@ -32,7 +32,7 @@ m, k, e = 64, 4, 8
 delta = rng.uniform((m, k, e), 0.0, 1.0)
 a = -rng.uniform((e,), 0.2, 1.5)
 b = rng.normal((m, k))
-a_bar, b_bar = discretize_zoh(delta, a, b, mode="euler")
+a_bar, b_bar = discretize_zoh(delta, a, b)
 print(f"a_bar range: [{a_bar.min():.4f}, {a_bar.max():.4f}] (inside (0, 1])")
 
 inputs = ScanInputs(a_bar=a_bar, b_bar=b_bar, c=rng.normal((m, k)),

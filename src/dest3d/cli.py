@@ -55,11 +55,15 @@ def load_run_config(path: str | None, overrides: dict) -> tuple[DecoderConfig, i
     doc: dict = {}
     if path:
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise UsageError("config must be a JSON object")
         unknown = set(doc) - _CONFIG_FIELDS - _EXTRA_CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    seed = int(doc.pop("seed", 0))
+    seed = doc.pop("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise UsageError(f"seed must be an int, got {seed!r}")
     try:
         cfg = DecoderConfig(**{k: v for k, v in doc.items() if k in _CONFIG_FIELDS})
     except (TypeError, ValueError) as exc:

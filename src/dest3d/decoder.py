@@ -38,7 +38,7 @@ from .numerics import (
     softmax_attention,
     softplus,
 )
-from .serialization import SerializationOrder, bounds_from_points, order_for_layer, serialize
+from .serialization import SerializationOrder, order_for_layer, serialize
 
 __all__ = [
     "DecoderConfig",
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 SIZE_FLOOR = 0.05  # meters; keeps predicted boxes non-degenerate
+_SIZE_FIELDS = ("num_layers", "channels", "state_dim", "corr_dim", "ffn_dim", "heads",
+                "kernel_size", "num_states", "serialization_bits", "num_classes")
 
 
 @dataclass
@@ -82,10 +84,16 @@ class DecoderConfig:
     num_classes: int = 10
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
+        for name in _SIZE_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if self.serialization_bits > 16:
+            raise ValueError(
+                f"serialization_bits must be in [1, 16], got {self.serialization_bits}")
+        for name in ("glu_x", "glu_h"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.channels % self.heads != 0:
             raise ValueError("channels must be divisible by heads")
         if self.correlation_mode not in ("table", "mlp"):
@@ -171,23 +179,21 @@ def inter_state_attention(h: np.ndarray, w: AttentionWeights) -> np.ndarray:
     return h + linear(attended, w.out)
 
 
-def gffn(t: np.ndarray, w: GffnWeights, with_dwconv: bool = False,
-         gated: bool = True) -> np.ndarray:
+def gffn(t: np.ndarray, w: GffnWeights, gated: bool = True) -> np.ndarray:
     """Gated feed-forward block with residual.
 
-    t + out(SiLU(gate(norm(t))) * value-path); the value path runs through a
-    causal depthwise conv on the serialized scene stream. gated=False drops
-    the multiplicative value path (plain FFN), matching the ablation switch.
+    t + out(SiLU(gate(norm(t))) * value-path); when w carries a conv kernel
+    (the scene stream's), the value path runs through a causal depthwise conv
+    over the serialized order. gated=False drops the multiplicative value
+    path (plain FFN), matching the ablation switch.
     """
     tn = layer_norm(t, w.norm_gamma, w.norm_beta)
     g = silu(linear(tn, w.gate))
     if not gated:
         return t + linear(g, w.out)
     v = linear(tn, w.value)
-    if with_dwconv:
-        if w.conv_kernel is None:
-            raise ValueError("gffn with_dwconv requires a conv kernel")
-        v = depthwise_conv1d(v, w.conv_kernel, "forward")
+    if w.conv_kernel is not None:
+        v = depthwise_conv1d(v, w.conv_kernel)
     return t + linear(g * v, w.out)
 
 
@@ -196,15 +202,15 @@ def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
                   cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer; returns (x', h') with x' in the input point order."""
     order = SerializationOrder(order_for_layer(layer), cfg.serialization_bits)
-    perm = serialize(positions, order, bounds_from_points(positions))
+    perm = serialize(positions, order)
     xp = x[perm]
     pp = positions[perm]
     x1, h1 = ibs_forward(xp, h, pp, boxes, w.ibs, table=w.table,
                          corr_mode=cfg.correlation_mode, corr_mlp=w.corr_mlp,
                          delay_metric=cfg.delay_metric)
     h2 = inter_state_attention(h1, w.attn)
-    x2 = gffn(x1, w.gffn_x, with_dwconv=True, gated=cfg.glu_x)
-    h3 = gffn(h2, w.gffn_h, with_dwconv=False, gated=cfg.glu_h)
+    x2 = gffn(x1, w.gffn_x, gated=cfg.glu_x)
+    h3 = gffn(h2, w.gffn_h, gated=cfg.glu_h)
     x_out = np.empty_like(x2)
     x_out[perm] = x2
     return x_out, h3
@@ -268,8 +274,6 @@ def point_objectness(x: np.ndarray, w: DecoderWeights) -> np.ndarray:
 class StackResult:
     layers: list[LayerOutput]
     final_x: np.ndarray
-    state_positions: np.ndarray
-    state_indices: list[int]
 
 
 def decoder_stack(scene: Scene, cfg: DecoderConfig,
@@ -300,8 +304,7 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
         dets = detection_head(h, state_pos, weights.head, f"layer {layer} detection")
         boxes = [d.box for d in dets]
         outputs.append(LayerOutput(x=x, h=h, detections=dets))
-    return StackResult(layers=outputs, final_x=x,
-                       state_positions=state_pos, state_indices=idx)
+    return StackResult(layers=outputs, final_x=x)
 
 
 def _attention_init(stream: PrngStream, channels: int, heads: int) -> AttentionWeights:

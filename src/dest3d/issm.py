@@ -230,24 +230,20 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
     return np.exp(alpha * np.minimum(radii[None, :] - d, 0.0))
 
 
-def _run_direction(x_dir_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
-                   delay: np.ndarray, w: DirectionWeights, direction: str,
+def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
+                   delay: np.ndarray, w: DirectionWeights,
                    keep_trace: bool) -> tuple[np.ndarray, np.ndarray, dict | None]:
-    """One scan direction of the bidirectional block. Returns (y, h_final, trace).
+    """One causal scan over the rows of x_in in order. Returns (y, h_final, trace).
 
-    Past the depthwise conv, parameters and scan run on CHUNK points at a
+    Past the depthwise conv, parameters and scan run on CHUNK rows at a
     time, carrying the state from chunk to chunk: gen_params -> softplus ->
     delay -> discretize_zoh -> scan_sequential. The (M, K, E) parameters are
-    never held at full size; the backward direction walks the chunks last to
-    first and reverses each one. With keep_trace the chunk parameters are
-    copied into full-size arrays for the trace dict, otherwise it is None.
+    never held at full size. The backward direction is this function on
+    reversed views of x_in, s and delay. With keep_trace the chunk parameters
+    are copied into full-size arrays for the trace dict, otherwise it is None.
     """
-    x_conv = silu(depthwise_conv1d(x_dir_in, w.conv_kernel, direction))
+    x_conv = silu(depthwise_conv1d(x_in, w.conv_kernel))
     m = x_conv.shape[0]
-    starts = range(0, m, CHUNK)
-    step = 1
-    if direction == "backward":
-        starts, step = reversed(starts), -1
     y = np.empty_like(x_conv)
     trace = None
     if keep_trace:
@@ -256,14 +252,14 @@ def _run_direction(x_dir_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                  "delta": np.empty((m, k, e)), "a_bar": np.empty((m, k, e)),
                  "b_bar": np.empty((m, k, e))}
     h = h0_hat
-    for lo in starts:
+    for lo in range(0, m, CHUNK):
         sl = slice(lo, lo + CHUNK)
         delta_logits, b, c = gen_params(s[sl], x_conv[sl], w)
         delta = softplus(delta_logits) * delay[sl, :, None]
-        a_bar, b_bar = discretize_zoh(delta, w.a_vec, b, mode="euler")
-        out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
-                                         c=c[::step], x=x_conv[sl][::step], h0=h))
-        y[sl] = out.y[::step]
+        a_bar, b_bar = discretize_zoh(delta, w.a_vec, b)
+        out = scan_sequential(ScanInputs(a_bar=a_bar, b_bar=b_bar, c=c,
+                                         x=x_conv[sl], h0=h))
+        y[sl] = out.y
         h = out.h_final
         if trace is not None:
             for name, value in (("b", b), ("c", c), ("delta", delta),
@@ -308,10 +304,12 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
     s = spatial_correlation(points, boxes, table, mode=corr_mode, mlp=corr_mlp)
     delay = delay_kernel(boxes, points, w.alpha_raw, metric=delay_metric)
 
-    y_fwd, h_fwd, tr_f = _run_direction(x_hat, h_hat0, s, delay, w.forward, "forward",
-                                        return_trace)
-    y_bwd, h_bwd, tr_b = _run_direction(x_hat, h_hat0, s, delay, w.backward, "backward",
-                                        return_trace)
+    y_fwd, h_fwd, tr_f = _run_direction(x_hat, h_hat0, s, delay, w.forward, return_trace)
+    # The backward scan is the forward code on reversed views; its outputs
+    # are flipped back so row t is serialized position t again.
+    y_bwd, h_bwd, tr_b = _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1],
+                                        w.backward, return_trace)
+    y_bwd = y_bwd[::-1]
 
     gate = silu(z)
     y = linear((y_fwd + y_bwd) * gate, w.out_y) + x
@@ -319,7 +317,7 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
     if return_trace:
         trace = {
             "x_hat": x_hat, "z": z, "h_hat0": h_hat0, "s": s, "delay": delay,
-            "forward": tr_f, "backward": tr_b,
+            "forward": tr_f, "backward": {name: v[::-1] for name, v in tr_b.items()},
             "y_fwd": y_fwd, "y_bwd": y_bwd, "h_fwd": h_fwd, "h_bwd": h_bwd,
         }
         return y, h_out, trace

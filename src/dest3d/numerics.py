@@ -68,11 +68,6 @@ class PrngStream:
         self._count(shape)
         return self._gen.integers(low, high, size=shape)
 
-    def spawn(self) -> "PrngStream":
-        """Derive an independent child stream (consumes one draw)."""
-        self.counter += 1
-        return PrngStream(int(self._gen.integers(0, 2**63 - 1)))
-
 
 @dataclass
 class LinearWeights:
@@ -178,14 +173,12 @@ def silu(x: np.ndarray) -> np.ndarray:
     return np.multiply(x, s, out=s)
 
 
-def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,
-                     direction: str = "forward") -> np.ndarray:
+def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Causal per-channel convolution along the sequence axis.
 
     x is (seq, channels), kernel is (channels, ksize); tap 0 multiplies the
-    current step, tap j the step j positions earlier (zero-padded past).
-    direction "backward" runs the same causal conv on the reversed sequence
-    and re-reverses, so causality points the other way.
+    current step, tap j the step j positions earlier (zero-padded past). An
+    anti-causal conv is this one on a reversed view, reversed back.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -193,10 +186,6 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,
         raise ValueError(
             f"depthwise_conv1d: x {x.shape} and kernel {kernel.shape} disagree"
         )
-    if direction == "backward":
-        return depthwise_conv1d(x[::-1], kernel, "forward")[::-1]
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
     ksize = kernel.shape[1]
     out = x * kernel[:, 0]
     for j in range(1, min(ksize, x.shape[0])):

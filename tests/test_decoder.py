@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dest3d.decoder as decoder_mod
 from dest3d.decoder import (
@@ -16,7 +18,7 @@ from dest3d.decoder import (
     positional_embedding,
 )
 from dest3d.geometry import Box3D, Scene, farthest_point_sampling, point_in_box, synth_scene
-from dest3d.issm import ibs_forward
+from dest3d.issm import CHUNK, ibs_forward
 from dest3d.numerics import LinearWeights, PrngStream, layer_norm, linear, softmax_attention
 from dest3d.serialization import SerializationOrder, bounds_from_points, order_for_layer, serialize
 
@@ -85,7 +87,7 @@ class TestGffn:
     def test_scalar_transcription(self):
         w = decoder_weights_init(PrngStream(10), small_cfg()).layers[0].gffn_x
         t = PrngStream(11).normal((6, 16))
-        out = gffn(t, w, with_dwconv=True)
+        out = gffn(t, w)
         # loop transcription
         tn = layer_norm(t, w.norm_gamma, w.norm_beta)
         gate_lin = linear(tn, w.gate)
@@ -102,11 +104,6 @@ class TestGffn:
                 conv[i, ch] = acc
         expected = t + linear(gate * conv, w.out)
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_dwconv_requires_kernel(self):
-        w = decoder_weights_init(PrngStream(12), small_cfg()).layers[0].gffn_h
-        with pytest.raises(ValueError):
-            gffn(np.zeros((3, 16)), w, with_dwconv=True)
 
     def test_ungated_variant(self):
         w = decoder_weights_init(PrngStream(13), small_cfg()).layers[0].gffn_h
@@ -166,7 +163,7 @@ class TestDecoderLayer:
                              table=lw.table, corr_mode=cfg.correlation_mode,
                              corr_mlp=lw.corr_mlp, delay_metric=cfg.delay_metric)
         hh = gffn_fn(attn_fn(h1, lw.attn), lw.gffn_h, gated=cfg.glu_h)
-        xs = gffn_fn(x1, lw.gffn_x, with_dwconv=True, gated=cfg.glu_x)
+        xs = gffn_fn(x1, lw.gffn_x, gated=cfg.glu_x)
         x_exp = np.empty_like(xs)
         x_exp[perm] = xs
         np.testing.assert_allclose(x2, x_exp, atol=1e-13)
@@ -369,3 +366,39 @@ class TestDecoderStack:
         probs = point_objectness(result.final_x, weights)
         assert probs.shape == (scene.num_points,)
         assert ((probs > 0) & (probs < 1)).all()
+
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_point_permutation_equivariance(self, seed, data):
+        # the stack sees the points as a set: permuting them permutes
+        # final_x's rows and leaves every detection unchanged. Point 0 stays
+        # first (farthest-point sampling starts there) and no two points
+        # share a Hilbert cell (points in one cell keep their input order).
+        cfg = small_cfg()
+        m = 2 * CHUNK + 2
+        rng = PrngStream(seed)
+        scene = Scene(positions=rng.uniform((m, 3), -3.0, 3.0),
+                      features=rng.normal((m, cfg.channels)))
+        lo, hi = bounds_from_points(scene.positions)
+        n_cells = 1 << cfg.serialization_bits
+        cells = np.clip(np.floor((scene.positions - lo) / (hi - lo) * n_cells), 0, n_cells - 1)
+        assume(len(np.unique(cells, axis=0)) == m)
+        perm = np.array([0] + data.draw(st.permutations(range(1, m))))
+        weights = decoder_weights_init(PrngStream(seed + 1), cfg)
+        ref = decoder_stack(scene, cfg, weights)
+        got = decoder_stack(Scene(positions=scene.positions[perm],
+                                  features=scene.features[perm]), cfg, weights)
+
+        def assert_close(a, b):
+            a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+
+        assert_close(got.final_x, ref.final_x[perm])
+        for layer_got, layer_ref in zip(got.layers, ref.layers):
+            for d_got, d_ref in zip(layer_got.detections, layer_ref.detections):
+                for a, b in ((d_got.box.center, d_ref.box.center),
+                             (d_got.box.size, d_ref.box.size),
+                             (d_got.box.yaw, d_ref.box.yaw),
+                             (d_got.class_logits, d_ref.class_logits),
+                             (d_got.objectness, d_ref.objectness)):
+                    assert_close(a, b)

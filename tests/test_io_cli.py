@@ -391,6 +391,56 @@ class TestCliDemo:
         assert len(set(warn_lines)) == len(warn_lines)
         assert ".py:" not in err
 
+    @pytest.mark.parametrize("doc, key", [
+        ([], "JSON object"),
+        ({"seed": None}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"num_states": 2.5}, "num_states"),
+        ({"kernel_size": 2.5}, "kernel_size"),
+        ({"serialization_bits": 2.0}, "serialization_bits"),
+        ({"serialization_bits": 17}, "serialization_bits"),
+        ({"channels": 0}, "channels"),
+        ({"corr_dim": 0}, "corr_dim"),
+        ({"ffn_dim": 0}, "ffn_dim"),
+        ({"heads": 0}, "heads"),
+        ({"num_states": True}, "num_states"),
+        ({"num_classes": 0}, "num_classes"),
+        ({"glu_x": 1}, "glu_x"),
+    ])
+    def test_malformed_config_exit_2(self, scene_path, tmp_path, doc, key):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, out, err = run_cli("demo", scene_path, "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "must be a JSON list"),
+        ([1], "box 0: expected an object"),
+        ([{"center": [0, 0, 0]}], "box 0: size must be a list of 3 numbers"),
+        ([{"center": [0, 0], "size": [1, 1, 1], "yaw": 0}],
+         "box 0: center must be a list of 3 numbers"),
+        ([{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0},
+          {"center": [0, 0, 0], "size": [1, 1, 1], "yaw": "a"}], "box 1: yaw must be a number"),
+        ([{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": None}], "box 0: yaw must be a number"),
+        ([{"center": [0, 0, 0], "size": [1, 1, 1], "yaw": 0, "class_id": "x"}],
+         "box 0: class_id must be an int or null"),
+        ([{"center": [0, 0, 0], "size": [1, -1, 1], "yaw": 0}],
+         "box 0: box size must be positive"),
+    ])
+    def test_malformed_box_sidecar_exit_2(self, scene_path, doc, message):
+        boxes_sidecar_path(scene_path).write_text(json.dumps(doc))
+        code, out, err = run_cli("demo", scene_path, "--layers", "1", "--states", "3",
+                                 "--channels", "16")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_exit_2(self, scene_path, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"frobnicate": True}))

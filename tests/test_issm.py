@@ -410,9 +410,16 @@ class TestIbsForward:
         np.testing.assert_array_equal(h1, h2)
 
     def test_bidirectional_symmetry(self):
+        self.check_bidirectional_symmetry(m=9)
+
+    def test_bidirectional_symmetry_across_chunks(self):
+        # the backward scan runs on reversed views and crosses chunk edges
+        self.check_bidirectional_symmetry(m=2 * CHUNK + 3)
+
+    def check_bidirectional_symmetry(self, m):
         # reversing the sequence and swapping direction weights reverses y
         # and leaves the state output unchanged
-        x, h0, points, boxes, w, table = self.micro(3, m=9, k=2)
+        x, h0, points, boxes, w, table = self.micro(3, m=m, k=2)
         y, h = ibs_forward(x, h0, points, boxes, w, table=table)
         swapped = IbsWeights(
             norm_x_gamma=w.norm_x_gamma, norm_x_beta=w.norm_x_beta,
@@ -494,11 +501,11 @@ def unchunked_block(x, h0, points, boxes, w: IbsWeights, table, corr_mode, corr_
     delay = delay_kernel(boxes, points, w.alpha_raw, metric=delay_metric)
     ys, hs, params = [], [], {}
     for direction, dw in (("forward", w.forward), ("backward", w.backward)):
-        x_conv = silu(depthwise_conv1d(x_hat, dw.conv_kernel, direction))
+        step = -1 if direction == "backward" else 1
+        x_conv = silu(depthwise_conv1d(x_hat[::step], dw.conv_kernel)[::step])
         delta_logits, b, c = gen_params(s, x_conv, dw)
         delta = np.logaddexp(0.0, delta_logits) * delay[:, :, None]
-        a_bar, b_bar = discretize_zoh(delta, dw.a_vec, b, mode="euler")
-        step = -1 if direction == "backward" else 1
+        a_bar, b_bar = discretize_zoh(delta, dw.a_vec, b)
         out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
                                          c=c[::step], x=x_conv[::step], h0=h_hat0))
         ys.append(out.y[::step])

@@ -28,36 +28,15 @@ def random_inputs(seed, m, k, e):
 
 class TestDiscretize:
     def test_zero_timestep_limit(self):
-        for mode in ("euler", "exact"):
-            a_bar, b_bar = discretize_zoh(np.zeros((2, 2, 2)), -np.ones(2),
-                                          np.ones((2, 2)), mode=mode)
-            np.testing.assert_array_equal(a_bar, 1.0)
-            np.testing.assert_array_equal(b_bar, 0.0)
-
-    def test_exact_closed_form(self):
-        a_bar, b_bar = discretize_zoh(np.ones((1, 1, 1)), np.array([-1.0]),
-                                      np.ones((1, 1)), mode="exact")
-        np.testing.assert_allclose(a_bar.ravel()[0], np.exp(-1), rtol=1e-12)
-        np.testing.assert_allclose(b_bar.ravel()[0], 1 - np.exp(-1), rtol=1e-12)
-
-    def test_taylor_limit_agreement(self):
-        delta = np.full((1, 1, 1), 1e-9)
-        a = np.array([-1.0])
-        b = np.full((1, 1), 2.0)
-        _, euler = discretize_zoh(delta, a, b, mode="euler")
-        _, exact = discretize_zoh(delta, a, b, mode="exact")
-        np.testing.assert_allclose(exact, euler, rtol=1e-8)
+        a_bar, b_bar = discretize_zoh(np.zeros((2, 2, 2)), -np.ones(2), np.ones((2, 2)))
+        np.testing.assert_array_equal(a_bar, 1.0)
+        np.testing.assert_array_equal(b_bar, 0.0)
 
     def test_a_bar_in_unit_interval(self):
         rng = PrngStream(4)
         a_bar, _ = discretize_zoh(rng.uniform((3, 2, 5), 0, 2),
                                   -rng.uniform((5,), 0.1, 2), rng.normal((3, 2)))
         assert (a_bar > 0).all() and (a_bar <= 1).all()
-
-    def test_positive_a_warns_in_exact_mode(self):
-        with pytest.warns(RuntimeWarning):
-            discretize_zoh(np.ones((1, 1, 1)), np.array([0.5]), np.ones((1, 1)),
-                           mode="exact")
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
