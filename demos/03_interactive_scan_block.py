@@ -42,12 +42,13 @@ probe = boxes[0].center + np.array([radius0 + 1.0 / alpha, 0.0, 0.0])
 print(f"  probe at d = R + 1/alpha     -> factor "
       f"{delay_kernel(boxes, probe[None], alpha_raw)[0, 0]:.6f} (= 1/e)")
 
-# 3. The full block: normalize, project, scan both directions with
+# 3. The full block takes s and the delay factors from steps 1 and 2 as its
+#    conditioning: normalize, project, scan both directions with
 #    direction-specific weights, gate, fuse, and residual-connect. Scene
 #    features and state features both come out updated.
 w = ibs_weights_init(rng, channels=16, state_dim=32, corr_dim=8)
 h0 = rng.normal((k, 16))
-y, h_out = ibs_forward(scene.features, h0, scene.positions, boxes, w, table=table)
+y, h_out = ibs_forward(scene.features, h0, s, factors, w)
 print(f"\nblock output: scene {y.shape}, states {h_out.shape}")
 print(f"scene stream moved by  |y - x| = {np.linalg.norm(y - scene.features):.3f}")
 print(f"state stream moved by  |h - h0| = {np.linalg.norm(h_out - h0):.3f}")

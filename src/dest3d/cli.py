@@ -87,6 +87,8 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_serialize(args) -> int:
+    if args.score and args.knn < 1:
+        raise UsageError(f"--knn must be >= 1, got {args.knn}")
     positions, _ = read_points(args.input)
     order = SerializationOrder(args.order, args.bits)
     perm = serialize(positions, order)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import issm
 from .geometry import Box3D, Scene, farthest_point_sampling, points_in_box
 from .issm import (
     CorrelationMlp,
@@ -200,14 +201,22 @@ def gffn(t: np.ndarray, w: GffnWeights, gated: bool = True) -> np.ndarray:
 def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
                   boxes: list[Box3D], layer: int, w: DecoderLayerWeights,
                   cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer; returns (x', h') with x' in the input point order."""
+    """One decoder layer; returns (x', h') with x' in the input point order.
+
+    The layer picks the correlation form and delay metric from cfg and builds
+    the block's s and delay from the boxes on the serialized positions.
+    """
     order = SerializationOrder(order_for_layer(layer), cfg.serialization_bits)
     perm = serialize(positions, order)
     xp = x[perm]
     pp = positions[perm]
-    x1, h1 = ibs_forward(xp, h, pp, boxes, w.ibs, table=w.table,
-                         corr_mode=cfg.correlation_mode, corr_mlp=w.corr_mlp,
-                         delay_metric=cfg.delay_metric)
+    corr = w.table if cfg.correlation_mode == "table" else w.corr_mlp
+    # Called through the module: perfbench's tracer wraps these two names only
+    # in dest3d.issm's globals, and would not see a from-imported copy. Not
+    # bound to locals, so s (M, K, D) is freed when the block returns.
+    x1, h1 = ibs_forward(xp, h, issm.spatial_correlation(pp, boxes, corr),
+                         issm.delay_kernel(boxes, pp, w.ibs.alpha_raw, metric=cfg.delay_metric),
+                         w.ibs)
     h2 = inter_state_attention(h1, w.attn)
     x2 = gffn(x1, w.gffn_x, gated=cfg.glu_x)
     h3 = gffn(h2, w.gffn_h, gated=cfg.glu_h)

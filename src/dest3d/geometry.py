@@ -194,8 +194,8 @@ def synth_scene(num_boxes: int = 3, points_per_box: int = 128,
     """
     if num_boxes < 0 or points_per_box < 0 or noise_points < 0:
         raise ValueError("counts must be non-negative")
-    if extent <= 0:
-        raise ValueError("extent must be positive")
+    if not (math.isfinite(extent) and extent > 0):
+        raise ValueError(f"extent must be finite and positive, got {extent}")
     total = num_boxes * points_per_box + noise_points
     if total == 0:
         raise ValueError("scene would contain zero points")

@@ -13,9 +13,10 @@ Per (scene point m, state k) the geometry enters three ways:
     delta for points outside a state's circumscribed sphere, so far
     background points barely move that state.
 
-ibs_forward runs the resulting scan over the serialized sequence in both
-directions with direction-specific weights, gates the outputs with a shared
-SiLU(z), and applies residual output projections to both streams.
+ibs_forward takes s and the delay factors as arrays and runs the resulting
+scan over the serialized sequence in both directions with direction-specific
+weights, gates the outputs with a shared SiLU(z), and applies residual output
+projections to both streams.
 """
 
 from __future__ import annotations
@@ -140,42 +141,34 @@ def _trilinear_sample(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
-                        table: CorrelationTable | None = None,
-                        mode: str = "table",
-                        mlp: CorrelationMlp | None = None) -> np.ndarray:
+                        corr: CorrelationTable | CorrelationMlp) -> np.ndarray:
     """Per (point, box) geometric feature s of shape (M, K, D).
 
-    mode "table": trilinear sample of the grid at clamped box-local coords.
-    mode "mlp": sum over the 8 box vertices of MLP(point - vertex), the
-    memory-heavy exact form the table approximates.
+    The type of corr picks the form: a CorrelationTable samples its grid
+    trilinearly at clamped box-local coords; a CorrelationMlp sums
+    MLP(point - vertex) over the 8 box vertices, the memory-heavy exact form
+    the table approximates.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
     k = len(boxes)
-    for box in boxes:
-        if (box.size <= 0).any():
-            raise ValueError("degenerate box in spatial_correlation")
-    if mode == "table":
-        if table is None:
-            raise ValueError("table mode needs a CorrelationTable")
-        out = np.empty((m, k, table.dim), dtype=np.float64)
+    if isinstance(corr, CorrelationTable):
+        out = np.empty((m, k, corr.dim), dtype=np.float64)
         for j, box in enumerate(boxes):
             local = box_local_coords(points, box)
-            clamped = np.clip(local, -table.extent, table.extent)
-            idx = (clamped + table.extent) / (2.0 * table.extent) * 9.0
-            out[:, j, :] = _trilinear_sample(table.grid, idx)
+            clamped = np.clip(local, -corr.extent, corr.extent)
+            idx = (clamped + corr.extent) / (2.0 * corr.extent) * 9.0
+            out[:, j, :] = _trilinear_sample(corr.grid, idx)
         return out
-    if mode == "mlp":
-        if mlp is None:
-            raise ValueError("mlp mode needs CorrelationMlp weights")
-        d = mlp.out.out_features
-        out = np.zeros((m, k, d), dtype=np.float64)
+    if isinstance(corr, CorrelationMlp):
+        out = np.zeros((m, k, corr.out.out_features), dtype=np.float64)
         for j, box in enumerate(boxes):
             offsets = relative_offsets(points, box)  # (M, 8, 3)
-            hidden = silu(linear(offsets, mlp.hidden))
-            out[:, j, :] = linear(hidden, mlp.out).sum(axis=1)
+            hidden = silu(linear(offsets, corr.hidden))
+            out[:, j, :] = linear(hidden, corr.out).sum(axis=1)
         return out
-    raise ValueError(f"unknown correlation mode {mode!r}")
+    raise TypeError("corr must be a CorrelationTable or a CorrelationMlp, "
+                    f"got {type(corr).__name__}")
 
 
 def gen_params(s: np.ndarray, x_feats: np.ndarray,
@@ -197,36 +190,32 @@ def gen_params(s: np.ndarray, x_feats: np.ndarray,
     return delta_logits, b, c
 
 
-def _delay_distances(points: np.ndarray, boxes: list[Box3D], metric: str) -> np.ndarray:
-    """(M, K) distance from each point to each box under the chosen metric."""
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty((points.shape[0], len(boxes)), dtype=np.float64)
-    for j, box in enumerate(boxes):
-        if metric == "center":
-            out[:, j] = np.linalg.norm(points - box.center, axis=1)
-        elif metric == "vertex":
-            d = np.linalg.norm(points[:, None, :] - box_vertices(box)[None, :, :], axis=2)
-            out[:, j] = d.min(axis=1)
-        elif metric == "surface":
-            local = box_local_coords(points, box)
-            nearest = np.clip(local, -1.0, 1.0) * (box.size / 2.0)
-            nearest = nearest @ box.rotation().T + box.center
-            out[:, j] = np.linalg.norm(points - nearest, axis=1)
-        else:
-            raise ValueError(f"unknown delay metric {metric!r}")
-    return out
-
-
 def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
                  metric: str = "center") -> np.ndarray:
     """Multiplicative damping in (0, 1]: exp(alpha * min(R_k - d(m,k), 0)).
 
-    alpha = softplus(alpha_raw) keeps the kernel a suppressor; points within
-    a state's circumscribed sphere are untouched (factor exactly 1).
+    d(m, k) is the distance from point m to box k's "center", nearest
+    "vertex" or nearest "surface" point, by metric. alpha = softplus(alpha_raw)
+    keeps the kernel a suppressor; points within a state's circumscribed
+    sphere are untouched (factor exactly 1).
     """
+    if metric not in ("center", "vertex", "surface"):
+        raise ValueError(f"unknown delay metric {metric!r}")
     alpha = float(softplus(np.float64(alpha_raw)))
     radii = np.array([circumscribed_radius(b) for b in boxes])
-    d = _delay_distances(points, boxes, metric)
+    points = np.asarray(points, dtype=np.float64)
+    d = np.empty((points.shape[0], len(boxes)), dtype=np.float64)
+    for j, box in enumerate(boxes):
+        if metric == "center":
+            d[:, j] = np.linalg.norm(points - box.center, axis=1)
+        elif metric == "vertex":
+            dv = np.linalg.norm(points[:, None, :] - box_vertices(box)[None, :, :], axis=2)
+            d[:, j] = dv.min(axis=1)
+        else:
+            local = box_local_coords(points, box)
+            nearest = np.clip(local, -1.0, 1.0) * (box.size / 2.0)
+            nearest = nearest @ box.rotation().T + box.center
+            d[:, j] = np.linalg.norm(points - nearest, axis=1)
     return np.exp(alpha * np.minimum(radii[None, :] - d, 0.0))
 
 
@@ -268,16 +257,13 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     return y, h, trace
 
 
-def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
-                boxes: list[Box3D], w: IbsWeights,
-                table: CorrelationTable | None = None,
-                corr_mode: str = "table", corr_mlp: CorrelationMlp | None = None,
-                delay_metric: str = "center",
-                return_trace: bool = False):
+def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
+                w: IbsWeights, return_trace: bool = False):
     """Bidirectional interactive scan over a serialized point sequence.
 
-    x is (M, C) in the layer's serialized order with points (M, 3) aligned
-    row-for-row; h0 is (K, C) with one predicted box per state. Both streams
+    x is (M, C) in the layer's serialized order and h0 is (K, C). The states
+    condition the scan only through the arrays s (M, K, D) and delay (M, K),
+    built on x's rows by spatial_correlation and delay_kernel. Both streams
     are normalized and projected, the scan runs forward and backward with
     direction-specific weights sharing one SiLU(z) gate, and both outputs get
     residual connections: y = out_y(gated sum) + x, h = out_h(sum of final
@@ -285,24 +271,20 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, points: np.ndarray,
     """
     x = require_finite("x", np.asarray(x, dtype=np.float64))
     h0 = require_finite("h0", np.asarray(h0, dtype=np.float64))
-    points = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("x must be a non-empty (M, C) array")
     if h0.ndim != 2 or h0.shape[1] != x.shape[1]:
         raise ValueError("h0 must be (K, C) with the same C as x")
-    if points.shape != (x.shape[0], 3):
-        raise ValueError("points must be (M, 3) aligned with x")
-    if len(boxes) != h0.shape[0]:
-        raise ValueError("need exactly one box per state point")
+    mk = (x.shape[0], h0.shape[0])
+    if s.ndim != 3 or s.shape[:2] != mk or delay.shape != mk:
+        raise ValueError(f"s must be (M, K, D) and delay (M, K) with (M, K) = {mk}, "
+                         f"got s {s.shape}, delay {delay.shape}")
 
     xn = layer_norm(x, w.norm_x_gamma, w.norm_x_beta)
     hn = layer_norm(h0, w.norm_h_gamma, w.norm_h_beta)
     x_hat = linear(xn, w.in_x)
     z = linear(xn, w.in_z)
     h_hat0 = linear(hn, w.in_h)
-
-    s = spatial_correlation(points, boxes, table, mode=corr_mode, mlp=corr_mlp)
-    delay = delay_kernel(boxes, points, w.alpha_raw, metric=delay_metric)
 
     y_fwd, h_fwd, tr_f = _run_direction(x_hat, h_hat0, s, delay, w.forward, return_trace)
     # The backward scan is the forward code on reversed views; its outputs

@@ -269,6 +269,8 @@ def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
         raise ValueError("seeds must be >= 1")
     if tol is None:
         tol = _DEFAULT_TOLERANCES[kind]
+    elif not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     case = _CASES[kind]
     worst_abs = worst_rel = 0.0
     for seed in range(seeds):
@@ -315,10 +317,14 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     count: BLAS pools are limited to `threads` (default one) when
     threadpoolctl is importable; pass threads=None to leave the pools alone.
     """
-    if sorted(m_values) != list(m_values):
-        raise ValueError("m_values must be ascending")
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
+    if len(m_values) < 2:
+        raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
+    if any(b <= a for a, b in zip(m_values, m_values[1:])):
+        raise ValueError(f"sizes must be strictly ascending, got {m_values}")
+    for name, value, least in (("sizes", min(m_values), 1), ("k", k, 1), ("e", e, 1),
+                               ("repeats", repeats, 3)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if threads is not None:
         try:
             from threadpoolctl import threadpool_limits

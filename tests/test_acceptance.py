@@ -26,7 +26,7 @@ from dest3d.ssm import ScanInputs, finite_diff_grad, lti_conv_form, scan_backwar
 from dest3d.verify import attention_direct, attention_recurrence, complexity_bench
 
 from test_decoder import small_cfg, zero_residual_branches
-from test_issm import make_boxes, transcribe_block
+from test_issm import conditioning, make_boxes, transcribe_block
 
 
 def report(criterion: str, detail: str):
@@ -174,11 +174,13 @@ def test_acc_06_delay_kernel_contract():
     table = correlation_table_init(rng, 3)
     x, h0 = rng.normal((2, 4)), rng.normal((k, 4))
     pts2 = np.vstack([boxes[0].center, far])
-    _, _, tr = ibs_forward(x, h0, pts2, boxes, w, table=table, return_trace=True)
+    _, _, tr = ibs_forward(x, h0, *conditioning(pts2, boxes, w, table), w,
+                           return_trace=True)
     # identical weights except the kernel disabled
     from dest3d.issm import IbsWeights
     w_off = IbsWeights(**{**w.__dict__, "alpha_raw": -80.0})
-    _, _, tr0 = ibs_forward(x, h0, pts2, boxes, w_off, table=table, return_trace=True)
+    _, _, tr0 = ibs_forward(x, h0, *conditioning(pts2, boxes, w_off, table), w_off,
+                            return_trace=True)
     ratios = []
     for direction_name in ("forward", "backward"):
         upd = np.abs(tr[direction_name]["b_bar"][1] * tr[direction_name]["x_conv"][1]).max()
@@ -200,7 +202,7 @@ def test_acc_07_block_fidelity():
         x, h0 = rng.normal((m, c)), rng.normal((k, c))
         points = rng.normal((m, 3))
         boxes = make_boxes(rng, k)
-        y, h, trace = ibs_forward(x, h0, points, boxes, w, table=table,
+        y, h, trace = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w,
                                   return_trace=True)
         # intermediate shapes
         assert trace["x_hat"].shape == (m, e) and trace["z"].shape == (m, e)

@@ -18,7 +18,7 @@ from dest3d.decoder import (
     positional_embedding,
 )
 from dest3d.geometry import Box3D, Scene, farthest_point_sampling, point_in_box, synth_scene
-from dest3d.issm import CHUNK, ibs_forward
+from dest3d.issm import CHUNK, delay_kernel, ibs_forward, spatial_correlation
 from dest3d.numerics import LinearWeights, PrngStream, layer_norm, linear, softmax_attention
 from dest3d.serialization import SerializationOrder, bounds_from_points, order_for_layer, serialize
 
@@ -140,7 +140,7 @@ class TestDecoderLayer:
         scene, weights, h, boxes, cfg = self.setup_case(seed=1)
         zero_residual_branches(weights)
 
-        def fake_ibs(x, h0, points, bxs, w, **kw):
+        def fake_ibs(x, h0, s, delay, w, **kw):
             return x.copy(), h0.copy()
 
         monkeypatch.setattr(decoder_mod, "ibs_forward", fake_ibs)
@@ -159,9 +159,11 @@ class TestDecoderLayer:
         # replay by hand
         order = SerializationOrder(order_for_layer(1), cfg.serialization_bits)
         perm = serialize(scene.positions, order, bounds_from_points(scene.positions))
-        x1, h1 = ibs_forward(x[perm], h, scene.positions[perm], boxes, lw.ibs,
-                             table=lw.table, corr_mode=cfg.correlation_mode,
-                             corr_mlp=lw.corr_mlp, delay_metric=cfg.delay_metric)
+        pp = scene.positions[perm]
+        corr = lw.table if cfg.correlation_mode == "table" else lw.corr_mlp
+        s = spatial_correlation(pp, boxes, corr)
+        delay = delay_kernel(boxes, pp, lw.ibs.alpha_raw, metric=cfg.delay_metric)
+        x1, h1 = ibs_forward(x[perm], h, s, delay, lw.ibs)
         hh = gffn_fn(attn_fn(h1, lw.attn), lw.gffn_h, gated=cfg.glu_h)
         xs = gffn_fn(x1, lw.gffn_x, gated=cfg.glu_x)
         x_exp = np.empty_like(xs)
@@ -258,6 +260,23 @@ class TestObjectnessLabels:
 
 
 class TestDecoderStack:
+    def test_conditioning_looked_up_in_issm_once_per_layer(self, monkeypatch):
+        # perfbench's tracer wraps these two names at dest3d.issm's globals
+        # only; a layer that bypassed them would leave its stage split at 0
+        import dest3d.issm as issm_mod
+
+        calls = {"spatial_correlation": 0, "delay_kernel": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(issm_mod, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(issm_mod, name, counted)
+        cfg = small_cfg(num_layers=3)
+        scene = synth_scene(num_boxes=2, points_per_box=10, noise_points=12, seed=26,
+                            feature_dim=cfg.channels)
+        decoder_stack(scene, cfg, decoder_weights_init(PrngStream(27), cfg))
+        assert calls == {"spatial_correlation": 3, "delay_kernel": 3}
+
     def test_single_layer_equals_layer_call(self):
         cfg = small_cfg(num_layers=1)
         scene = synth_scene(num_boxes=2, points_per_box=10, noise_points=12, seed=26,

@@ -223,6 +223,14 @@ class TestCliGenScene:
         assert code == 2
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("extent", ["inf", "nan"])
+    def test_non_finite_extent_named(self, tmp_path, extent):
+        code, _, err = run_cli("gen-scene", "--extent", extent,
+                               "-o", str(tmp_path / "x.destpc"))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: extent must be finite")
+
 
 class TestCliSerialize:
     def test_single_point(self, tmp_path):
@@ -253,6 +261,15 @@ class TestCliSerialize:
         code, out, _ = run_cli("serialize", str(path), "--score")
         assert code == 0
         assert "locality_score" in out
+
+    @pytest.mark.parametrize("knn", ["0", "-2"])
+    def test_score_rejects_knn_below_one(self, tmp_path, knn):
+        path = tmp_path / "line.txt"
+        path.write_text("".join(f"{i} 0 0\n" for i in range(10)))
+        code, out, err = run_cli("serialize", str(path), "--score", "--knn", knn)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: --knn must be >= 1, got {knn}"
 
 
 class TestCliDemo:
@@ -467,6 +484,14 @@ class TestCliVerify:
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
+    def test_bad_tolerance_exit_2(self, tol):
+        code, out, err = run_cli("verify", "--suite", "scan_chunked", "--seeds", "1",
+                                 f"--tol={tol}")
+        assert code == 2
+        assert "FAIL" not in out
+        assert err.startswith("error: tol must be finite and >= 0")
+
 
 class TestCliBench:
     def test_small_run(self):
@@ -477,6 +502,23 @@ class TestCliBench:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.strip() and l.lstrip()[0].isdigit()]) == 2
         assert "slope" in out
+
+    @pytest.mark.parametrize("args,named", [
+        (("--m-list", "64"), "at least two sizes"),
+        (("--m-list", "64,64"), "strictly ascending"),
+        (("--m-list", "128,64"), "strictly ascending"),
+        (("--m-list", "0,64"), "sizes must be >= 1, got 0"),
+        (("--k", "0"), "k must be >= 1, got 0"),
+        (("--e", "0"), "e must be >= 1, got 0"),
+    ])
+    def test_rejects_sizes_it_cannot_fit(self, args, named):
+        code, out, err = run_cli("bench", "--m-list", "64,128", "--k", "2", "--e", "4",
+                                 "--repeats", "3", *args)
+        err_lines = [l for l in err.splitlines() if l.strip()]
+        assert code == 2
+        assert out == ""
+        assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+        assert named in err_lines[0]
 
     def test_one_warning_line_without_threadpoolctl(self, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)

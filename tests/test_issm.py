@@ -28,6 +28,12 @@ def make_boxes(rng, k):
                   yaw=float(rng.uniform((), -3.0, 3.0))) for _ in range(k)]
 
 
+def conditioning(points, boxes, w: IbsWeights, corr, metric="center"):
+    """The (s, delay) pair ibs_forward takes, built as decoder_layer builds it."""
+    return (spatial_correlation(points, boxes, corr),
+            delay_kernel(boxes, points, w.alpha_raw, metric=metric))
+
+
 # ---------------------------------------------------------------------------
 # scalar-loop transcription of the whole bidirectional block, used as the
 # independence oracle below; everything here is plain Python floats
@@ -217,9 +223,15 @@ class TestSpatialCorrelation:
         beta = np.array([0.3, -1.1])
         mlp = CorrelationMlp(hidden=LinearWeights(np.zeros((5, 3)), np.zeros(5)),
                              out=LinearWeights(np.zeros((2, 5)), beta))
-        s = spatial_correlation(rng.normal((4, 3)), make_boxes(rng, 3),
-                                mode="mlp", mlp=mlp)
+        s = spatial_correlation(rng.normal((4, 3)), make_boxes(rng, 3), mlp)
         np.testing.assert_allclose(s, np.broadcast_to(8 * beta, (4, 3, 2)), rtol=1e-12)
+
+    @pytest.mark.parametrize("corr", [None, "table"])
+    def test_other_form_type_rejected(self, corr):
+        # a missing corr_mlp (None) fails by type, naming the type it got
+        rng = PrngStream(2)
+        with pytest.raises(TypeError, match=type(corr).__name__):
+            spatial_correlation(rng.normal((4, 3)), make_boxes(rng, 2), corr)
 
     def test_matches_scalar_oracle(self):
         rng = PrngStream(3)
@@ -343,9 +355,11 @@ class TestDelayKernel:
             assert f[0, 0] == 1.0
 
     def test_unknown_metric(self):
+        # checked before the per-box loop, so an empty box list does not hide it
         box = Box3D(center=np.zeros(3), size=np.ones(3))
-        with pytest.raises(ValueError):
-            delay_kernel([box], np.zeros((1, 3)), 1.0, metric="voronoi")
+        for boxes in ([box], []):
+            with pytest.raises(ValueError, match="voronoi"):
+                delay_kernel(boxes, np.zeros((3, 3)), 1.0, metric="voronoi")
 
 
 class TestIbsForward:
@@ -361,14 +375,14 @@ class TestIbsForward:
 
     def test_shapes_and_finiteness(self):
         x, h0, points, boxes, w, table = self.micro(42, m=4, k=1)
-        y, h = ibs_forward(x, h0, points, boxes, w, table=table)
+        y, h = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
         assert y.shape == (4, 4) and h.shape == (1, 4)
         assert np.isfinite(y).all() and np.isfinite(h).all()
 
     def test_intermediate_shapes(self):
         m, k, c, e, d = 4, 2, 4, 8, 3
         x, h0, points, boxes, w, table = self.micro(0, m, k, c, e, d)
-        _, _, trace = ibs_forward(x, h0, points, boxes, w, table=table,
+        _, _, trace = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w,
                                   return_trace=True)
         assert trace["x_hat"].shape == (m, e)
         assert trace["z"].shape == (m, e)
@@ -390,22 +404,22 @@ class TestIbsForward:
         x, h0, points, boxes, w, table = self.micro(1)
         w.out_y = LinearWeights(np.zeros_like(w.out_y.weight), np.zeros(4))
         w.out_h = LinearWeights(np.zeros_like(w.out_h.weight), np.zeros(4))
-        y, h = ibs_forward(x, h0, points, boxes, w, table=table)
+        y, h = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
         np.testing.assert_array_equal(y, x)
         np.testing.assert_array_equal(h, h0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scalar_transcription(self, seed):
         x, h0, points, boxes, w, table = self.micro(100 + seed)
-        y, h = ibs_forward(x, h0, points, boxes, w, table=table)
+        y, h = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
         y_ref, h_ref = transcribe_block(x, h0, points, boxes, w, table)
         assert np.abs(y - y_ref).max() < 1e-12
         assert np.abs(h - h_ref).max() < 1e-12
 
     def test_deterministic(self):
         x, h0, points, boxes, w, table = self.micro(2)
-        y1, h1 = ibs_forward(x, h0, points, boxes, w, table=table)
-        y2, h2 = ibs_forward(x, h0, points, boxes, w, table=table)
+        y1, h1 = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
+        y2, h2 = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
         np.testing.assert_array_equal(y1, y2)
         np.testing.assert_array_equal(h1, h2)
 
@@ -420,15 +434,16 @@ class TestIbsForward:
         # reversing the sequence and swapping direction weights reverses y
         # and leaves the state output unchanged
         x, h0, points, boxes, w, table = self.micro(3, m=m, k=2)
-        y, h = ibs_forward(x, h0, points, boxes, w, table=table)
+        y, h = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
         swapped = IbsWeights(
             norm_x_gamma=w.norm_x_gamma, norm_x_beta=w.norm_x_beta,
             norm_h_gamma=w.norm_h_gamma, norm_h_beta=w.norm_h_beta,
             in_x=w.in_x, in_z=w.in_z, in_h=w.in_h,
             out_y=w.out_y, out_h=w.out_h,
             forward=w.backward, backward=w.forward, alpha_raw=w.alpha_raw)
-        y_rev, h_rev = ibs_forward(x[::-1].copy(), h0, points[::-1].copy(),
-                                   boxes, swapped, table=table)
+        y_rev, h_rev = ibs_forward(x[::-1].copy(), h0,
+                                   *conditioning(points[::-1].copy(), boxes, swapped, table),
+                                   swapped)
         assert np.abs(h_rev - h).max() < 1e-12
         assert np.abs(y_rev - y[::-1]).max() < 1e-12
 
@@ -447,10 +462,11 @@ class TestIbsForward:
         table = correlation_table_init(rng, 3)
         x = rng.normal((2, 4))
         h0 = rng.normal((k, 4))
-        _, _, trace = ibs_forward(x, h0, pts, boxes, w, table=table, return_trace=True)
+        _, _, trace = ibs_forward(x, h0, *conditioning(pts, boxes, w, table), w,
+                                  return_trace=True)
         disabled = IbsWeights(**{**w.__dict__, "alpha_raw": -80.0})
-        _, _, trace0 = ibs_forward(x, h0, pts, boxes, disabled, table=table,
-                                   return_trace=True)
+        _, _, trace0 = ibs_forward(x, h0, *conditioning(pts, boxes, disabled, table),
+                                   disabled, return_trace=True)
         # step update magnitude ||b_bar * x_t|| at the far step, per direction
         for direction in ("forward", "backward"):
             upd = np.abs(trace[direction]["b_bar"][1] * trace[direction]["x_conv"][1])
@@ -460,18 +476,24 @@ class TestIbsForward:
     def test_empty_sequence_rejected(self):
         _, h0, _, boxes, w, table = self.micro(4)
         with pytest.raises(ValueError):
-            ibs_forward(np.zeros((0, 4)), h0, np.zeros((0, 3)), boxes, w, table=table)
+            ibs_forward(np.zeros((0, 4)), h0,
+                        *conditioning(np.zeros((0, 3)), boxes, w, table), w)
 
     def test_box_count_mismatch(self):
+        # s and delay must be (M, K, D) and (M, K) for the M rows of x and
+        # the K states of h0
         x, h0, points, boxes, w, table = self.micro(5)
-        with pytest.raises(ValueError):
-            ibs_forward(x, h0, points, boxes[:-1], w, table=table)
+        s, delay = conditioning(points, boxes, w, table)
+        s_short, delay_short = conditioning(points, boxes[:-1], w, table)
+        for bad in ((s_short, delay), (s, delay_short), (s[:-1], delay),
+                    (s, delay[:-1]), (s[..., 0], delay)):
+            with pytest.raises(ValueError):
+                ibs_forward(x, h0, *bad, w)
 
     def test_mlp_mode_runs(self):
         x, h0, points, boxes, w, table = self.micro(6)
         mlp = correlation_mlp_init(PrngStream(7), 3)
-        y, h = ibs_forward(x, h0, points, boxes, w, table=table,
-                           corr_mode="mlp", corr_mlp=mlp)
+        y, h = ibs_forward(x, h0, *conditioning(points, boxes, w, mlp), w)
         assert np.isfinite(y).all() and np.isfinite(h).all()
 
 
@@ -484,21 +506,19 @@ class TestDeltaInvariants:
         w = ibs_weights_init(rng, channels=4, state_dim=6, corr_dim=3)
         table = correlation_table_init(rng, 3)
         h0 = rng.normal((2, 4))
-        _, _, trace = ibs_forward(scene.features, h0, scene.positions, boxes, w,
-                                  table=table, return_trace=True)
+        _, _, trace = ibs_forward(scene.features, h0,
+                                  *conditioning(scene.positions, boxes, w, table), w,
+                                  return_trace=True)
         assert (trace["delay"] <= 1.0).all() and (trace["delay"] > 0.0).all()
         for direction in ("forward", "backward"):
             assert (trace[direction]["delta"] >= 0).all()
 
 
-def unchunked_block(x, h0, points, boxes, w: IbsWeights, table, corr_mode, corr_mlp,
-                    delay_metric):
+def unchunked_block(x, h0, s, delay, w: IbsWeights):
     """ibs_forward with every (M, K, E) parameter array built at full size."""
     xn = layer_norm(x, w.norm_x_gamma, w.norm_x_beta)
     hn = layer_norm(h0, w.norm_h_gamma, w.norm_h_beta)
     x_hat, z, h_hat0 = linear(xn, w.in_x), linear(xn, w.in_z), linear(hn, w.in_h)
-    s = spatial_correlation(points, boxes, table, mode=corr_mode, mlp=corr_mlp)
-    delay = delay_kernel(boxes, points, w.alpha_raw, metric=delay_metric)
     ys, hs, params = [], [], {}
     for direction, dw in (("forward", w.forward), ("backward", w.backward)):
         step = -1 if direction == "backward" else 1
@@ -536,10 +556,10 @@ class TestChunkedPipeline:
         x, h0 = rng.normal((m, c)), rng.normal((k, c))
         points = rng.normal((m, 3), 0.0, 2.0)
         boxes = make_boxes(rng, k)
-        y, h, trace = ibs_forward(x, h0, points, boxes, w, table=table, corr_mode=corr_mode,
-                                  corr_mlp=mlp, delay_metric=metric, return_trace=True)
-        y_ref, h_ref, params = unchunked_block(x, h0, points, boxes, w, table, corr_mode,
-                                               mlp, metric)
+        s, delay = conditioning(points, boxes, w, table if corr_mode == "table" else mlp,
+                                metric)
+        y, h, trace = ibs_forward(x, h0, s, delay, w, return_trace=True)
+        y_ref, h_ref, params = unchunked_block(x, h0, s, delay, w)
         assert max_rel_err(y, y_ref) <= 1e-12
         assert max_rel_err(h, h_ref) <= 1e-12
         for direction in ("forward", "backward"):
@@ -560,7 +580,7 @@ class TestChunkedPipeline:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ibs_forward(x, h0, points, boxes, w, table=table)
+            ibs_forward(x, h0, *conditioning(points, boxes, w, table), w)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:

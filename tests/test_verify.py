@@ -136,5 +136,5 @@ class TestBench:
             complexity_bench([512, 128], repeats=3)
 
     def test_rejects_few_repeats(self):
-        with pytest.raises(ValueError):
-            complexity_bench([128], repeats=1)
+        with pytest.raises(ValueError, match="repeats"):
+            complexity_bench([64, 128], repeats=1)
