@@ -37,12 +37,18 @@ from .numerics import (
     silu,
     softplus,
 )
-from .ssm import ScanInputs, discretize_zoh, scan_sequential
+from .ssm import ScanInputs, scan_sequential
+# Not called here: _run_direction discretizes in place on its chunk buffers.
+# Kept importable as dest3d.issm.discretize_zoh, a name perfbench's tracer
+# looks up, so a traced run counts it as 0 calls instead of as missing.
+from .ssm import discretize_zoh  # noqa: F401
 
 # Serialized points per step of the streamed parameter pipeline in
-# _run_direction: the working set past the conv is O(CHUNK * K * E), and the
-# per-chunk Python overhead stays small next to the numpy work at 64.
-CHUNK = 64
+# _run_direction. Its working set is four (CHUNK, K, E) arrays (three reused
+# buffers and softplus's scratch), 2 MB at K=64, E=32: it stays in one core's
+# L2 there, and the per-chunk Python overhead stays small next to the numpy
+# work.
+CHUNK = 32
 
 __all__ = [
     "CorrelationTable",
@@ -171,23 +177,24 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                     f"got {type(corr).__name__}")
 
 
-def gen_params(s: np.ndarray, x_feats: np.ndarray,
-               w: DirectionWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-softplus scan parameters (delta_logits (M,K,E), b (M,K), c (M,K)).
+def gen_params(s: np.ndarray, x_row: np.ndarray, w_s: np.ndarray, delta: np.ndarray,
+               bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-softplus scan parameters of one chunk of n points, written in place.
 
-    b[m, k] and c[m, k] each combine a scalar projection of x_feats[m]
-    (broadcast over k) with a scalar projection of s[m, k]; delta_logits gets
-    the same structure at width E. Every row depends only on its own point,
-    so ibs_forward calls this on one chunk of points at a time.
+    delta_logits (n,K,E), b (n,K) and c (n,K) each add a projection of s[m, k]
+    to one of the point's conv features, broadcast over states. x_row (n, E+2)
+    holds the latter for columns [delta | b | c], all biases folded in, and
+    w_s (D, E+2) maps s: one GEMM fills the contiguous buffer delta (n, K, E),
+    one fills bc (n, K, 2). Returns (delta, b, c); b and c are views of bc.
     """
-    s = np.asarray(s, dtype=np.float64)
-    x_feats = np.asarray(x_feats, dtype=np.float64)
-    if s.ndim != 3 or x_feats.ndim != 2 or s.shape[0] != x_feats.shape[0]:
-        raise ValueError(f"shape mismatch: s {s.shape}, x_feats {x_feats.shape}")
-    b = linear(x_feats, w.b_from_x) + linear(s, w.b_from_s)[..., 0]
-    c = linear(x_feats, w.c_from_x) + linear(s, w.c_from_s)[..., 0]
-    delta_logits = linear(x_feats, w.delta_from_x)[:, None, :] + linear(s, w.delta_from_s)
-    return delta_logits, b, c
+    n, k, d = s.shape
+    e = delta.shape[2]
+    s_rows = s.reshape(n * k, d)
+    np.matmul(s_rows, w_s[:, :e], out=delta.reshape(n * k, e))
+    delta += x_row[:, None, :e]
+    np.matmul(s_rows, w_s[:, e:], out=bc.reshape(n * k, 2))
+    bc += x_row[:, None, e:]
+    return delta, bc[..., 0], bc[..., 1]
 
 
 def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
@@ -219,33 +226,62 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
     return np.exp(alpha * np.minimum(radii[None, :] - d, 0.0))
 
 
+def _param_weights(w: DirectionWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three parameter projections side by side, columns [delta | b | c]:
+    x-side weights (E, E+2), s-side weights (D, E+2), and the (E+2,) sum of
+    all six biases (a missing bias counts as zero)."""
+    pairs = ((w.delta_from_x, w.delta_from_s), (w.b_from_x, w.b_from_s),
+             (w.c_from_x, w.c_from_s))
+
+    def bias_of(lw: LinearWeights) -> np.ndarray:
+        return lw.bias if lw.bias is not None else np.zeros(lw.out_features)
+
+    w_x = np.concatenate([px.weight for px, _ in pairs]).T
+    w_s = np.concatenate([ps.weight for _, ps in pairs]).T
+    bias = np.concatenate([bias_of(px) + bias_of(ps) for px, ps in pairs])
+    return w_x, w_s, bias
+
+
 def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                    delay: np.ndarray, w: DirectionWeights,
                    keep_trace: bool) -> tuple[np.ndarray, np.ndarray, dict | None]:
     """One causal scan over the rows of x_in in order. Returns (y, h_final, trace).
 
-    Past the depthwise conv, parameters and scan run on CHUNK rows at a
-    time, carrying the state from chunk to chunk: gen_params -> softplus ->
-    delay -> discretize_zoh -> scan_sequential. The (M, K, E) parameters are
-    never held at full size. The backward direction is this function on
-    reversed views of x_in, s and delay. With keep_trace the chunk parameters
-    are copied into full-size arrays for the trace dict, otherwise it is None.
+    The conv output is projected once onto [delta | b | c], biases included.
+    Then CHUNK rows at a time, reusing four buffers allocated here: gen_params
+    adds the s projection, softplus and the delay act in place on delta,
+    a_bar = exp(delta * a) and b_bar = delta * b fill two more buffers, and
+    scan_sequential carries the state on (delta >= 0 by construction, so no
+    chunk is checked). The (M, K, E) parameters are never held at full size.
+    The backward direction is this function on reversed views of x_in, s and
+    delay. With keep_trace the chunk parameters are copied into full-size
+    arrays for the trace dict, otherwise it is None.
     """
     x_conv = silu(depthwise_conv1d(x_in, w.conv_kernel))
-    m = x_conv.shape[0]
+    m, e = x_conv.shape
+    k = h0_hat.shape[0]
+    w_x, w_s, bias = _param_weights(w)
+    x_row = x_conv @ w_x
+    x_row += bias
+    rows = min(m, CHUNK)
+    delta_buf, a_bar_buf, b_bar_buf = (np.empty((rows, k, e)) for _ in range(3))
+    bc_buf = np.empty((rows, k, 2))
     y = np.empty_like(x_conv)
     trace = None
     if keep_trace:
-        k, e = h0_hat.shape
         trace = {"x_conv": x_conv, "b": np.empty((m, k)), "c": np.empty((m, k)),
                  "delta": np.empty((m, k, e)), "a_bar": np.empty((m, k, e)),
                  "b_bar": np.empty((m, k, e))}
     h = h0_hat
     for lo in range(0, m, CHUNK):
         sl = slice(lo, lo + CHUNK)
-        delta_logits, b, c = gen_params(s[sl], x_conv[sl], w)
-        delta = softplus(delta_logits) * delay[sl, :, None]
-        a_bar, b_bar = discretize_zoh(delta, w.a_vec, b)
+        n = min(CHUNK, m - lo)
+        delta, b, c = gen_params(s[sl], x_row[sl], w_s, delta_buf[:n], bc_buf[:n])
+        softplus(delta, out=delta)
+        delta *= delay[sl, :, None]
+        a_bar = np.multiply(delta, w.a_vec, out=a_bar_buf[:n])
+        np.exp(a_bar, out=a_bar)
+        b_bar = np.multiply(delta, b[:, :, None], out=b_bar_buf[:n])
         out = scan_sequential(ScanInputs(a_bar=a_bar, b_bar=b_bar, c=c,
                                          x=x_conv[sl], h0=h))
         y[sl] = out.y

@@ -157,15 +157,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(out, e, out=out)
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
+def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), overflow-safe for large |x|.
 
     np.logaddexp(0, x) evaluates the same formula one element at a time; as
     whole-array operations it runs faster and agrees with it within one
-    rounding.
+    rounding. The result goes to out when given (out=x works in place, with
+    one scratch array of x's size); 0-d input gives a 0-d array.
     """
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    t = np.abs(x, out=np.empty_like(x))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out = np.maximum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    return np.add(out, t, out=out)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

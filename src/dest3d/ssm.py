@@ -91,7 +91,9 @@ def discretize_zoh(delta: np.ndarray, a: np.ndarray,
 
     delta is (M, K, E) and non-negative, a is (E,) and expected non-positive,
     b is (M, K). Returns a_bar = exp(delta * a) and the first-order input
-    term b_bar = delta * b, the pairing Mamba uses.
+    term b_bar = delta * b, the pairing Mamba uses. This is the checked
+    public form (demos, verify suites); the decoder's scan block computes the
+    same two products in place on its reused chunk buffers instead.
     """
     delta = np.asarray(delta, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -102,10 +104,7 @@ def discretize_zoh(delta: np.ndarray, a: np.ndarray,
         )
     if (delta < 0).any():
         raise ValueError("delta must be non-negative")
-    # Held until return: freed earlier, it changed glibc's heap reuse and the
-    # next chunk's softplus ran a third slower (M=2048, K=64).
-    da = delta * a
-    return np.exp(da), delta * b[:, :, None]
+    return np.exp(delta * a), delta * b[:, :, None]
 
 
 def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:

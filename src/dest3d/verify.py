@@ -314,7 +314,7 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     bias the small sizes. Each slope is the median of the slopes fitted to
     single sweeps over all sizes, so a machine whose speed drifts between
     sweeps moves every point of a fit alike. Timing requires a pinned worker
-    count: BLAS pools are limited to `threads` (default one) when
+    count: BLAS pools are limited to `threads` (default one, at least one) when
     threadpoolctl is importable; pass threads=None to leave the pools alone.
     """
     if len(m_values) < 2:
@@ -322,7 +322,8 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError(f"sizes must be strictly ascending, got {m_values}")
     for name, value, least in (("sizes", min(m_values), 1), ("k", k, 1), ("e", e, 1),
-                               ("repeats", repeats, 3)):
+                               ("repeats", repeats, 3),
+                               ("threads", 1 if threads is None else threads, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     if threads is not None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -276,6 +278,30 @@ class TestDecoderStack:
                             feature_dim=cfg.channels)
         decoder_stack(scene, cfg, decoder_weights_init(PrngStream(27), cfg))
         assert calls == {"spatial_correlation": 3, "delay_kernel": 3}
+
+    def test_param_step_looked_up_in_issm(self, monkeypatch):
+        # perfbench's tracer wraps the chunk's parameter step and softplus at
+        # dest3d.issm's globals: one call each per chunk, per direction and
+        # layer. delay_kernel adds one scalar softplus (its alpha) per layer.
+        import dest3d.issm as issm_mod
+
+        calls = {"gen_params": 0, "softplus": 0, "softplus_chunk": 0}
+        for name in ("gen_params", "softplus"):
+            def counted(*args, _name=name, _fn=getattr(issm_mod, name), **kw):
+                calls[_name] += 1
+                if _name == "softplus" and np.ndim(args[0]) == 3:
+                    calls["softplus_chunk"] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(issm_mod, name, counted)
+        layers, m = 3, 2 * CHUNK + 5
+        cfg = small_cfg(num_layers=layers)
+        rng = PrngStream(30)
+        scene = Scene(positions=rng.uniform((m, 3), -3.0, 3.0),
+                      features=rng.normal((m, cfg.channels)))
+        decoder_stack(scene, cfg, decoder_weights_init(PrngStream(31), cfg))
+        chunks = 2 * layers * math.ceil(m / CHUNK)
+        assert calls == {"gen_params": chunks, "softplus": chunks + layers,
+                         "softplus_chunk": chunks}
 
     def test_single_layer_equals_layer_call(self):
         cfg = small_cfg(num_layers=1)

@@ -510,6 +510,8 @@ class TestCliBench:
         (("--m-list", "0,64"), "sizes must be >= 1, got 0"),
         (("--k", "0"), "k must be >= 1, got 0"),
         (("--e", "0"), "e must be >= 1, got 0"),
+        (("--threads", "0"), "threads must be >= 1, got 0"),
+        (("--threads", "-1"), "threads must be >= 1, got -1"),
     ])
     def test_rejects_sizes_it_cannot_fit(self, args, named):
         code, out, err = run_cli("bench", "--m-list", "64,128", "--k", "2", "--e", "4",

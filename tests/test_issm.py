@@ -10,6 +10,7 @@ from dest3d.issm import (
     CorrelationMlp,
     CorrelationTable,
     DirectionWeights,
+    _param_weights,
     IbsWeights,
     correlation_mlp_init,
     correlation_table_init,
@@ -243,6 +244,15 @@ class TestSpatialCorrelation:
         np.testing.assert_allclose(s, np.array(oracle), atol=1e-12)
 
 
+def params_of(s, x_feats, w: DirectionWeights):
+    """gen_params on every row of s at once, from the conv features x_feats
+    projected as _run_direction projects them."""
+    w_x, w_s, bias = _param_weights(w)
+    m, k, _ = s.shape
+    return gen_params(s, x_feats @ w_x + bias, w_s,
+                      np.empty((m, k, w.delta_from_s.out_features)), np.empty((m, k, 2)))
+
+
 class TestGenParams:
     def test_zero_spatial_projections(self):
         rng = PrngStream(4)
@@ -257,7 +267,7 @@ class TestGenParams:
             a_vec=-np.ones(6))
         s = rng.normal((5, 2, 3))
         x = rng.normal((5, 6))
-        delta_logits, b, _ = gen_params(s, x, w)
+        delta_logits, b, _ = params_of(s, x, w)
         # every state column identical: parameters depend on x alone
         np.testing.assert_allclose(b[:, 0], b[:, 1], rtol=1e-14)
         np.testing.assert_allclose(delta_logits[:, 0], delta_logits[:, 1],
@@ -276,8 +286,8 @@ class TestGenParams:
             a_vec=-np.ones(6))
         s = rng.normal((5, 2, 3))
         x1, x2 = rng.normal((5, 6)), rng.normal((5, 6))
-        delta1, b1, _ = gen_params(s, x1, w)
-        delta2, b2, _ = gen_params(s, x2, w)
+        delta1, b1, _ = params_of(s, x1, w)
+        delta2, b2, _ = params_of(s, x2, w)
         np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(delta1, delta2)
 
@@ -294,7 +304,7 @@ class TestGenParams:
             a_vec=-np.ones(4))
         s = rng.normal((3, 2, 3))
         x = rng.normal((3, 4))
-        delta_logits, b, _ = gen_params(s, x, w)
+        delta_logits, b, _ = params_of(s, x, w)
         for m in range(3):
             for k in range(2):
                 b_exp = (s_linear(list(map(float, x[m])), w.b_from_x)[0]
@@ -523,7 +533,9 @@ def unchunked_block(x, h0, s, delay, w: IbsWeights):
     for direction, dw in (("forward", w.forward), ("backward", w.backward)):
         step = -1 if direction == "backward" else 1
         x_conv = silu(depthwise_conv1d(x_hat[::step], dw.conv_kernel)[::step])
-        delta_logits, b, c = gen_params(s, x_conv, dw)
+        b = linear(x_conv, dw.b_from_x) + linear(s, dw.b_from_s)[..., 0]
+        c = linear(x_conv, dw.c_from_x) + linear(s, dw.c_from_s)[..., 0]
+        delta_logits = linear(x_conv, dw.delta_from_x)[:, None, :] + linear(s, dw.delta_from_s)
         delta = np.logaddexp(0.0, delta_logits) * delay[:, :, None]
         a_bar, b_bar = discretize_zoh(delta, dw.a_vec, b)
         out = scan_sequential(ScanInputs(a_bar=a_bar[::step], b_bar=b_bar[::step],
@@ -544,12 +556,9 @@ class TestChunkedPipeline:
     """ibs_forward streams parameters CHUNK points at a time; the chunk edges
     must not show in its outputs."""
 
-    @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-    @pytest.mark.parametrize("corr_mode", ["table", "mlp"])
-    @pytest.mark.parametrize("metric", ["center", "vertex", "surface"])
-    def test_matches_unchunked_reference(self, m, corr_mode, metric):
-        rng = PrngStream(5000 + m)
-        k, c, e, d = 3, 4, 8, 3
+    @staticmethod
+    def check_against_unchunked(seed, m, k, c, e, d, corr_mode="table", metric="center"):
+        rng = PrngStream(seed)
         w = ibs_weights_init(rng, channels=c, state_dim=e, corr_dim=d)
         table = correlation_table_init(rng, d)
         mlp = correlation_mlp_init(rng, d)
@@ -565,6 +574,19 @@ class TestChunkedPipeline:
         for direction in ("forward", "backward"):
             for name, ref in params[direction].items():
                 assert max_rel_err(trace[direction][name], ref) <= 1e-12, (direction, name)
+
+    # one partial chunk, the edge after two full chunks, and a partial tail
+    @pytest.mark.parametrize("m", [1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 4 * CHUNK + 3])
+    @pytest.mark.parametrize("corr_mode", ["table", "mlp"])
+    @pytest.mark.parametrize("metric", ["center", "vertex", "surface"])
+    def test_matches_unchunked_reference(self, m, corr_mode, metric):
+        self.check_against_unchunked(5000 + m, m, k=3, c=4, e=8, d=3,
+                                     corr_mode=corr_mode, metric=metric)
+
+    def test_matches_unchunked_reference_at_states_heavy_shape(self):
+        # the chunk buffers are (CHUNK, K, E): check them at the K, E and D
+        # of the benchmark's states_heavy workload, across one chunk edge
+        self.check_against_unchunked(5100, CHUNK + 1, k=64, c=32, e=32, d=16)
 
     def test_peak_memory_below_two_mke_arrays(self):
         m, k, c, e, d = 1024, 32, 32, 32, 16

@@ -160,6 +160,9 @@ class TestActivation:
         with np.errstate(invalid="ignore"):
             assert (np.abs(got - ref) <= tol)[np.isfinite(ref)].all()
         np.testing.assert_array_equal(got[~np.isfinite(ref)], ref[~np.isfinite(ref)])
+        # in place: the same bits, written to x itself
+        assert softplus(x, out=x) is x
+        assert np.array_equal(x.view(np.int64), got.view(np.int64))
         assert softplus(-np.inf) == 0.0
         assert softplus(np.inf) == np.inf
         assert np.isnan(softplus(np.nan))
