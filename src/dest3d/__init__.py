@@ -28,7 +28,6 @@ from .geometry import (
     circumscribed_radius,
     farthest_point_sampling,
     point_in_box,
-    relative_offsets,
     synth_scene,
 )
 from .issm import (

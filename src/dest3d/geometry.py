@@ -19,7 +19,6 @@ __all__ = [
     "Scene",
     "box_vertices",
     "circumscribed_radius",
-    "relative_offsets",
     "box_local_coords",
     "point_in_box",
     "farthest_point_sampling",
@@ -102,12 +101,6 @@ def box_vertices(box: Box3D) -> np.ndarray:
 def circumscribed_radius(box: Box3D) -> float:
     """Radius of the sphere through all eight vertices (yaw-invariant)."""
     return 0.5 * float(np.linalg.norm(box.size))
-
-
-def relative_offsets(points: np.ndarray, box: Box3D) -> np.ndarray:
-    """offsets[m, j, :] = points[m] - vertex_j(box), shape (M, 8, 3)."""
-    points = np.asarray(points, dtype=np.float64)
-    return points[:, None, :] - box_vertices(box)[None, :, :]
 
 
 def box_local_coords(points: np.ndarray, box: Box3D) -> np.ndarray:

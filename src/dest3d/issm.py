@@ -5,13 +5,15 @@ through their predicted boxes).
 Per (scene point m, state k) the geometry enters three ways:
   * a spatial correlation feature s[m, k, :], either trilinearly sampled from
     a learnable 10x10x10 table at the point's box-local coordinates, or the
-    literal sum over the 8 box vertices of an MLP applied to point-vertex
-    offsets;
+    sum over the 8 box vertices of an MLP applied to point-vertex offsets
+    (exact, with the MLP's two affine layers split around the vertex sum);
   * additive parameter generation: each of delta/b/c is a projection of the
     point features broadcast over states, plus a projection of s;
   * an explicit delay kernel exp(alpha * min(R_k - d(m, k), 0)) that damps
     delta for points outside a state's circumscribed sphere, so far
-    background points barely move that state.
+    background points barely move that state; d is the distance to the box
+    center, or to its nearest vertex or nearest point, the last two read off
+    the point in the box frame.
 
 ibs_forward takes s and the delay factors as arrays and runs the resulting
 scan over the serialized sequence in both directions with direction-specific
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, box_local_coords, box_vertices, circumscribed_radius, relative_offsets
+from .geometry import _CORNER_SIGNS, Box3D, box_local_coords, box_vertices, circumscribed_radius
 from .numerics import (
     LinearWeights,
     PrngStream,
@@ -127,51 +129,55 @@ class IbsWeights:
     alpha_raw: float = 1.0
 
 
-def _trilinear_sample(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of a (G,G,G,D) grid at continuous indices (N,3)."""
-    g = grid.shape[0]
-    c = np.clip(coords, 0.0, g - 1.0)
-    i0 = np.floor(c).astype(np.int64)
-    i0 = np.minimum(i0, g - 2)
-    frac = c - i0
-    out = 0.0
-    for dx in (0, 1):
-        wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
-        for dy in (0, 1):
-            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
-            for dz in (0, 1):
-                wz = frac[:, 2] if dz else 1.0 - frac[:, 2]
-                vals = grid[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
-                out = out + (wx * wy * wz)[:, None] * vals
-    return out
-
-
 def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                         corr: CorrelationTable | CorrelationMlp) -> np.ndarray:
     """Per (point, box) geometric feature s of shape (M, K, D).
 
-    The type of corr picks the form: a CorrelationTable samples its grid
-    trilinearly at clamped box-local coords; a CorrelationMlp sums
-    MLP(point - vertex) over the 8 box vertices, the memory-heavy exact form
-    the table approximates.
+    The type of corr picks the form. A CorrelationTable is sampled
+    trilinearly at clamped box-local coords: per box, one gather of the 8
+    corners from the flattened grid and one stacked (M, 1, 8) @ (M, 8, D)
+    product with their weights. A CorrelationMlp sums out(silu(hidden(point
+    - vertex))) over the 8 box vertices; both layers are affine, so hidden
+    runs on the points once and on each box's vertices, and out runs once on
+    the (M, K, H) sum of silu (its bias counted 8 times).
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
     k = len(boxes)
     if isinstance(corr, CorrelationTable):
-        out = np.empty((m, k, corr.dim), dtype=np.float64)
+        g, d = corr.grid.shape[0], corr.dim
+        flat = corr.grid.reshape(g ** 3, d)
+        strides = np.array([g * g, g, 1])
+        # corner v takes the upper grid index on the axes where its sign is
+        # +, so the corners keep box_vertices' x-y-z order
+        upper = (_CORNER_SIGNS > 0).astype(np.intp)
+        frac_pair = np.empty((m, 2, 3))  # [1 - f | f] per axis
+        out = np.empty((m, k, d), dtype=np.float64)
         for j, box in enumerate(boxes):
-            local = box_local_coords(points, box)
-            clamped = np.clip(local, -corr.extent, corr.extent)
-            idx = (clamped + corr.extent) / (2.0 * corr.extent) * 9.0
-            out[:, j, :] = _trilinear_sample(corr.grid, idx)
+            # clamped, the map onto [0, g-1] is exact at both ends: no second clip
+            c = np.clip(box_local_coords(points, box), -corr.extent, corr.extent)
+            c = (c + corr.extent) / (2.0 * corr.extent) * (g - 1.0)
+            i0 = np.minimum(c.astype(np.int64), g - 2)
+            np.subtract(c, i0, out=frac_pair[:, 1])
+            np.subtract(1.0, frac_pair[:, 1], out=frac_pair[:, 0])
+            w = frac_pair[:, upper, np.arange(3)]  # (M, 8, 3)
+            weights = w[..., 0] * w[..., 1] * w[..., 2]
+            idx = (i0 @ strides)[:, None] + upper @ strides
+            out[:, j] = (weights[:, None] @ flat.take(idx, axis=0))[:, 0]
         return out
     if isinstance(corr, CorrelationMlp):
-        out = np.zeros((m, k, corr.out.out_features), dtype=np.float64)
+        hidden, head = corr.hidden, corr.out
+        ph = points @ hidden.weight.T
+        if hidden.bias is not None:
+            ph += hidden.bias
+        hsum = np.zeros((m, k, hidden.out_features), dtype=np.float64)
         for j, box in enumerate(boxes):
-            offsets = relative_offsets(points, box)  # (M, 8, 3)
-            hidden = silu(linear(offsets, corr.hidden))
-            out[:, j, :] = linear(hidden, corr.out).sum(axis=1)
+            # one (M, H) silu per vertex: faster than one on (M, 8, H)
+            for vh in box_vertices(box) @ hidden.weight.T:
+                hsum[:, j] += silu(ph - vh)
+        out = (hsum.reshape(m * k, -1) @ head.weight.T).reshape(m, k, head.out_features)
+        if head.bias is not None:
+            out += 8.0 * head.bias
         return out
     raise TypeError("corr must be a CorrelationTable or a CorrelationMlp, "
                     f"got {type(corr).__name__}")
@@ -202,9 +208,13 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
     """Multiplicative damping in (0, 1]: exp(alpha * min(R_k - d(m,k), 0)).
 
     d(m, k) is the distance from point m to box k's "center", nearest
-    "vertex" or nearest "surface" point, by metric. alpha = softplus(alpha_raw)
-    keeps the kernel a suppressor; points within a state's circumscribed
-    sphere are untouched (factor exactly 1).
+    "vertex" or nearest "surface" point, by metric. The last two read the
+    point in the box frame, q = (p - center) @ R, against the half size h:
+    the nearest vertex has q's sign on each axis, so d = norm(|q| - h), and
+    the nearest point of the box is q clipped to it, so
+    d = norm(max(|q| - h, 0)), 0 inside. alpha = softplus(alpha_raw) keeps
+    the kernel a suppressor; points within a state's circumscribed sphere are
+    untouched (factor exactly 1).
     """
     if metric not in ("center", "vertex", "surface"):
         raise ValueError(f"unknown delay metric {metric!r}")
@@ -215,14 +225,12 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
     for j, box in enumerate(boxes):
         if metric == "center":
             d[:, j] = np.linalg.norm(points - box.center, axis=1)
-        elif metric == "vertex":
-            dv = np.linalg.norm(points[:, None, :] - box_vertices(box)[None, :, :], axis=2)
-            d[:, j] = dv.min(axis=1)
-        else:
-            local = box_local_coords(points, box)
-            nearest = np.clip(local, -1.0, 1.0) * (box.size / 2.0)
-            nearest = nearest @ box.rotation().T + box.center
-            d[:, j] = np.linalg.norm(points - nearest, axis=1)
+            continue
+        q = np.abs((points - box.center) @ box.rotation())
+        q -= box.size / 2.0
+        if metric == "surface":
+            np.maximum(q, 0.0, out=q)
+        d[:, j] = np.linalg.norm(q, axis=1)
     return np.exp(alpha * np.minimum(radii[None, :] - d, 0.0))
 
 

@@ -8,7 +8,6 @@ from dest3d.geometry import (
     circumscribed_radius,
     farthest_point_sampling,
     point_in_box,
-    relative_offsets,
     synth_scene,
 )
 
@@ -94,47 +93,6 @@ class TestRadius:
         d = np.linalg.norm(box_vertices(box) - box.center, axis=1)
         np.testing.assert_allclose(circumscribed_radius(box), d.max(), atol=1e-12)
         np.testing.assert_allclose(d, d.max(), atol=1e-12)  # sphere through all 8
-
-
-class TestOffsets:
-    def test_point_at_vertex_gives_zero_row(self):
-        box = Box3D(center=np.zeros(3), size=np.ones(3), yaw=0.4)
-        verts = box_vertices(box)
-        offs = relative_offsets(verts[[2]], box)
-        np.testing.assert_allclose(offs[0, 2], 0.0, atol=1e-15)
-
-    def test_translation_invariance(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(5, 3))
-        box = Box3D(center=np.array([0.1, 0.2, 0.3]), size=np.ones(3), yaw=0.5)
-        t = np.array([3.0, -1.0, 2.0])
-        moved = Box3D(center=box.center + t, size=box.size, yaw=box.yaw)
-        np.testing.assert_allclose(relative_offsets(pts, box),
-                                   relative_offsets(pts + t, moved), atol=1e-12)
-
-    def test_elementwise_oracle(self):
-        rng = np.random.default_rng(1)
-        pts = rng.normal(size=(5, 3))
-        box = Box3D(center=rng.normal(size=3), size=np.abs(rng.normal(size=3)) + 0.1,
-                    yaw=1.1)
-        offs = relative_offsets(pts, box)
-        verts = box_vertices(box)
-        for m in range(5):
-            for j in range(8):
-                np.testing.assert_array_equal(offs[m, j], pts[m] - verts[j])
-
-    def test_rotation_equivariance(self):
-        rng = np.random.default_rng(2)
-        pts = rng.normal(size=(6, 3))
-        box = Box3D(center=rng.normal(size=3), size=np.abs(rng.normal(size=3)) + 0.2,
-                    yaw=0.3)
-        theta = 0.9
-        rot = rotz(theta)
-        pts_rot = (pts - box.center) @ rot.T + box.center
-        box_rot = Box3D(center=box.center, size=box.size, yaw=box.yaw + theta)
-        expected = relative_offsets(pts, box) @ rot.T
-        np.testing.assert_allclose(relative_offsets(pts_rot, box_rot), expected,
-                                   atol=1e-10)
 
 
 class TestLocalCoords:

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dest3d.geometry import Box3D, synth_scene
+from dest3d import issm
+from dest3d.geometry import Box3D, box_vertices, synth_scene
 from dest3d.issm import (
     CHUNK,
     CorrelationMlp,
@@ -27,6 +30,26 @@ from dest3d.ssm import ScanInputs, discretize_zoh, scan_sequential
 def make_boxes(rng, k):
     return [Box3D(center=rng.normal((3,)), size=rng.uniform((3,), 0.4, 1.2),
                   yaw=float(rng.uniform((), -3.0, 3.0))) for _ in range(k)]
+
+
+def rotz(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def probe_points(rng, boxes):
+    """Per box, 20 points: 4 inside it, 4 on its faces, 4 at 5 to 20 times
+    its circumradius from its center, and its 8 vertices."""
+    chunks = []
+    for box in boxes:
+        local = rng.uniform((8, 3), -1.0, 1.0)
+        local[np.arange(4, 8), np.arange(4) % 3] = [1.0, -1.0, 1.0, -1.0]
+        far = rng.normal((4, 3))
+        far *= rng.uniform((4, 1), 5.0, 20.0) * np.linalg.norm(box.size) / 2.0
+        far /= np.linalg.norm(far, axis=1, keepdims=True)
+        chunks += [(local * (box.size / 2.0)) @ box.rotation().T + box.center,
+                   box.center + far, box_vertices(box)]
+    return np.concatenate(chunks)
 
 
 def conditioning(points, boxes, w: IbsWeights, corr, metric="center"):
@@ -243,6 +266,53 @@ class TestSpatialCorrelation:
         oracle = s_spatial_correlation([list(map(float, p)) for p in pts], boxes, table)
         np.testing.assert_allclose(s, np.array(oracle), atol=1e-12)
 
+    @pytest.mark.parametrize("hidden_bias", [True, False], ids=["hb", "no_hb"])
+    @pytest.mark.parametrize("out_bias", [True, False], ids=["ob", "no_ob"])
+    def test_mlp_matches_vertex_sum_oracle(self, hidden_bias, out_bias):
+        # sum_v out(silu(hidden(p - v))) over box_vertices, one offset at a
+        # time in plain floats, with nonzero random weights on yawed boxes
+        rng = PrngStream(4)
+        mlp = CorrelationMlp(hidden=LinearWeights(rng.normal((6, 3)),
+                                                  rng.normal((6,)) if hidden_bias else None),
+                             out=LinearWeights(rng.normal((4, 6)),
+                                               rng.normal((4,)) if out_bias else None))
+        boxes = make_boxes(rng, 3)
+        pts = probe_points(rng, boxes[:1])
+        oracle = np.zeros((len(pts), len(boxes), 4))
+        for j, box in enumerate(boxes):
+            verts = box_vertices(box)
+            for m, p in enumerate(pts):
+                for v in verts:
+                    offset = [float(p[i] - v[i]) for i in range(3)]
+                    hidden = [s_silu(h) for h in s_linear(offset, mlp.hidden)]
+                    oracle[m, j] += s_linear(hidden, mlp.out)
+        assert max_rel_err(spatial_correlation(pts, boxes, mlp), oracle) < 1e-12
+
+    @pytest.mark.parametrize("form", ["table", "mlp"])
+    def test_peak_memory_per_box(self, form):
+        # s is 4 MiB at M=2048, K=16, D=16, and the per-box loop adds about
+        # one more s-sized array (measured 7.1 MiB table, 8.3 MiB mlp). An
+        # all-K form holds an (M, K, 8, D or H) intermediate, 32 MiB here.
+        m, k, d = 2048, 16, 16
+        rng = PrngStream(5)
+        corr = (correlation_table_init(rng, d) if form == "table"
+                else correlation_mlp_init(rng, d, hidden_dim=16))
+        points, boxes = rng.normal((m, 3), 0.0, 2.0), make_boxes(rng, k)
+        bound = 10 * 2**20
+        assert bound < m * k * 8 * d * 8
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            spatial_correlation(points, boxes, corr)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < bound, peak / 2**20
+
 
 def params_of(s, x_feats, w: DirectionWeights):
     """gen_params on every row of s at once, from the conv features x_feats
@@ -364,12 +434,103 @@ class TestDelayKernel:
             f = delay_kernel([box], np.zeros((1, 3)), 1.0, metric=metric)
             assert f[0, 0] == 1.0
 
+    @staticmethod
+    def distances(boxes, points, metric, monkeypatch):
+        # a zero radius makes every factor exp(-alpha d), with alpha = 1 here,
+        # so d reads back as -log(factor)
+        monkeypatch.setattr(issm, "circumscribed_radius", lambda box: 0.0)
+        return -np.log(delay_kernel(boxes, points, math.log(math.e - 1.0), metric))
+
+    def test_vertex_matches_nearest_vertex_oracle(self, monkeypatch):
+        rng = PrngStream(11)
+        boxes = make_boxes(rng, 4)
+        pts = probe_points(rng, boxes)
+        d = self.distances(boxes, pts, "vertex", monkeypatch)
+        oracle = np.stack([np.linalg.norm(pts[:, None] - box_vertices(b)[None], axis=2).min(axis=1)
+                           for b in boxes], axis=1)
+        np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+        # each box's vertices are the last 8 of its 20 probe points
+        at_vertex = np.concatenate([d[20 * j + 12:20 * j + 20, j] for j in range(4)])
+        np.testing.assert_allclose(at_vertex, 0.0, atol=1e-12)
+
+    def test_surface_matches_clip_rotate_back_oracle(self, monkeypatch):
+        rng = PrngStream(12)
+        boxes = make_boxes(rng, 4)
+        pts = probe_points(rng, boxes)
+        d = self.distances(boxes, pts, "surface", monkeypatch)
+        oracle = np.empty_like(d)
+        for j, box in enumerate(boxes):
+            local = (pts - box.center) @ box.rotation() / (box.size / 2.0)
+            nearest = np.clip(local, -1.0, 1.0) * (box.size / 2.0) @ box.rotation().T + box.center
+            oracle[:, j] = np.linalg.norm(pts - nearest, axis=1)
+        np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
+        # inside and on the faces of its own box, a point is at distance 0
+        own = np.concatenate([d[20 * j:20 * j + 8, j] for j in range(4)])
+        np.testing.assert_allclose(own, 0.0, atol=1e-12)
+
     def test_unknown_metric(self):
         # checked before the per-box loop, so an empty box list does not hide it
         box = Box3D(center=np.zeros(3), size=np.ones(3))
         for boxes in ([box], []):
             with pytest.raises(ValueError, match="voronoi"):
                 delay_kernel(boxes, np.zeros((3, 3)), 1.0, metric="voronoi")
+
+
+class TestRigidMotion:
+    """Points and boxes moved together by one yaw rotation about z and a
+    translation. The table path and the delay read points in the box frame
+    and stay unchanged; the MLP path reads world-frame offsets, so only a
+    translation leaves it unchanged, and a rotation turns its hidden layer."""
+
+    @staticmethod
+    def moved(points, boxes, theta, t):
+        rot = rotz(theta)
+        return points @ rot.T + t, [Box3D(center=rot @ b.center + t, size=b.size,
+                                          yaw=b.yaw + theta) for b in boxes]
+
+    @given(seed=st.integers(0, 2**16), theta=st.floats(-math.pi, math.pi),
+           t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_table_and_delay_invariant(self, seed, theta, t):
+        rng = PrngStream(seed)
+        table = correlation_table_init(rng, 4)
+        boxes = make_boxes(rng, 3)
+        pts = probe_points(rng, boxes)
+        pts2, boxes2 = self.moved(pts, boxes, theta, np.array(t))
+        assert max_rel_err(spatial_correlation(pts2, boxes2, table),
+                           spatial_correlation(pts, boxes, table)) < 1e-12
+        for metric in ("center", "vertex", "surface"):
+            np.testing.assert_allclose(delay_kernel(boxes2, pts2, 0.7, metric),
+                                       delay_kernel(boxes, pts, 0.7, metric),
+                                       rtol=0, atol=1e-12)
+
+    @given(seed=st.integers(0, 2**16),
+           t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_mlp_invariant_under_translation(self, seed, t):
+        rng = PrngStream(seed)
+        mlp = correlation_mlp_init(rng, 4, hidden_dim=6)
+        boxes = make_boxes(rng, 3)
+        pts = probe_points(rng, boxes)
+        pts2, boxes2 = self.moved(pts, boxes, 0.0, np.array(t))
+        assert max_rel_err(spatial_correlation(pts2, boxes2, mlp),
+                           spatial_correlation(pts, boxes, mlp)) < 1e-12
+
+    @given(seed=st.integers(0, 2**16), theta=st.floats(-math.pi, math.pi),
+           t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_mlp_rotation_turns_hidden_weight(self, seed, theta, t):
+        # offsets rotate with the scene, p' - v' = R (p - v), so moving the
+        # scene is the same as hidden weight W R on the unmoved scene
+        rng = PrngStream(seed)
+        mlp = correlation_mlp_init(rng, 4, hidden_dim=6)
+        turned = CorrelationMlp(hidden=LinearWeights(mlp.hidden.weight @ rotz(theta),
+                                                     mlp.hidden.bias), out=mlp.out)
+        boxes = make_boxes(rng, 3)
+        pts = probe_points(rng, boxes)
+        pts2, boxes2 = self.moved(pts, boxes, theta, np.array(t))
+        assert max_rel_err(spatial_correlation(pts2, boxes2, mlp),
+                           spatial_correlation(pts, boxes, turned)) < 1e-12
 
 
 class TestIbsForward:
