@@ -170,11 +170,17 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
         ph = points @ hidden.weight.T
         if hidden.bias is not None:
             ph += hidden.bias
-        hsum = np.zeros((m, k, hidden.out_features), dtype=np.float64)
+        hsum = np.empty((m, k, hidden.out_features), dtype=np.float64)
+        a, b, acc = (np.empty_like(ph) for _ in range(3))
         for j, box in enumerate(boxes):
-            # one (M, H) silu per vertex: faster than one on (M, 8, H)
+            # the 8 vertices add in order into one contiguous (M, H) buffer,
+            # written to the strided column hsum[:, j] once: adding into
+            # that column per vertex ran about 10x slower than acc += b
+            acc.fill(0.0)
             for vh in box_vertices(box) @ hidden.weight.T:
-                hsum[:, j] += silu(ph - vh)
+                acc += silu(np.subtract(ph, vh, out=a), out=b)
+            hsum[:, j] = acc
+        del a, b, acc  # freed before the (M, K, D) output is allocated
         out = (hsum.reshape(m * k, -1) @ head.weight.T).reshape(m, k, head.out_features)
         if head.bias is not None:
             out += 8.0 * head.bias

@@ -140,19 +140,26 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) without overflow, as where(x >= 0, 1, e) / (1 + e)
     with e = exp(-|x|).
 
     Equal bit for bit to evaluating 1 / (1 + exp(-x)) for x >= 0 and
-    exp(x) / (1 + exp(x)) otherwise (a NaN's sign bit aside). Works in place
-    on two full-size buffers; 0-d input gives a 0-d array.
+    exp(x) / (1 + exp(x)) otherwise (a NaN's sign bit aside). The numerator
+    is selected branch-free as max(x >= 0, e), the comparison written as
+    0.0 or 1.0: e lies in [0, 1] (NaN for NaN x, which max passes through),
+    so this equals where(x >= 0, 1, e) bit for bit, and np.where's select
+    is numpy's slow path: without it the whole sigmoid ran 2.5x faster at
+    (2048, 16). The result goes to out when given (out=x works in place,
+    with one scratch array of x's size); 0-d input gives a 0-d array.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x) if out is None else out,
+                           casting="unsafe")
+    np.maximum(out, e, out=out)
     e += 1.0
     return np.divide(out, e, out=out)
 
@@ -174,8 +181,13 @@ def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(out, t, out=out)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x), with sigmoid's branch-free select.
+
+    The result goes to out when given; out must not overlap x, which is
+    read again after sigmoid has written out. 0-d input gives a 0-d array.
+    """
+    s = sigmoid(x, out=out)
     return np.multiply(x, s, out=s)
 
 

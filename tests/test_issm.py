@@ -288,10 +288,28 @@ class TestSpatialCorrelation:
                     oracle[m, j] += s_linear(hidden, mlp.out)
         assert max_rel_err(spatial_correlation(pts, boxes, mlp), oracle) < 1e-12
 
+    def test_mlp_bitwise_equal_to_strided_vertex_sum(self):
+        # at the mlp_vertex shape, the per-box accumulator gives the same
+        # bits as adding each vertex's silu into the (M, K, H) sum directly
+        m, k, h, d = 2048, 16, 16, 16
+        rng = PrngStream(6)
+        mlp = CorrelationMlp(hidden=LinearWeights(rng.normal((h, 3)), rng.normal((h,))),
+                             out=LinearWeights(rng.normal((d, h)), rng.normal((d,))))
+        points, boxes = rng.normal((m, 3), 0.0, 2.0), make_boxes(rng, k)
+        ph = points @ mlp.hidden.weight.T + mlp.hidden.bias
+        hsum = np.zeros((m, k, h))
+        for j, box in enumerate(boxes):
+            for vh in box_vertices(box) @ mlp.hidden.weight.T:
+                hsum[:, j] += silu(ph - vh)
+        expected = (hsum.reshape(m * k, h) @ mlp.out.weight.T).reshape(m, k, d)
+        expected += 8.0 * mlp.out.bias
+        assert np.array_equal(spatial_correlation(points, boxes, mlp), expected)
+
     @pytest.mark.parametrize("form", ["table", "mlp"])
     def test_peak_memory_per_box(self, form):
         # s is 4 MiB at M=2048, K=16, D=16, and the per-box loop adds about
-        # one more s-sized array (measured 7.1 MiB table, 8.3 MiB mlp). An
+        # one more s-sized array (measured 7.1 MiB table; 8.3 MiB mlp, whose
+        # three (M, H) loop buffers are freed before its output layer). An
         # all-K form holds an (M, K, 8, D or H) intermediate, 32 MiB here.
         m, k, d = 2048, 16, 16
         rng = PrngStream(5)

@@ -87,14 +87,37 @@ def two_branch_sigmoid(x):
     return out
 
 
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 745.2, -745.2, np.nan]
+
+
 class TestSigmoid:
     def test_bitwise_equal_to_two_branch_form(self):
-        edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 745.2, -745.2, np.nan]
-        x = np.concatenate([np.linspace(-800.0, 800.0, 4_000_001), edges])
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4_000_001), SIGMOID_EDGES])
         with np.errstate(over="ignore", invalid="ignore"):
             expected = two_branch_sigmoid(x)
         np.testing.assert_array_equal(sigmoid(x), expected)  # NaNs compare equal
         assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("fn", [sigmoid, silu], ids=["sigmoid", "silu"])
+    def test_out_matches_allocating_call(self, fn):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 100_001), SIGMOID_EDGES])
+        before = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = fn(x)
+            buf = np.full_like(x, 7.0)  # stale contents must not leak through
+            got = fn(x, out=buf)
+        assert got is buf
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
+        if fn is sigmoid:  # out=x works in place; silu reads x after writing out
+            assert sigmoid(x, out=x) is x
+            assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("fn", [sigmoid, silu], ids=["sigmoid", "silu"])
+    def test_out_zero_d(self, fn):
+        buf = np.empty(())
+        assert fn(np.array(-1.0), out=buf) is buf
+        assert buf.shape == () and buf == fn(np.array(-1.0))
 
     def test_zero_d_input(self):
         y = sigmoid(np.array(0.0))
