@@ -126,8 +126,8 @@ def points_in_box(points: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarra
     return (np.abs(local) <= 1.0 + tol).all(axis=1)
 
 
-def farthest_point_sampling(positions: np.ndarray, k: int, start: int = 0) -> list[int]:
-    """Greedy max-min sampling of k point indices.
+def farthest_point_sampling(positions: np.ndarray, k: int) -> list[int]:
+    """Greedy max-min sampling of k point indices, starting at point 0.
 
     Each pick maximizes the minimum distance to the already-chosen set; ties
     resolve to the lowest index (argmax takes the first maximum).
@@ -136,10 +136,8 @@ def farthest_point_sampling(positions: np.ndarray, k: int, start: int = 0) -> li
     m = positions.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    if not 0 <= start < m:
-        raise ValueError(f"start must be in [0, {m}), got {start}")
-    chosen = [start]
-    min_d2 = ((positions - positions[start]) ** 2).sum(axis=1)
+    chosen = [0]
+    min_d2 = ((positions - positions[0]) ** 2).sum(axis=1)
     for _ in range(k - 1):
         nxt = int(np.argmax(min_d2))
         chosen.append(nxt)

@@ -51,6 +51,7 @@ from .ssm import discretize_zoh  # noqa: F401
 # L2 there, and the per-chunk Python overhead stays small next to the numpy
 # work.
 CHUNK = 32
+TABLE_EXTENT = 2.0  # the table varies out to one box half-size past each face
 
 __all__ = [
     "CorrelationTable",
@@ -69,20 +70,16 @@ __all__ = [
 class CorrelationTable:
     """Learnable 10x10x10xD feature grid sampled at box-local coordinates.
 
-    Local coordinates are clamped to [-extent, extent] per axis and mapped
-    linearly onto the grid, so extent controls how far outside a box the
-    table still varies.
+    Local coordinates are clamped to [-TABLE_EXTENT, TABLE_EXTENT] per axis
+    and mapped linearly onto the grid.
     """
 
     grid: np.ndarray
-    extent: float = 2.0
 
     def __post_init__(self):
         self.grid = require_finite("table grid", np.asarray(self.grid, dtype=np.float64))
         if self.grid.ndim != 4 or self.grid.shape[:3] != (10, 10, 10):
             raise ValueError(f"grid must be (10, 10, 10, D), got {self.grid.shape}")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
 
     @property
     def dim(self) -> int:
@@ -126,7 +123,7 @@ class IbsWeights:
     out_h: LinearWeights   # E -> C
     forward: DirectionWeights
     backward: DirectionWeights
-    alpha_raw: float = 1.0
+    alpha_raw: np.ndarray  # 0-d: the delay kernel's rate before softplus
 
 
 def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
@@ -155,8 +152,8 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
         out = np.empty((m, k, d), dtype=np.float64)
         for j, box in enumerate(boxes):
             # clamped, the map onto [0, g-1] is exact at both ends: no second clip
-            c = np.clip(box_local_coords(points, box), -corr.extent, corr.extent)
-            c = (c + corr.extent) / (2.0 * corr.extent) * (g - 1.0)
+            c = np.clip(box_local_coords(points, box), -TABLE_EXTENT, TABLE_EXTENT)
+            c = (c + TABLE_EXTENT) / (2.0 * TABLE_EXTENT) * (g - 1.0)
             i0 = np.minimum(c.astype(np.int64), g - 2)
             np.subtract(c, i0, out=frac_pair[:, 1])
             np.subtract(1.0, frac_pair[:, 1], out=frac_pair[:, 0])
@@ -386,14 +383,12 @@ def ibs_weights_init(stream: PrngStream, channels: int, state_dim: int,
         out_h=linear_init(stream, channels, state_dim, bias=False),
         forward=_direction_init(stream, state_dim, corr_dim, kernel_size),
         backward=_direction_init(stream, state_dim, corr_dim, kernel_size),
-        alpha_raw=1.0,
+        alpha_raw=np.array(1.0),
     )
 
 
-def correlation_table_init(stream: PrngStream, corr_dim: int,
-                           extent: float = 2.0) -> CorrelationTable:
-    return CorrelationTable(grid=stream.normal((10, 10, 10, corr_dim), 0.0, 0.5),
-                            extent=extent)
+def correlation_table_init(stream: PrngStream, corr_dim: int) -> CorrelationTable:
+    return CorrelationTable(grid=stream.normal((10, 10, 10, corr_dim), 0.0, 0.5))
 
 
 def correlation_mlp_init(stream: PrngStream, corr_dim: int,

@@ -36,7 +36,7 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 class PrngStream:
-    """Seeded pseudo-random stream with a draw counter.
+    """Seeded pseudo-random stream.
 
     Backed by numpy's PCG64 (a documented 64-bit counter-based generator).
     The same seed always yields the same value stream within this
@@ -46,26 +46,19 @@ class PrngStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.counter = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def _count(self, shape) -> None:
-        self.counter += int(np.prod(shape)) if shape is not None else 1
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         if not high > low:
             raise ValueError(f"uniform needs high > low, got [{low}, {high})")
-        self._count(shape)
         return self._gen.uniform(low, high, size=shape)
 
     def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if not std > 0:
             raise ValueError(f"normal needs std > 0, got {std}")
-        self._count(shape)
         return self._gen.normal(mean, std, size=shape)
 
     def integers(self, low: int, high: int, shape=None):
-        self._count(shape)
         return self._gen.integers(low, high, size=shape)
 
 

@@ -98,13 +98,13 @@ def apply_axis_order(cell, axis_order: str):
     return cell[..., perm]
 
 
-def bounds_from_points(positions: np.ndarray, pad: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis min/max, padded so degenerate axes stay strictly ordered."""
+def bounds_from_points(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis min/max, padded by 1e-9 on flat axes so max > min on each."""
     positions = np.asarray(positions, dtype=np.float64)
     lo = positions.min(axis=0)
     hi = positions.max(axis=0)
     flat = hi - lo <= 0
-    hi = hi + np.where(flat, max(pad, 1e-9), 0.0)
+    hi = hi + np.where(flat, 1e-9, 0.0)
     return lo, hi
 
 

@@ -141,7 +141,7 @@ def scan_sequential(inputs: ScanInputs, keep_trace: bool = False) -> ScanOutputs
     return ScanOutputs(y=y, h_final=h, h_trace=trace)
 
 
-def scan_chunked(inputs: ScanInputs, chunk: int, keep_trace: bool = False) -> ScanOutputs:
+def scan_chunked(inputs: ScanInputs, chunk: int) -> ScanOutputs:
     """Chunked scan with identical contract to scan_sequential.
 
     Each chunk is summarized as the affine map h -> A*h + B it applies to the
@@ -164,12 +164,11 @@ def scan_chunked(inputs: ScanInputs, chunk: int, keep_trace: bool = False) -> Sc
         entries.append(acc_a * entries[-1] + acc_b)
     # Replay each chunk from its entry state.
     y = np.empty((m, e), dtype=np.float64)
-    trace = np.empty((m, k, e), dtype=np.float64) if keep_trace else None
     h = inputs.h0
     for sl, h_in in zip(spans, entries):
         h = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl], h_in,
-                   inputs.c[sl], y[sl], None if trace is None else trace[sl])
-    return ScanOutputs(y=y, h_final=h, h_trace=trace)
+                   inputs.c[sl], y[sl])
+    return ScanOutputs(y=y, h_final=h)
 
 
 def lti_conv_form(a_bar_0: np.ndarray, b_bar_0: np.ndarray, c0: np.ndarray,
@@ -195,19 +194,17 @@ def lti_conv_form(a_bar_0: np.ndarray, b_bar_0: np.ndarray, c0: np.ndarray,
     return y
 
 
-def scan_backward(inputs: ScanInputs, dy: np.ndarray, dh_final: np.ndarray,
-                  h_trace: np.ndarray | None = None) -> ScanGradients:
+def scan_backward(inputs: ScanInputs, dy: np.ndarray, dh_final: np.ndarray) -> ScanGradients:
     """Exact reverse-mode derivatives of (y, h_final) under scan_sequential.
 
-    Reuses the forward state trace when given, otherwise recomputes it.
+    The forward state trace is recomputed by one scan_sequential pass.
     """
     m, k, e = inputs.shape
     dy = np.asarray(dy, dtype=np.float64)
     dh_final = np.asarray(dh_final, dtype=np.float64)
     if dy.shape != (m, e) or dh_final.shape != (k, e):
         raise ValueError("cotangent shapes must match scan outputs")
-    if h_trace is None:
-        h_trace = scan_sequential(inputs, keep_trace=True).h_trace
+    h_trace = scan_sequential(inputs, keep_trace=True).h_trace
 
     def h_prev(t: int) -> np.ndarray:
         return inputs.h0 if t == 0 else h_trace[t - 1]

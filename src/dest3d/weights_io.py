@@ -1,16 +1,17 @@
 """Weight serialization: one flat little-endian binary blob plus a JSON
 manifest mapping each array name to its shape, dtype, and byte offset.
 
-flatten_weights/unflatten_weights walk the weight dataclasses generically
-(nested dataclasses join names with '.', list items with their index), so
-the container stays schema-free: loading fills a freshly initialized weight
-bundle of the same configuration in place.
+flatten_weights walks the weight dataclasses generically (nested
+dataclasses join names with '.', list items with their index), so the
+container stays schema-free: unflatten_weights fills the arrays that walk
+finds in a freshly initialized bundle of the same configuration, in place.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,7 @@ def _walk(obj, prefix: str, out: dict[str, np.ndarray]) -> None:
             name = f"{prefix}.{f.name}" if prefix else f.name
             if value is None or isinstance(value, (int, bool, str)):
                 continue  # structural config, not a weight
-            if isinstance(value, float):
-                out[name] = np.asarray(value)  # learnable scalar, stored 0-d
-            else:
-                _walk(value, name, out)
+            _walk(value, name, out)
     elif isinstance(obj, list):
         for i, item in enumerate(obj):
             _walk(item, f"{prefix}.{i}", out)
@@ -56,35 +54,19 @@ def flatten_weights(weights) -> dict[str, np.ndarray]:
 def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
     """Fill an initialized weight bundle in place from a flat name map.
 
-    Every array must be finite; the first that is not is named in the error.
+    Every array must be finite and have its template array's shape; the
+    first that does not is named in the error.
     """
     template = flatten_weights(weights)
     missing = sorted(set(template) - set(arrays))
     extra = sorted(set(arrays) - set(template))
     if missing or extra:
         raise ValueError(f"weight name mismatch: missing={missing[:4]} extra={extra[:4]}")
-
-    def assign(obj, parts: list[str], value: np.ndarray):
-        head = parts[0]
-        if isinstance(obj, list):
-            target = obj[int(head)]
-        else:
-            target = getattr(obj, head)
-        if len(parts) == 1:
-            if isinstance(target, float):
-                setattr(obj, head, float(value))
-            elif isinstance(obj, list):
-                obj[int(head)] = value.reshape(target.shape)
-            else:
-                if target.shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch at {name}: {target.shape} vs {value.shape}")
-                setattr(obj, head, value.astype(target.dtype))
-            return
-        assign(target, parts[1:], value)
-
-    for name, value in arrays.items():
-        assign(weights, name.split("."), require_finite(f"weight {name}", value))
+    for name, target in template.items():
+        value = require_finite(f"weight {name}", arrays[name])
+        if target.shape != value.shape:
+            raise ValueError(f"shape mismatch at {name}: {target.shape} vs {value.shape}")
+        target[...] = value
 
 
 def manifest_path(bin_path: str | Path) -> Path:
@@ -123,15 +105,20 @@ def load_weights(bin_path: str | Path) -> dict[str, np.ndarray]:
         try:
             dtype = np.dtype(meta["dtype"]).newbyteorder("<")
             shape, offset, nbytes = meta["shape"], int(meta["offset"]), int(meta["nbytes"])
-            count = int(np.prod(shape)) if shape else 1
+            if not isinstance(shape, list) or any(type(n) is not int for n in shape):
+                raise TypeError(f"shape {shape!r} is not a list of ints")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"weight manifest entry {name!r}: bad field {exc}") from None
+        count = math.prod(shape)
         if dtype.kind != "f":
             raise ValueError(f"weight manifest entry {name!r}: dtype {meta['dtype']!r} "
                              f"is not a floating-point type")
         if count < 0 or nbytes != count * dtype.itemsize:
             raise ValueError(f"weight manifest entry {name!r}: nbytes {nbytes} != "
                              f"{count} x {dtype.itemsize} bytes of shape {shape}")
+        if min(shape, default=0) < 0:
+            raise ValueError(f"weight manifest entry {name!r}: shape {shape} "
+                             f"has a negative dimension")
         if not 0 <= offset <= len(raw) - nbytes:
             raise ValueError(f"weight manifest entry {name!r}: bytes [{offset}, "
                              f"{offset + nbytes}) lie outside the {len(raw)}-byte file")

@@ -230,7 +230,7 @@ def test_acc_08_simultaneous_update():
     weights = decoder_weights_init(PrngStream(88), cfg)
     result = decoder_stack(scene, cfg, weights)
     prev_x = scene.features + positional_embedding(scene.positions, weights)
-    idx = farthest_point_sampling(scene.positions, cfg.num_states, 0)
+    idx = farthest_point_sampling(scene.positions, cfg.num_states)
     prev_h = prev_x[idx]
     norms = []
     for layer in result.layers:

@@ -20,9 +20,17 @@ from dest3d.decoder import (
     positional_embedding,
 )
 from dest3d.geometry import Box3D, Scene, farthest_point_sampling, point_in_box, synth_scene
-from dest3d.issm import CHUNK, delay_kernel, ibs_forward, spatial_correlation
+from dest3d.issm import (
+    CHUNK,
+    CorrelationMlp,
+    CorrelationTable,
+    delay_kernel,
+    ibs_forward,
+    spatial_correlation,
+)
 from dest3d.numerics import LinearWeights, PrngStream, layer_norm, linear, softmax_attention
 from dest3d.serialization import SerializationOrder, bounds_from_points, order_for_layer, serialize
+from dest3d.weights_io import flatten_weights
 
 
 def small_cfg(**kw):
@@ -44,6 +52,28 @@ def zero_residual_branches(weights):
         lw.attn.out = zero_linear(lw.attn.out)
         lw.gffn_x.out = zero_linear(lw.gffn_x.out)
         lw.gffn_h.out = zero_linear(lw.gffn_h.out)
+
+
+class TestWeightsInit:
+    def test_one_correlation_form_per_layer(self):
+        # both modes draw both forms in the same order and keep the one they
+        # run, so every other weight and the rest of the stream agree
+        bundles, next_draws = {}, {}
+        for mode in ("table", "mlp"):
+            stream = PrngStream(21)
+            bundles[mode] = decoder_weights_init(stream, small_cfg(correlation_mode=mode))
+            next_draws[mode] = stream.uniform((4,))
+        np.testing.assert_array_equal(next_draws["table"], next_draws["mlp"])
+        flat = {mode: flatten_weights(w) for mode, w in bundles.items()}
+        for mode, form in (("table", CorrelationTable), ("mlp", CorrelationMlp)):
+            assert all(type(layer.corr) is form for layer in bundles[mode].layers)
+            assert not [n for n in flat[mode]
+                        if "table." in n or "corr_mlp." in n or "extent" in n]
+        shared = {n for n in flat["table"] if ".corr." not in n}
+        assert shared == {n for n in flat["mlp"] if ".corr." not in n}
+        for name in shared:
+            np.testing.assert_array_equal(flat["table"][name], flat["mlp"][name],
+                                          err_msg=name)
 
 
 class TestInterStateAttention:
@@ -107,15 +137,6 @@ class TestGffn:
         expected = t + linear(gate * conv, w.out)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_ungated_variant(self):
-        w = decoder_weights_init(PrngStream(13), small_cfg()).layers[0].gffn_h
-        t = PrngStream(14).normal((5, 16))
-        out = gffn(t, w, gated=False)
-        tn = layer_norm(t, w.norm_gamma, w.norm_beta)
-        g = linear(tn, w.gate)
-        expected = t + linear(g / (1.0 + np.exp(-g)), w.out)
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
-
 
 class TestDecoderLayer:
     def setup_case(self, seed=0, m=24, cfg=None):
@@ -162,12 +183,11 @@ class TestDecoderLayer:
         order = SerializationOrder(order_for_layer(1), cfg.serialization_bits)
         perm = serialize(scene.positions, order, bounds_from_points(scene.positions))
         pp = scene.positions[perm]
-        corr = lw.table if cfg.correlation_mode == "table" else lw.corr_mlp
-        s = spatial_correlation(pp, boxes, corr)
+        s = spatial_correlation(pp, boxes, lw.corr)
         delay = delay_kernel(boxes, pp, lw.ibs.alpha_raw, metric=cfg.delay_metric)
         x1, h1 = ibs_forward(x[perm], h, s, delay, lw.ibs)
-        hh = gffn_fn(attn_fn(h1, lw.attn), lw.gffn_h, gated=cfg.glu_h)
-        xs = gffn_fn(x1, lw.gffn_x, gated=cfg.glu_x)
+        hh = gffn_fn(attn_fn(h1, lw.attn), lw.gffn_h)
+        xs = gffn_fn(x1, lw.gffn_x)
         x_exp = np.empty_like(xs)
         x_exp[perm] = xs
         np.testing.assert_allclose(x2, x_exp, atol=1e-13)
@@ -312,7 +332,7 @@ class TestDecoderStack:
         assert len(result.layers) == 1
         # replay
         x0 = scene.features + positional_embedding(scene.positions, weights)
-        idx = farthest_point_sampling(scene.positions, cfg.num_states, 0)
+        idx = farthest_point_sampling(scene.positions, cfg.num_states)
         h0 = x0[idx]
         boxes = [d.box for d in detection_head(h0, scene.positions[idx], weights.head)]
         x1, h1 = decoder_layer(x0, h0, scene.positions, boxes, 0, weights.layers[0], cfg)
@@ -366,7 +386,7 @@ class TestDecoderStack:
         zero_residual_branches(weights)
         result = decoder_stack(scene, cfg, weights)
         x0 = scene.features + positional_embedding(scene.positions, weights)
-        idx = farthest_point_sampling(scene.positions, cfg.num_states, 0)
+        idx = farthest_point_sampling(scene.positions, cfg.num_states)
         for layer in result.layers:
             np.testing.assert_array_equal(layer.x, x0)
             np.testing.assert_array_equal(layer.h, x0[idx])
@@ -378,7 +398,7 @@ class TestDecoderStack:
         weights = decoder_weights_init(PrngStream(39), cfg)
         result = decoder_stack(scene, cfg, weights)
         prev_x = scene.features + positional_embedding(scene.positions, weights)
-        idx = farthest_point_sampling(scene.positions, cfg.num_states, 0)
+        idx = farthest_point_sampling(scene.positions, cfg.num_states)
         prev_h = prev_x[idx]
         for layer in result.layers:
             assert np.linalg.norm(layer.x - prev_x) > 0

@@ -145,11 +145,11 @@ class TestFps:
 
     def test_collinear_hand_case(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [10.0, 0, 0]])
-        assert farthest_point_sampling(pts, 2, start=0) == [0, 3]
+        assert farthest_point_sampling(pts, 2) == [0, 3]
 
     def test_k_one(self):
         pts = np.zeros((5, 3))
-        assert farthest_point_sampling(pts, 1, start=2) == [2]
+        assert farthest_point_sampling(pts, 1) == [0]
 
     def test_indices_distinct(self):
         pts = np.random.default_rng(5).normal(size=(30, 3))

@@ -140,6 +140,10 @@ class TestWeightsIO:
         ("dtype", "V8", "dtype 'V8' is not a floating-point type"),
         ("dtype", "<M8[ns]", r"dtype '<M8\[ns\]' is not a floating-point type"),
         ("dtype", "O", "dtype 'O' is not a floating-point type"),
+        ("shape", [6.0], r"bad field shape \[6.0\] is not a list of ints"),
+        ("shape", [True], r"bad field shape \[True\] is not a list of ints"),
+        ("shape", None, "bad field shape None is not a list of ints"),
+        ("shape", [-2, -3], r"shape \[-2, -3\] has a negative dimension"),
     ])
     def test_bad_manifest_entry_named(self, tmp_path, field, value, message):
         path = tmp_path / "w.bin"
@@ -344,6 +348,36 @@ class TestCliDemo:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "'head.obj.bias'" in err
+
+    @pytest.mark.parametrize("entry, edit, named", [
+        # a manifest shape that is not a list of ints
+        ("head.obj.bias", {"shape": [1.0]}, "'head.obj.bias': bad field shape"),
+        # a scalar weight stored with two values
+        ("layers.0.ibs.alpha_raw", {"shape": [2], "nbytes": 16},
+         "shape mismatch at layers.0.ibs.alpha_raw"),
+        # the table extent, a constant, stored as if it were a weight
+        ("layers.0.table.extent", 0.0, "extra=['layers.0.table.extent']"),
+        ("layers.0.table.extent", -1.0, "extra=['layers.0.table.extent']"),
+    ])
+    def test_malformed_container_exit_2(self, scene_path, tmp_path, entry, edit, named):
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "1", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        if isinstance(edit, dict):
+            mpath = tmp_path / "w.manifest.json"
+            manifest = json.loads(mpath.read_text())
+            manifest[entry].update(edit)
+            mpath.write_text(json.dumps(manifest))
+        else:
+            arrays = load_weights(wpath)
+            arrays[entry] = np.array(edit)
+            save_weights(wpath, arrays)
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
 
     @pytest.mark.parametrize("dtype", ["V8", "<M8[ns]", "O"])
     def test_non_float_manifest_dtype_exit_2(self, scene_path, tmp_path, dtype):

@@ -10,6 +10,7 @@ from dest3d import issm
 from dest3d.geometry import Box3D, box_vertices, synth_scene
 from dest3d.issm import (
     CHUNK,
+    TABLE_EXTENT,
     CorrelationMlp,
     CorrelationTable,
     DirectionWeights,
@@ -148,8 +149,8 @@ def s_spatial_correlation(points, boxes, table):
         row = []
         for box in boxes:
             local = s_box_local(p, box)
-            clamped = [min(max(v, -table.extent), table.extent) for v in local]
-            idx = [(v + table.extent) / (2 * table.extent) * 9.0 for v in clamped]
+            clamped = [min(max(v, -TABLE_EXTENT), TABLE_EXTENT) for v in local]
+            idx = [(v + TABLE_EXTENT) / (2 * TABLE_EXTENT) * 9.0 for v in clamped]
             row.append(s_trilinear(table.grid, idx))
         out.append(row)
     return out
@@ -252,7 +253,7 @@ class TestSpatialCorrelation:
 
     @pytest.mark.parametrize("corr", [None, "table"])
     def test_other_form_type_rejected(self, corr):
-        # a missing corr_mlp (None) fails by type, naming the type it got
+        # anything but the two forms fails by type, naming the type it got
         rng = PrngStream(2)
         with pytest.raises(TypeError, match=type(corr).__name__):
             spatial_correlation(rng.normal((4, 3)), make_boxes(rng, 2), corr)

@@ -282,11 +282,3 @@ class TestPrng:
             PrngStream(1).uniform((3,), low=2.0, high=1.0)
         with pytest.raises(ValueError):
             PrngStream(1).normal((3,), std=-1.0)
-
-    def test_counter_tracks_draws(self):
-        stream = PrngStream(9)
-        assert stream.counter == 0
-        stream.uniform((4, 5))
-        assert stream.counter == 20
-        stream.normal((3,))
-        assert stream.counter == 23

@@ -154,7 +154,7 @@ def loop_scan(inputs, h, steps, y, trace):
 
 
 def loop_chunked(inputs, chunk):
-    """Per-step reference of scan_chunked's summaries and replay; returns (y, h, trace)."""
+    """Per-step reference of scan_chunked's summaries and replay; returns (y, h)."""
     m, k, e = inputs.shape
     spans = [range(s, min(s + chunk, m)) for s in range(0, m, chunk)]
     entries = [inputs.h0]
@@ -165,7 +165,7 @@ def loop_chunked(inputs, chunk):
     y, trace = np.empty((m, e)), np.empty((m, k, e))
     for sp, h_in in zip(spans, entries):
         h = loop_scan(inputs, h_in, sp, y, trace)
-    return y, h, trace
+    return y, h
 
 
 class TestBlockedRecurrence:
@@ -179,17 +179,18 @@ class TestBlockedRecurrence:
         saved = {f: getattr(inputs, f).copy() for f in ("a_bar", "b_bar", "c", "x", "h0")}
         y_ref, trace_ref = np.empty((m, 8)), np.empty((m, k, 8))
         h_ref = loop_scan(inputs, inputs.h0, range(m), y_ref, trace_ref)
-        runs = [(scan_sequential(inputs, keep_trace), (y_ref, h_ref, trace_ref))]
+        out = scan_sequential(inputs, keep_trace)
+        if keep_trace:
+            np.testing.assert_array_equal(out.h_trace, trace_ref)
+            assert not np.shares_memory(out.h_final, out.h_trace)
+        else:
+            assert out.h_trace is None
+        runs = [(out, (y_ref, h_ref))]
         for chunk in (1, 7, 64, m):
-            runs.append((scan_chunked(inputs, chunk, keep_trace), loop_chunked(inputs, chunk)))
-        for out, (y, h, trace) in runs:
+            runs.append((scan_chunked(inputs, chunk), loop_chunked(inputs, chunk)))
+        for out, (y, h) in runs:
             np.testing.assert_array_equal(out.y, y)
             np.testing.assert_array_equal(out.h_final, h)
-            if keep_trace:
-                np.testing.assert_array_equal(out.h_trace, trace)
-                assert not np.shares_memory(out.h_final, out.h_trace)
-            else:
-                assert out.h_trace is None
             assert not np.shares_memory(out.h_final, inputs.h0)
         for f, before in saved.items():
             np.testing.assert_array_equal(getattr(inputs, f), before)
@@ -274,16 +275,6 @@ class TestScanBackward:
             diff = np.abs(analytic - numeric)
             ok = (diff <= 1e-8) | (diff <= 1e-5 * np.abs(numeric))
             assert ok.all(), f"{name}: worst diff {diff.max()}"
-
-    def test_trace_reuse_matches_recompute(self):
-        inputs = random_inputs(13, 9, 2, 3)
-        rng = PrngStream(14)
-        dy, dh = rng.normal((9, 3)), rng.normal((2, 3))
-        trace = scan_sequential(inputs, keep_trace=True).h_trace
-        g1 = scan_backward(inputs, dy, dh, h_trace=trace)
-        g2 = scan_backward(inputs, dy, dh)
-        np.testing.assert_array_equal(g1.a_bar, g2.a_bar)
-        np.testing.assert_array_equal(g1.x, g2.x)
 
 
 class TestFiniteDiff:
