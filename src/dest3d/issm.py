@@ -263,10 +263,11 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     adds the s projection, softplus and the delay act in place on delta,
     a_bar = exp(delta * a) and b_bar = delta * b fill two more buffers, and
     scan_sequential carries the state on (delta >= 0 by construction, so no
-    chunk is checked). The (M, K, E) parameters are never held at full size.
-    The backward direction is this function on reversed views of x_in, s and
-    delay. With keep_trace the chunk parameters are copied into full-size
-    arrays for the trace dict, otherwise it is None.
+    chunk is checked), so the (M, K, E) parameters are never held at full
+    size. The backward direction is this function on reversed views of x_in,
+    s and delay. With keep_trace the buffers are full size instead, each chunk
+    writing its own rows, and they make up the trace dict; otherwise it is
+    None.
     """
     x_conv = silu(depthwise_conv1d(x_in, w.conv_kernel))
     m, e = x_conv.shape
@@ -274,34 +275,28 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     w_x, w_s, bias = _param_weights(w)
     x_row = x_conv @ w_x
     x_row += bias
-    rows = min(m, CHUNK)
+    rows = m if keep_trace else min(m, CHUNK)
     delta_buf, a_bar_buf, b_bar_buf = (np.empty((rows, k, e)) for _ in range(3))
     bc_buf = np.empty((rows, k, 2))
     y = np.empty_like(x_conv)
-    trace = None
-    if keep_trace:
-        trace = {"x_conv": x_conv, "b": np.empty((m, k)), "c": np.empty((m, k)),
-                 "delta": np.empty((m, k, e)), "a_bar": np.empty((m, k, e)),
-                 "b_bar": np.empty((m, k, e))}
     h = h0_hat
     for lo in range(0, m, CHUNK):
         sl = slice(lo, lo + CHUNK)
-        n = min(CHUNK, m - lo)
-        delta, b, c = gen_params(s[sl], x_row[sl], w_s, delta_buf[:n], bc_buf[:n])
+        buf = sl if keep_trace else slice(min(CHUNK, m - lo))
+        delta, b, c = gen_params(s[sl], x_row[sl], w_s, delta_buf[buf], bc_buf[buf])
         softplus(delta, out=delta)
         delta *= delay[sl, :, None]
-        a_bar = np.multiply(delta, w.a_vec, out=a_bar_buf[:n])
+        a_bar = np.multiply(delta, w.a_vec, out=a_bar_buf[buf])
         np.exp(a_bar, out=a_bar)
-        b_bar = np.multiply(delta, b[:, :, None], out=b_bar_buf[:n])
+        b_bar = np.multiply(delta, b[:, :, None], out=b_bar_buf[buf])
         out = scan_sequential(ScanInputs(a_bar=a_bar, b_bar=b_bar, c=c,
                                          x=x_conv[sl], h0=h))
         y[sl] = out.y
         h = out.h_final
-        if trace is not None:
-            for name, value in (("b", b), ("c", c), ("delta", delta),
-                                ("a_bar", a_bar), ("b_bar", b_bar)):
-                trace[name][sl] = value
-    return y, h, trace
+    if not keep_trace:
+        return y, h, None
+    return y, h, {"x_conv": x_conv, "b": bc_buf[..., 0], "c": bc_buf[..., 1],
+                  "delta": delta_buf, "a_bar": a_bar_buf, "b_bar": b_bar_buf}
 
 
 def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import require_finite
+
 __all__ = [
     "AXIS_ORDERS",
     "SerializationOrder",
@@ -108,25 +110,18 @@ def bounds_from_points(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def serialize(positions: np.ndarray, order: SerializationOrder,
-              bounds: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def serialize(positions: np.ndarray, order: SerializationOrder) -> np.ndarray:
     """Permutation of point indices along the chosen Hilbert variant.
 
-    Points are clamped into the grid over `bounds` (computed from the data
-    when omitted); points sharing a cell keep their input order.
+    The grid spans the points' own bounds (bounds_from_points); points
+    sharing a cell keep their input order.
     """
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = require_finite("positions", np.asarray(positions, dtype=np.float64))
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must be (M, 3)")
     if positions.shape[0] == 0:
         raise ValueError("cannot serialize an empty point set")
-    if bounds is None:
-        lo, hi = bounds_from_points(positions)
-    else:
-        lo = np.asarray(bounds[0], dtype=np.float64)
-        hi = np.asarray(bounds[1], dtype=np.float64)
-    if not (hi > lo).all():
-        raise ValueError("bounds must satisfy max > min on every axis")
+    lo, hi = bounds_from_points(positions)
     n_cells = 1 << order.bits
     scaled = (positions - lo) / (hi - lo) * n_cells
     cells = np.clip(np.floor(scaled), 0, n_cells - 1).astype(np.int64)

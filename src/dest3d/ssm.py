@@ -5,11 +5,11 @@ The recurrence advanced here is, per step t and state channel (k, e):
     h_t[k, e] = a_bar[t, k, e] * h_{t-1}[k, e] + b_bar[t, k, e] * x[t, e]
     y_t[e]    = sum_k c[t, k] * h_t[k, e]
 
-with K state rows attending one shared input sequence of length M. Besides
-the plain sequential sweep there is a chunked variant (identical outputs,
-chunk summaries combine as affine maps), a time-invariant convolutional form
-used as an equivalence oracle, and an analytic reverse-mode pass checked
-against finite differences.
+with K state rows attending one shared input sequence of length M. _recur
+steps it for the plain sweep, the chunked variant (identical outputs, chunk
+summaries combine as affine maps) and both sweeps of the analytic
+reverse-mode pass (checked against finite differences); a time-invariant
+convolutional form is the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import depthwise_conv1d
 
 # Steps per block of _recur: bounds its scratch to O(_BLOCK * K * E) whatever
 # the sequence length, while the per-block ops stay large next to Python
@@ -69,11 +71,10 @@ class ScanInputs:
 
 @dataclass
 class ScanOutputs:
-    """Per-step outputs y (M,E), final states (K,E), optional state trace."""
+    """Per-step outputs y (M,E) and final states (K,E)."""
 
     y: np.ndarray
     h_final: np.ndarray
-    h_trace: np.ndarray | None = None
 
 
 @dataclass
@@ -110,7 +111,8 @@ def discretize_zoh(delta: np.ndarray, a: np.ndarray,
 def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
     """Advance state h over the given steps and return the last state.
 
-    The one forward recurrence step of this package. Steps run in blocks of
+    The one recurrence step of this package: the scans, both sweeps of
+    scan_backward and verify's prefix attention run it. Steps run in blocks of
     at most _BLOCK rows: the block's input terms b_bar[t] * x[t] are formed
     in one op into a buffer (the trace rows when trace is given, else
     O(_BLOCK * K * E) scratch), each step adds a_bar[t] * h into its row in
@@ -132,13 +134,11 @@ def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
     return h
 
 
-def scan_sequential(inputs: ScanInputs, keep_trace: bool = False) -> ScanOutputs:
+def scan_sequential(inputs: ScanInputs) -> ScanOutputs:
     """Plain left-to-right recurrence."""
-    m, k, e = inputs.shape
-    y = np.empty((m, e), dtype=np.float64)
-    trace = np.empty((m, k, e), dtype=np.float64) if keep_trace else None
-    h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, inputs.c, y, trace)
-    return ScanOutputs(y=y, h_final=h, h_trace=trace)
+    y = np.empty(inputs.x.shape, dtype=np.float64)
+    h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, inputs.c, y)
+    return ScanOutputs(y=y, h_final=h)
 
 
 def scan_chunked(inputs: ScanInputs, chunk: int) -> ScanOutputs:
@@ -183,48 +183,38 @@ def lti_conv_form(a_bar_0: np.ndarray, b_bar_0: np.ndarray, c0: np.ndarray,
     b_bar_0 = np.asarray(b_bar_0, dtype=np.float64)
     c0 = np.asarray(c0, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    m, e = x.shape
-    powers = np.ones((m,) + a_bar_0.shape, dtype=np.float64)
-    for j in range(1, m):
-        powers[j] = powers[j - 1] * a_bar_0
+    # a^1 .. a^M as running products, shifted to a^0 .. a^(M-1)
+    powers = np.cumprod(np.broadcast_to(a_bar_0, (x.shape[0],) + a_bar_0.shape), axis=0)
+    powers = np.concatenate([np.ones((1,) + a_bar_0.shape), powers[:-1]])
     kern = np.einsum("k,jke,ke->je", c0, powers, b_bar_0)  # (M, E)
-    y = np.zeros_like(x)
-    for j in range(m):
-        y[j:] += kern[j] * x[: m - j]
-    return y
+    return depthwise_conv1d(x, kern.T)
 
 
 def scan_backward(inputs: ScanInputs, dy: np.ndarray, dh_final: np.ndarray) -> ScanGradients:
     """Exact reverse-mode derivatives of (y, h_final) under scan_sequential.
 
-    The forward state trace is recomputed by one scan_sequential pass.
+    _recur records the forward states h_t, then runs the adjoint
+    g_t = dL/dh_t = a_bar[t+1] * g_{t+1} + c[t] (x) dy[t] (from dh_final)
+    over reversed time; each gradient is then a whole-array product.
     """
     m, k, e = inputs.shape
     dy = np.asarray(dy, dtype=np.float64)
     dh_final = np.asarray(dh_final, dtype=np.float64)
     if dy.shape != (m, e) or dh_final.shape != (k, e):
         raise ValueError("cotangent shapes must match scan outputs")
-    h_trace = scan_sequential(inputs, keep_trace=True).h_trace
-
-    def h_prev(t: int) -> np.ndarray:
-        return inputs.h0 if t == 0 else h_trace[t - 1]
-
-    g = dh_final.copy()  # dL/dh_t, walking t from M-1 down
-    grads = ScanGradients(
-        a_bar=np.zeros((m, k, e)), b_bar=np.zeros((m, k, e)),
-        c=np.zeros((m, k)), x=np.zeros((m, e)), h0=np.zeros((k, e)),
+    h = np.empty((m, k, e))
+    _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, trace=h)
+    g = np.empty((m, k, e))
+    a_rev = np.concatenate([np.ones((1, k, e)), inputs.a_bar[:0:-1]])
+    g_0 = _recur(a_rev, inputs.c[::-1, :, None], dy[::-1], dh_final, trace=g)
+    g = g[::-1]
+    return ScanGradients(
+        a_bar=g * np.concatenate([inputs.h0[None], h[:-1]]),
+        b_bar=g * inputs.x[:, None, :],
+        c=(h @ dy[:, :, None])[:, :, 0],
+        x=(g * inputs.b_bar).sum(axis=1),
+        h0=g_0 * inputs.a_bar[0] if m else g_0.copy(),
     )
-    for t in range(m - 1, -1, -1):
-        # y_t = c[t] @ h_t contributes to both c and h_t.
-        grads.c[t] = h_trace[t] @ dy[t]
-        g += inputs.c[t][:, None] * dy[t]
-        # h_t = a_bar[t] * h_{t-1} + b_bar[t] * x[t]
-        grads.a_bar[t] = g * h_prev(t)
-        grads.b_bar[t] = g * inputs.x[t]
-        grads.x[t] = (g * inputs.b_bar[t]).sum(axis=0)
-        g = g * inputs.a_bar[t]
-    grads.h0 = g
-    return grads
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

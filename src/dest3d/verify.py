@@ -7,7 +7,8 @@ keys) obeys the two-term recurrence
 
 with S_m the running similarity sum, which is exactly a state-space update
 whose coefficients come from query-key similarity. attention_direct computes
-the normalized sums outright; attention_recurrence iterates the recurrence;
+the normalized sums outright; attention_recurrence runs the recurrence on the
+scan kernel of ssm, with the queries as its states;
 run_equivalence_suite checks they agree to machine precision, alongside the
 scan/convolution, chunked-scan, gradient, and delay-kernel contracts.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from .geometry import Box3D
 from .issm import delay_kernel
 from .numerics import PrngStream, softplus
-from .ssm import ScanInputs, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
+from .ssm import ScanInputs, _recur, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 
 __all__ = [
     "EquivalenceReport",
@@ -94,25 +95,21 @@ def attention_recurrence(q0: np.ndarray, keys: np.ndarray, values: np.ndarray,
                          sim: str = "exp_dot") -> np.ndarray:
     """All prefix results Q_m, m = 1..M, via the two-term recurrence.
 
-    The first step forces A_1 = 0, B_1 = 1 (the running sum starts at zero),
-    so the initialization of Q_0 never matters.
+    The queries are the states of ssm's scan kernel, A_m = S_{m-1} / S_m and
+    B_m = sim(q0, K_m) / S_m come from one cumsum. A_1 = 0 and B_1 = 1 (the
+    sum starts at zero), so the initialization of Q_0 never matters.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    n_q = q0.shape[0]
-    n_keys = keys.shape[0]
-    w = _similarity(q0, keys, sim)  # (K, M)
-    out = np.empty((n_keys, n_q, q0.shape[1]), dtype=np.float64)
-    s_prev = np.zeros(n_q)
-    q = np.zeros_like(q0)
-    for m in range(n_keys):
-        s_curr = s_prev + w[:, m]
-        a = s_prev / s_curr
-        b = w[:, m] / s_curr
-        q = a[:, None] * q + b[:, None] * values[m]
-        out[m] = q
-        s_prev = s_curr
+    if values.shape[0] != keys.shape[0]:
+        raise ValueError(f"values has {values.shape[0]} rows, keys has {keys.shape[0]}")
+    w = _similarity(q0, keys, sim).T  # (M, K)
+    s_curr = np.cumsum(w, axis=0)
+    s_prev = np.concatenate([np.zeros((1, q0.shape[0])), s_curr[:-1]])
+    out = np.empty((keys.shape[0],) + q0.shape, dtype=np.float64)
+    _recur((s_prev / s_curr)[:, :, None], (w / s_curr)[:, :, None], values,
+           np.zeros_like(q0), trace=out)
     return out
 
 

@@ -104,9 +104,11 @@ def load_weights(bin_path: str | Path) -> dict[str, np.ndarray]:
     for name, meta in manifest.items():
         try:
             dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-            shape, offset, nbytes = meta["shape"], int(meta["offset"]), int(meta["nbytes"])
+            shape, offset, nbytes = meta["shape"], meta["offset"], meta["nbytes"]
             if not isinstance(shape, list) or any(type(n) is not int for n in shape):
                 raise TypeError(f"shape {shape!r} is not a list of ints")
+            if type(offset) is not int or type(nbytes) is not int:
+                raise TypeError(f"offset {offset!r} and nbytes {nbytes!r} must be ints")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"weight manifest entry {name!r}: bad field {exc}") from None
         count = math.prod(shape)

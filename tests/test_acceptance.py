@@ -136,7 +136,7 @@ def test_acc_05_hilbert_contract():
     pts = np.array(list(itertools.product(range(16), repeat=3)), dtype=np.float64)
     row_major = locality_score(np.arange(len(pts)), pts, knn=1)
     hilbert = locality_score(
-        serialize(pts, SerializationOrder("xyz", 4), (np.zeros(3), np.full(3, 16.0))),
+        serialize(pts, SerializationOrder("xyz", 4)),
         pts, knn=1)
     assert hilbert < row_major
     np.testing.assert_allclose(row_major - hilbert, 90.066895, atol=1e-4)

@@ -181,7 +181,7 @@ class TestDecoderLayer:
         x2, h2 = decoder_layer(x, h, scene.positions, boxes, 1, lw, cfg)
         # replay by hand
         order = SerializationOrder(order_for_layer(1), cfg.serialization_bits)
-        perm = serialize(scene.positions, order, bounds_from_points(scene.positions))
+        perm = serialize(scene.positions, order)
         pp = scene.positions[perm]
         s = spatial_correlation(pp, boxes, lw.corr)
         delay = delay_kernel(boxes, pp, lw.ibs.alpha_raw, metric=cfg.delay_metric)

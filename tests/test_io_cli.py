@@ -144,6 +144,12 @@ class TestWeightsIO:
         ("shape", [True], r"bad field shape \[True\] is not a list of ints"),
         ("shape", None, "bad field shape None is not a list of ints"),
         ("shape", [-2, -3], r"shape \[-2, -3\] has a negative dimension"),
+        ("offset", 8.7, "bad field offset 8.7 and nbytes 48 must be ints"),
+        ("offset", True, "bad field offset True and nbytes 48 must be ints"),
+        ("offset", "0", "bad field offset '0' and nbytes 48 must be ints"),
+        ("offset", 1.0, "bad field offset 1.0 and nbytes 48 must be ints"),
+        ("nbytes", 48.0, "bad field offset 0 and nbytes 48.0 must be ints"),
+        ("nbytes", "48", "bad field offset 0 and nbytes '48' must be ints"),
     ])
     def test_bad_manifest_entry_named(self, tmp_path, field, value, message):
         path = tmp_path / "w.bin"
@@ -358,6 +364,11 @@ class TestCliDemo:
         # the table extent, a constant, stored as if it were a weight
         ("layers.0.table.extent", 0.0, "extra=['layers.0.table.extent']"),
         ("layers.0.table.extent", -1.0, "extra=['layers.0.table.extent']"),
+        # offsets that int() would truncate (8.7) or read from byte 1 (true, 1.0)
+        ("head.obj.bias", {"offset": 8.7}, "'head.obj.bias': bad field offset 8.7"),
+        ("head.obj.bias", {"offset": True}, "'head.obj.bias': bad field offset True"),
+        ("head.obj.bias", {"offset": "0"}, "'head.obj.bias': bad field offset '0'"),
+        ("head.obj.bias", {"offset": 1.0}, "'head.obj.bias': bad field offset 1.0"),
     ])
     def test_malformed_container_exit_2(self, scene_path, tmp_path, entry, edit, named):
         wpath = tmp_path / "w.bin"

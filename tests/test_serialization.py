@@ -84,20 +84,21 @@ class TestAxisOrder:
 
 class TestSerialize:
     def test_single_point(self):
-        perm = serialize(np.array([[0.5, 0.5, 0.5]]), SerializationOrder("xyz", 4),
-                         (np.zeros(3), np.ones(3)))
+        perm = serialize(np.array([[0.5, 0.5, 0.5]]), SerializationOrder("xyz", 4))
         np.testing.assert_array_equal(perm, [0])
 
     def test_same_cell_keeps_input_order(self):
-        pts = np.array([[0.51, 0.5, 0.5], [0.5, 0.5, 0.5], [0.52, 0.5, 0.5]])
-        perm = serialize(pts, SerializationOrder("xyz", 1), (np.zeros(3), np.ones(3)))
-        np.testing.assert_array_equal(perm, [0, 1, 2])
+        # the corners span the grid; at 1 bit the three middle points and the
+        # far corner share the upper cell
+        pts = np.array([[0.51, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
+                        [1.0, 1.0, 1.0], [0.52, 0.5, 0.5]])
+        perm = serialize(pts, SerializationOrder("xyz", 1))
+        np.testing.assert_array_equal(perm, [1, 0, 2, 3, 4])
 
     def test_orders_differ_on_lattice(self):
         pts = lattice(3) + 0.5
-        bounds = (np.zeros(3), np.full(3, 3.0))
-        a = serialize(pts, SerializationOrder("xyz", 2), bounds)
-        b = serialize(pts, SerializationOrder("zyx", 2), bounds)
+        a = serialize(pts, SerializationOrder("xyz", 2))
+        b = serialize(pts, SerializationOrder("zyx", 2))
         assert not np.array_equal(a, b)
 
     def test_all_orders_valid_permutations(self):
@@ -110,10 +111,17 @@ class TestSerialize:
         with pytest.raises(ValueError):
             serialize(np.zeros((0, 3)), SerializationOrder("xyz", 4))
 
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            serialize(np.zeros((2, 3)), SerializationOrder("xyz", 4),
-                      (np.zeros(3), np.zeros(3)))
+    def test_flat_point_set_serializes(self):
+        # bounds_from_points pads flat axes, so coincident points share a cell
+        perm = serialize(np.zeros((3, 3)), SerializationOrder("xyz", 4))
+        np.testing.assert_array_equal(perm, [0, 1, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        pts = np.zeros((2, 3))
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="positions contains non-finite"):
+            serialize(pts, SerializationOrder("xyz", 4))
 
     @given(seed=st.integers(0, 500), scale=st.floats(0.1, 100.0),
            shift=st.floats(-50.0, 50.0))
@@ -160,7 +168,7 @@ class TestLocalityScore:
         pts = lattice(16)
         row_major = locality_score(np.arange(len(pts)), pts, knn=1)
         hilbert = locality_score(
-            serialize(pts, SerializationOrder("xyz", 4), (np.zeros(3), np.full(3, 16.0))),
+            serialize(pts, SerializationOrder("xyz", 4)),
             pts, knn=1)
         assert hilbert < row_major
         np.testing.assert_allclose(row_major, 240.941406, atol=1e-5)

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from dest3d.numerics import PrngStream
 from dest3d.ssm import (
+    _BLOCK,
     ScanInputs,
+    ScanOutputs,
+    _recur,
     discretize_zoh,
     finite_diff_grad,
     lti_conv_form,
@@ -73,8 +76,11 @@ class TestScanSequential:
         np.testing.assert_array_equal(out.h_final, ref.h_final)
 
     def test_trace_last_equals_final(self):
-        out = scan_sequential(random_inputs(3, 7, 2, 2), keep_trace=True)
-        np.testing.assert_array_equal(out.h_trace[-1], out.h_final)
+        inputs = random_inputs(3, 7, 2, 2)
+        trace = np.empty((7, 2, 2))
+        h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, trace=trace)
+        np.testing.assert_array_equal(trace[-1], h)
+        np.testing.assert_array_equal(h, scan_sequential(inputs).h_final)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -103,10 +109,11 @@ class TestScanSequential:
 
     def test_stability_bound(self):
         inputs = random_inputs(5, 50, 3, 4)
-        out = scan_sequential(inputs, keep_trace=True)
+        trace = np.empty((50, 3, 4))
+        _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, trace=trace)
         bound = np.abs(inputs.h0).max() + np.abs(
             inputs.b_bar * inputs.x[:, None, :]).sum(axis=0).max()
-        assert np.abs(out.h_trace).max() <= bound + 1e-12
+        assert np.abs(trace).max() <= bound + 1e-12
 
 
 class TestScanChunked:
@@ -173,18 +180,19 @@ class TestBlockedRecurrence:
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 257])
     @pytest.mark.parametrize("k", [1, 4, 64])
-    @pytest.mark.parametrize("keep_trace", [False, True])
-    def test_bitwise_equal_to_step_loop(self, m, k, keep_trace):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_bitwise_equal_to_step_loop(self, m, k, traced):
         inputs = random_inputs(100 + m + k, m, k, 8)
         saved = {f: getattr(inputs, f).copy() for f in ("a_bar", "b_bar", "c", "x", "h0")}
         y_ref, trace_ref = np.empty((m, 8)), np.empty((m, k, 8))
         h_ref = loop_scan(inputs, inputs.h0, range(m), y_ref, trace_ref)
-        out = scan_sequential(inputs, keep_trace)
-        if keep_trace:
-            np.testing.assert_array_equal(out.h_trace, trace_ref)
-            assert not np.shares_memory(out.h_final, out.h_trace)
-        else:
-            assert out.h_trace is None
+        out = scan_sequential(inputs)
+        if traced:
+            y, trace = np.empty((m, 8)), np.empty((m, k, 8))
+            h = _recur(inputs.a_bar, inputs.b_bar, inputs.x, inputs.h0, inputs.c, y, trace)
+            np.testing.assert_array_equal(trace, trace_ref)
+            assert not np.shares_memory(h, trace)
+            out = ScanOutputs(y=y, h_final=h)
         runs = [(out, (y_ref, h_ref))]
         for chunk in (1, 7, 64, m):
             runs.append((scan_chunked(inputs, chunk), loop_chunked(inputs, chunk)))
@@ -275,6 +283,48 @@ class TestScanBackward:
             diff = np.abs(analytic - numeric)
             ok = (diff <= 1e-8) | (diff <= 1e-5 * np.abs(numeric))
             assert ok.all(), f"{name}: worst diff {diff.max()}"
+
+
+def loop_backward(inputs, dy, dh_final):
+    """Per-step reference of scan_backward: the adjoint walked from t = M-1 down."""
+    m, k, e = inputs.shape
+    h_trace = np.empty((m, k, e))
+    loop_scan(inputs, inputs.h0, range(m), np.empty((m, e)), h_trace)
+    g = dh_final.copy()
+    grads = {"a_bar": np.zeros((m, k, e)), "b_bar": np.zeros((m, k, e)),
+             "c": np.zeros((m, k)), "x": np.zeros((m, e))}
+    for t in range(m - 1, -1, -1):
+        grads["c"][t] = h_trace[t] @ dy[t]
+        g += inputs.c[t][:, None] * dy[t]
+        grads["a_bar"][t] = g * (inputs.h0 if t == 0 else h_trace[t - 1])
+        grads["b_bar"][t] = g * inputs.x[t]
+        grads["x"][t] = (g * inputs.b_bar[t]).sum(axis=0)
+        g = g * inputs.a_bar[t]
+    grads["h0"] = g
+    return grads
+
+
+class TestScanBackwardBitwise:
+    """scan_backward equals the per-step adjoint loop bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, _BLOCK + 1, 2 * _BLOCK + 2, None])
+    def test_equal_to_loop(self, m):
+        # 30 seeds per fixed length; None draws the length per seed
+        for seed in range(30):
+            rng = PrngStream(7000 + seed)
+            steps = int(rng.integers(1, 140)) if m is None else m
+            k, e = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            inputs = random_inputs(8000 + seed, steps, k, e)
+            saved = {f: getattr(inputs, f).copy() for f in ("a_bar", "b_bar", "c", "x", "h0")}
+            dy, dh = rng.normal((steps, e)), rng.normal((k, e))
+            dh_saved = dh.copy()
+            grads = scan_backward(inputs, dy, dh)
+            for name, ref in loop_backward(inputs, dy, dh).items():
+                np.testing.assert_array_equal(getattr(grads, name), ref, err_msg=name)
+            assert not np.shares_memory(grads.h0, dh)
+            np.testing.assert_array_equal(dh, dh_saved)
+            for f, before in saved.items():
+                np.testing.assert_array_equal(getattr(inputs, f), before)
 
 
 class TestFiniteDiff:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from dest3d.numerics import PrngStream
+from dest3d.ssm import _BLOCK
 from dest3d.verify import (
     SUITE_NAMES,
     EquivalenceReport,
+    _similarity,
     attention_direct,
     attention_recurrence,
     complexity_bench,
@@ -80,6 +82,43 @@ class TestAttentionRecurrence:
         for m in range(1, 9):
             ref = attention_direct(q0, keys, values, m, sim)
             assert np.abs(rec[m - 1] - ref).max() < 1e-12
+
+
+def loop_attention(q0, keys, values, sim):
+    """Per-step reference of attention_recurrence: a running sum and one update per key."""
+    w = _similarity(q0, keys, sim)
+    out = np.empty((keys.shape[0],) + q0.shape)
+    s_prev = np.zeros(q0.shape[0])
+    q = np.zeros_like(q0)
+    for m in range(keys.shape[0]):
+        s_curr = s_prev + w[:, m]
+        q = (s_prev / s_curr)[:, None] * q + (w[:, m] / s_curr)[:, None] * values[m]
+        out[m] = q
+        s_prev = s_curr
+    return out
+
+
+class TestAttentionRecurrenceBitwise:
+    """attention_recurrence equals the per-step loop bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, _BLOCK + 1, 2 * _BLOCK + 2, None])
+    def test_equal_to_loop(self, m):
+        # 30 seeds per fixed length; None draws the length per seed
+        for seed in range(30):
+            rng = PrngStream(9000 + seed)
+            steps = int(rng.integers(1, 200)) if m is None else m
+            k, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            q0, keys, values = rng.normal((k, c)), rng.normal((steps, c)), rng.normal((steps, c))
+            for sim in ("exp_dot", "rbf"):
+                np.testing.assert_array_equal(attention_recurrence(q0, keys, values, sim),
+                                              loop_attention(q0, keys, values, sim))
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_values_rows_must_match_keys(self, rows):
+        rng = PrngStream(10)
+        q0, keys, values = rng.normal((2, 3)), rng.normal((5, 3)), rng.normal((rows, 3))
+        with pytest.raises(ValueError, match=f"values has {rows} rows, keys has 5"):
+            attention_recurrence(q0, keys, values)
 
 
 class TestSuites:
