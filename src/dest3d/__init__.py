@@ -27,7 +27,7 @@ from .geometry import (
     box_vertices,
     circumscribed_radius,
     farthest_point_sampling,
-    point_in_box,
+    points_in_box,
     synth_scene,
 )
 from .issm import (
@@ -51,7 +51,6 @@ from .numerics import (
 from .serialization import (
     AXIS_ORDERS,
     SerializationOrder,
-    apply_axis_order,
     hilbert_indices,
     locality_score,
     order_for_layer,

@@ -11,7 +11,7 @@ those boxes drive the next layer's spatial correlation and delay kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,6 @@ class AttentionWeights:
     k: LinearWeights
     v: LinearWeights
     out: LinearWeights
-    heads: int
 
 
 @dataclass
@@ -151,10 +150,10 @@ class DecoderWeights:
 
     pos_embed_hidden: LinearWeights  # 3 -> C
     pos_embed_out: LinearWeights     # C -> C
-    layers: list[DecoderLayerWeights] = field(default_factory=list)
-    head: DetectionHeadWeights | None = None
-    point_obj_hidden: LinearWeights | None = None  # C -> C
-    point_obj_out: LinearWeights | None = None     # C -> 1
+    layers: list[DecoderLayerWeights]
+    head: DetectionHeadWeights
+    point_obj_hidden: LinearWeights  # C -> C
+    point_obj_out: LinearWeights     # C -> 1
 
 
 @dataclass
@@ -166,11 +165,11 @@ class LayerOutput:
     detections: list[Detection]
 
 
-def inter_state_attention(h: np.ndarray, w: AttentionWeights) -> np.ndarray:
+def inter_state_attention(h: np.ndarray, w: AttentionWeights, heads: int) -> np.ndarray:
     """Pre-norm multi-head self-attention across states, with residual."""
     hn = layer_norm(h, w.norm_gamma, w.norm_beta)
     attended = softmax_attention(linear(hn, w.q), linear(hn, w.k),
-                                 linear(hn, w.v), w.heads)
+                                 linear(hn, w.v), heads)
     return h + linear(attended, w.out)
 
 
@@ -208,7 +207,7 @@ def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
                          issm.delay_kernel(boxes, pp, w.ibs.alpha_raw, metric=cfg.delay_metric),
                          w.ibs)
     del xp, pp  # not held through the FFNs: lowers the process's peak RSS
-    h2 = inter_state_attention(h1, w.attn)
+    h2 = inter_state_attention(h1, w.attn, cfg.heads)
     x2 = gffn(x1, w.gffn_x)
     h3 = gffn(h2, w.gffn_h)
     x_out = np.empty_like(x2)
@@ -307,14 +306,13 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
     return StackResult(layers=outputs, final_x=x)
 
 
-def _attention_init(stream: PrngStream, channels: int, heads: int) -> AttentionWeights:
+def _attention_init(stream: PrngStream, channels: int) -> AttentionWeights:
     return AttentionWeights(
         norm_gamma=np.ones(channels), norm_beta=np.zeros(channels),
         q=linear_init(stream, channels, channels),
         k=linear_init(stream, channels, channels),
         v=linear_init(stream, channels, channels),
         out=linear_init(stream, channels, channels, bias=False),
-        heads=heads,
     )
 
 
@@ -345,25 +343,25 @@ def _head_init(stream: PrngStream, channels: int, num_classes: int) -> Detection
 
 
 def decoder_weights_init(stream: PrngStream, cfg: DecoderConfig) -> DecoderWeights:
-    """Seeded weights for the whole stack, deterministic per stream seed."""
-    w = DecoderWeights(
-        pos_embed_hidden=linear_init(stream, cfg.channels, 3),
-        pos_embed_out=linear_init(stream, cfg.channels, cfg.channels),
-    )
+    """Seeded weights for the whole stack; saved references fix the draw order."""
+    pos_embed_hidden = linear_init(stream, cfg.channels, 3)
+    pos_embed_out = linear_init(stream, cfg.channels, cfg.channels)
+    layers = []
     for _ in range(cfg.num_layers):
         ibs = ibs_weights_init(stream, cfg.channels, cfg.state_dim,
                                cfg.corr_dim, cfg.kernel_size)
         table = correlation_table_init(stream, cfg.corr_dim)
-        attn = _attention_init(stream, cfg.channels, cfg.heads)
+        attn = _attention_init(stream, cfg.channels)
         gffn_x = _gffn_init(stream, cfg.channels, cfg.ffn_dim, cfg.kernel_size)
         gffn_h = _gffn_init(stream, cfg.channels, cfg.ffn_dim, None)
         mlp = correlation_mlp_init(stream, cfg.corr_dim)
         # both forms are drawn in either mode, so every other weight gets the
         # same values; the layer keeps the form cfg.correlation_mode runs
         corr = table if cfg.correlation_mode == "table" else mlp
-        w.layers.append(DecoderLayerWeights(ibs=ibs, corr=corr, attn=attn,
-                                            gffn_x=gffn_x, gffn_h=gffn_h))
-    w.head = _head_init(stream, cfg.channels, cfg.num_classes)
-    w.point_obj_hidden = linear_init(stream, cfg.channels, cfg.channels)
-    w.point_obj_out = linear_init(stream, 1, cfg.channels)
-    return w
+        layers.append(DecoderLayerWeights(ibs=ibs, corr=corr, attn=attn,
+                                          gffn_x=gffn_x, gffn_h=gffn_h))
+    head = _head_init(stream, cfg.channels, cfg.num_classes)
+    point_obj_hidden = linear_init(stream, cfg.channels, cfg.channels)
+    point_obj_out = linear_init(stream, 1, cfg.channels)
+    return DecoderWeights(pos_embed_hidden, pos_embed_out, layers, head,
+                          point_obj_hidden, point_obj_out)

@@ -20,7 +20,7 @@ __all__ = [
     "box_vertices",
     "circumscribed_radius",
     "box_local_coords",
-    "point_in_box",
+    "points_in_box",
     "farthest_point_sampling",
     "synth_scene",
 ]
@@ -110,14 +110,8 @@ def box_local_coords(points: np.ndarray, box: Box3D) -> np.ndarray:
     return local / (box.size / 2.0)
 
 
-def point_in_box(point: np.ndarray, box: Box3D) -> bool:
-    """True iff every box-local coordinate lies in [-1, 1]."""
-    local = box_local_coords(np.asarray(point, dtype=np.float64)[None, :], box)[0]
-    return bool((np.abs(local) <= 1.0).all())
-
-
 def points_in_box(points: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarray:
-    """Vectorized point_in_box, returns a boolean mask of length M.
+    """Mask of length M: True where every box-local coordinate lies in [-1, 1].
 
     tol widens the acceptance band so exactly-on-boundary points survive the
     local-frame round trip.

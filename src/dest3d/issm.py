@@ -386,7 +386,6 @@ def correlation_table_init(stream: PrngStream, corr_dim: int) -> CorrelationTabl
     return CorrelationTable(grid=stream.normal((10, 10, 10, corr_dim), 0.0, 0.5))
 
 
-def correlation_mlp_init(stream: PrngStream, corr_dim: int,
-                         hidden_dim: int = 16) -> CorrelationMlp:
-    return CorrelationMlp(hidden=linear_init(stream, hidden_dim, 3),
-                          out=linear_init(stream, corr_dim, hidden_dim))
+def correlation_mlp_init(stream: PrngStream, corr_dim: int) -> CorrelationMlp:
+    return CorrelationMlp(hidden=linear_init(stream, 16, 3),
+                          out=linear_init(stream, corr_dim, 16))

@@ -8,7 +8,6 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,24 +99,16 @@ def linear_init(stream: PrngStream, out_features: int, in_features: int,
 
 
 def linear(x: np.ndarray, w: LinearWeights) -> np.ndarray:
-    """y[..., o] = sum_i x[..., i] * weight[o, i] + bias[o].
-
-    Input of more than two dims runs as one 2-D GEMM over its flattened
-    leading axes (numpy's stacked matmul would run one small product per
-    leading index); the bias is added in place.
-    """
+    """y[..., o] = sum_i x[..., i] * weight[o, i] + bias[o], bias added in place."""
     x = np.asarray(x)
     if x.shape[-1] != w.in_features:
         raise ValueError(
             f"linear: input last dim {x.shape[-1]} != weight in dim {w.in_features}"
         )
-    lead = x.shape[:-1]
-    if x.ndim > 2:
-        x = x.reshape(math.prod(lead), w.in_features)
     y = x @ w.weight.T
     if w.bias is not None:
         y += w.bias
-    return y.reshape(lead + (w.out_features,))
+    return y
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

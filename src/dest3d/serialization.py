@@ -23,7 +23,6 @@ __all__ = [
     "AXIS_ORDERS",
     "SerializationOrder",
     "hilbert_indices",
-    "apply_axis_order",
     "serialize",
     "order_for_layer",
     "locality_score",
@@ -31,8 +30,6 @@ __all__ = [
 ]
 
 AXIS_ORDERS = ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")
-
-_AXIS_POS = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True)
@@ -91,15 +88,6 @@ def hilbert_indices(cells: np.ndarray, bits: int) -> np.ndarray:
     return codes
 
 
-def apply_axis_order(cell, axis_order: str):
-    """Permute (x, y, z) so the named first axis feeds the curve first."""
-    if axis_order not in AXIS_ORDERS:
-        raise ValueError(f"unknown axis order {axis_order!r}")
-    cell = np.asarray(cell)
-    perm = [_AXIS_POS[a] for a in axis_order]
-    return cell[..., perm]
-
-
 def bounds_from_points(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis min/max, padded by 1e-9 on flat axes so max > min on each."""
     positions = np.asarray(positions, dtype=np.float64)
@@ -125,7 +113,8 @@ def serialize(positions: np.ndarray, order: SerializationOrder) -> np.ndarray:
     n_cells = 1 << order.bits
     scaled = (positions - lo) / (hi - lo) * n_cells
     cells = np.clip(np.floor(scaled), 0, n_cells - 1).astype(np.int64)
-    codes = hilbert_indices(apply_axis_order(cells, order.axis_order), order.bits)
+    axes = ["xyz".index(a) for a in order.axis_order]
+    codes = hilbert_indices(cells[:, axes], order.bits)
     return np.argsort(codes, kind="stable").astype(np.int64)
 
 

@@ -117,8 +117,8 @@ def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
     in one op into a buffer (the trace rows when trace is given, else
     O(_BLOCK * K * E) scratch), each step adds a_bar[t] * h into its row in
     place, and y[t] = c[t] @ h_t is written for the whole block by one
-    stacked matmul when y is given. Inputs and h are not mutated; after at
-    least one step the returned state is a fresh array.
+    stacked matmul when y is given. Inputs and h are not mutated, and the
+    returned state is a fresh array, also when there are no steps.
     """
     m = x.shape[0]
     scratch = None if trace is not None else np.empty((min(m, _BLOCK),) + h.shape)
@@ -131,7 +131,7 @@ def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
         if y is not None:
             np.matmul(c[lo:hi, None, :], u, out=y[lo:hi, None, :])
         h = h.copy()  # the next block refills the buffer h is a row of
-    return h
+    return h if m else h.copy()
 
 
 def scan_sequential(inputs: ScanInputs) -> ScanOutputs:
@@ -164,7 +164,7 @@ def scan_chunked(inputs: ScanInputs, chunk: int) -> ScanOutputs:
         entries.append(acc_a * entries[-1] + acc_b)
     # Replay each chunk from its entry state.
     y = np.empty((m, e), dtype=np.float64)
-    h = inputs.h0
+    h = inputs.h0.copy()  # the result when M = 0
     for sl, h_in in zip(spans, entries):
         h = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl], h_in,
                    inputs.c[sl], y[sl])

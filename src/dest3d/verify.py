@@ -36,10 +36,6 @@ __all__ = [
     "complexity_bench",
 ]
 
-SUITE_NAMES = ("attn_recurrence", "scan_conv", "scan_chunked", "grad_check",
-               "delay_monotone")
-
-
 @dataclass
 class EquivalenceReport:
     """Aggregated oracle result; pass iff max_abs_err <= tolerance.
@@ -236,21 +232,14 @@ def _case_delay(stream: PrngStream, perturb: float) -> tuple[float, float]:
     return worst, worst
 
 
-_CASES = {
-    "attn_recurrence": _case_attn,
-    "scan_conv": _case_scan_conv,
-    "scan_chunked": _case_scan_chunked,
-    "grad_check": _case_grad,
-    "delay_monotone": _case_delay,
+_SUITES = {
+    "attn_recurrence": (_case_attn, 1e-12),
+    "scan_conv": (_case_scan_conv, 1e-12),
+    "scan_chunked": (_case_scan_chunked, 1e-12),
+    "grad_check": (_case_grad, 1e-5),
+    "delay_monotone": (_case_delay, 1e-12),
 }
-
-_DEFAULT_TOLERANCES = {
-    "attn_recurrence": 1e-12,
-    "scan_conv": 1e-12,
-    "scan_chunked": 1e-12,
-    "grad_check": 1e-5,
-    "delay_monotone": 1e-12,
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
@@ -260,15 +249,15 @@ def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
     Failures are reported, never raised. perturb injects a deliberate error
     into the checked side (a negative-control hook for the CLI).
     """
-    if kind not in _CASES:
+    if kind not in _SUITES:
         raise ValueError(f"unknown suite {kind!r}; choose from {SUITE_NAMES}")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    case, default_tol = _SUITES[kind]
     if tol is None:
-        tol = _DEFAULT_TOLERANCES[kind]
+        tol = default_tol
     elif not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    case = _CASES[kind]
     worst_abs = worst_rel = 0.0
     for seed in range(seeds):
         a, r = case(PrngStream(seed), perturb)

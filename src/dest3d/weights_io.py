@@ -32,9 +32,8 @@ def _walk(obj, prefix: str, out: dict[str, np.ndarray]) -> None:
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
             name = f"{prefix}.{f.name}" if prefix else f.name
-            if value is None or isinstance(value, (int, bool, str)):
-                continue  # structural config, not a weight
-            _walk(value, name, out)
+            if value is not None:  # e.g. a bias-free linear map
+                _walk(value, name, out)
     elif isinstance(obj, list):
         for i, item in enumerate(obj):
             _walk(item, f"{prefix}.{i}", out)

@@ -7,7 +7,7 @@ from dest3d.geometry import (
     box_vertices,
     circumscribed_radius,
     farthest_point_sampling,
-    point_in_box,
+    points_in_box,
     synth_scene,
 )
 
@@ -120,21 +120,20 @@ class TestLocalCoords:
 class TestPointInBox:
     def test_center_inside(self):
         box = Box3D(center=np.array([1.0, 1.0, 1.0]), size=np.ones(3), yaw=0.2)
-        assert point_in_box(box.center, box)
+        assert points_in_box(box.center[None], box).tolist() == [True]
 
     def test_far_point_outside(self):
         box = Box3D(center=np.zeros(3), size=np.ones(3))
         r = circumscribed_radius(box)
-        assert not point_in_box(np.array([2 * r, 0.0, 0.0]), box)
+        assert points_in_box(np.array([[2 * r, 0.0, 0.0]]), box).tolist() == [False]
 
     def test_agrees_with_local_coords(self):
         rng = np.random.default_rng(3)
         box = Box3D(center=rng.normal(size=3), size=np.abs(rng.normal(size=3)) + 0.3,
                     yaw=-0.6)
         pts = rng.normal(size=(1000, 3))
-        for p in pts:
-            expected = bool((np.abs(box_local_coords(p[None], box)[0]) <= 1).all())
-            assert point_in_box(p, box) == expected
+        expected = [bool((np.abs(box_local_coords(p[None], box)[0]) <= 1).all()) for p in pts]
+        assert points_in_box(pts, box).tolist() == expected
 
 
 class TestFps:

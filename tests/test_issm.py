@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dest3d import issm
 from dest3d.geometry import Box3D, box_vertices, synth_scene
@@ -315,7 +313,7 @@ class TestSpatialCorrelation:
         m, k, d = 2048, 16, 16
         rng = PrngStream(5)
         corr = (correlation_table_init(rng, d) if form == "table"
-                else correlation_mlp_init(rng, d, hidden_dim=16))
+                else correlation_mlp_init(rng, d))
         points, boxes = rng.normal((m, 3), 0.0, 2.0), make_boxes(rng, k)
         bound = 10 * 2**20
         assert bound < m * k * 8 * d * 8
@@ -493,63 +491,6 @@ class TestDelayKernel:
         for boxes in ([box], []):
             with pytest.raises(ValueError, match="voronoi"):
                 delay_kernel(boxes, np.zeros((3, 3)), 1.0, metric="voronoi")
-
-
-class TestRigidMotion:
-    """Points and boxes moved together by one yaw rotation about z and a
-    translation. The table path and the delay read points in the box frame
-    and stay unchanged; the MLP path reads world-frame offsets, so only a
-    translation leaves it unchanged, and a rotation turns its hidden layer."""
-
-    @staticmethod
-    def moved(points, boxes, theta, t):
-        rot = rotz(theta)
-        return points @ rot.T + t, [Box3D(center=rot @ b.center + t, size=b.size,
-                                          yaw=b.yaw + theta) for b in boxes]
-
-    @given(seed=st.integers(0, 2**16), theta=st.floats(-math.pi, math.pi),
-           t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
-    @settings(max_examples=25, deadline=None)
-    def test_table_and_delay_invariant(self, seed, theta, t):
-        rng = PrngStream(seed)
-        table = correlation_table_init(rng, 4)
-        boxes = make_boxes(rng, 3)
-        pts = probe_points(rng, boxes)
-        pts2, boxes2 = self.moved(pts, boxes, theta, np.array(t))
-        assert max_rel_err(spatial_correlation(pts2, boxes2, table),
-                           spatial_correlation(pts, boxes, table)) < 1e-12
-        for metric in ("center", "vertex", "surface"):
-            np.testing.assert_allclose(delay_kernel(boxes2, pts2, 0.7, metric),
-                                       delay_kernel(boxes, pts, 0.7, metric),
-                                       rtol=0, atol=1e-12)
-
-    @given(seed=st.integers(0, 2**16),
-           t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
-    @settings(max_examples=25, deadline=None)
-    def test_mlp_invariant_under_translation(self, seed, t):
-        rng = PrngStream(seed)
-        mlp = correlation_mlp_init(rng, 4, hidden_dim=6)
-        boxes = make_boxes(rng, 3)
-        pts = probe_points(rng, boxes)
-        pts2, boxes2 = self.moved(pts, boxes, 0.0, np.array(t))
-        assert max_rel_err(spatial_correlation(pts2, boxes2, mlp),
-                           spatial_correlation(pts, boxes, mlp)) < 1e-12
-
-    @given(seed=st.integers(0, 2**16), theta=st.floats(-math.pi, math.pi),
-           t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
-    @settings(max_examples=25, deadline=None)
-    def test_mlp_rotation_turns_hidden_weight(self, seed, theta, t):
-        # offsets rotate with the scene, p' - v' = R (p - v), so moving the
-        # scene is the same as hidden weight W R on the unmoved scene
-        rng = PrngStream(seed)
-        mlp = correlation_mlp_init(rng, 4, hidden_dim=6)
-        turned = CorrelationMlp(hidden=LinearWeights(mlp.hidden.weight @ rotz(theta),
-                                                     mlp.hidden.bias), out=mlp.out)
-        boxes = make_boxes(rng, 3)
-        pts = probe_points(rng, boxes)
-        pts2, boxes2 = self.moved(pts, boxes, theta, np.array(t))
-        assert max_rel_err(spatial_correlation(pts2, boxes2, mlp),
-                           spatial_correlation(pts, boxes, turned)) < 1e-12
 
 
 class TestIbsForward:
@@ -751,6 +692,13 @@ class TestChunkedPipeline:
         y_ref, h_ref, params = unchunked_block(x, h0, s, delay, w)
         assert max_rel_err(y, y_ref) <= 1e-12
         assert max_rel_err(h, h_ref) <= 1e-12
+        # the untraced path, which decoder_layer runs, reuses min(M, CHUNK)
+        # buffer rows across chunks instead of writing full-size buffers
+        y_run, h_run = ibs_forward(x, h0, s, delay, w)
+        np.testing.assert_array_equal(y_run, y)
+        np.testing.assert_array_equal(h_run, h)
+        assert max_rel_err(y_run, y_ref) <= 1e-12
+        assert max_rel_err(h_run, h_ref) <= 1e-12
         for direction in ("forward", "backward"):
             for name, ref in params[direction].items():
                 assert max_rel_err(trace[direction][name], ref) <= 1e-12, (direction, name)

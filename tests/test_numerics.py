@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dest3d.numerics import (
     LinearWeights,
@@ -151,16 +149,6 @@ class TestLayerNorm:
         with pytest.raises(ValueError):
             layer_norm(np.zeros((2, 0)), np.ones(0), np.zeros(0))
 
-    @given(scale=st.floats(0.01, 100.0), shift=st.floats(-50.0, 50.0),
-           seed=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_shift_scale_invariance(self, scale, shift, seed):
-        # eps must be far below scale^2 * var for the invariance to be exact
-        x = PrngStream(seed).normal((8,))
-        base = layer_norm(x, np.ones(8), np.zeros(8), eps=1e-14)
-        moved = layer_norm(scale * x + shift, np.ones(8), np.zeros(8), eps=1e-14)
-        np.testing.assert_allclose(moved, base, atol=1e-9)
-
 
 class TestActivation:
     def test_silu_zero(self):
@@ -189,14 +177,6 @@ class TestActivation:
         assert softplus(-np.inf) == 0.0
         assert softplus(np.inf) == np.inf
         assert np.isnan(softplus(np.nan))
-
-    @given(st.floats(-700.0, 700.0))
-    def test_softplus_positive(self, v):
-        assert softplus(np.array(v)) > 0.0
-
-    @given(st.floats(-700.0, 700.0))
-    def test_silu_lower_bound(self, v):
-        assert silu(np.array(v)) >= -0.2785
 
 
 class TestDepthwiseConv:

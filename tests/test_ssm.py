@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dest3d.numerics import PrngStream
 from dest3d.ssm import (
@@ -87,25 +85,6 @@ class TestScanSequential:
             ScanInputs(a_bar=np.ones((2, 1, 1)), b_bar=np.ones((2, 1, 1)),
                        c=np.ones((3, 1)), x=np.ones((2, 1)), h0=np.ones((1, 1)))
 
-    @given(seed=st.integers(0, 200))
-    @settings(max_examples=20, deadline=None)
-    def test_affine_superposition(self, seed):
-        # the scan is affine in (x, h0) jointly
-        base = random_inputs(seed, 8, 2, 3)
-        rng = PrngStream(seed + 10_000)
-        x2, h2 = rng.normal((8, 3)), rng.normal((2, 3))
-        al, be = 0.6, -1.7
-
-        def run(x, h0):
-            return scan_sequential(ScanInputs(a_bar=base.a_bar, b_bar=base.b_bar,
-                                              c=base.c, x=x, h0=h0))
-
-        ra = run(base.x, base.h0)
-        rb = run(x2, h2)
-        rc = run(al * base.x + be * x2, al * base.h0 + be * h2)
-        np.testing.assert_allclose(rc.y, al * ra.y + be * rb.y, atol=1e-12)
-        np.testing.assert_allclose(rc.h_final, al * ra.h_final + be * rb.h_final,
-                                   atol=1e-12)
 
     def test_stability_bound(self):
         inputs = random_inputs(5, 50, 3, 4)
@@ -169,7 +148,7 @@ def loop_chunked(inputs, chunk):
         acc_a = np.prod(inputs.a_bar[sp.start:sp.stop], axis=0)
         acc_b = loop_scan(inputs, np.zeros((k, e)), sp, None, None)
         entries.append(acc_a * entries[-1] + acc_b)
-    y, trace = np.empty((m, e)), np.empty((m, k, e))
+    y, trace, h = np.empty((m, e)), np.empty((m, k, e)), inputs.h0
     for sp, h_in in zip(spans, entries):
         h = loop_scan(inputs, h_in, sp, y, trace)
     return y, h
@@ -178,7 +157,7 @@ def loop_chunked(inputs, chunk):
 class TestBlockedRecurrence:
     """The blocked recurrence equals a plain per-step loop bit for bit."""
 
-    @pytest.mark.parametrize("m", [1, 63, 64, 65, 257])
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 257])
     @pytest.mark.parametrize("k", [1, 4, 64])
     @pytest.mark.parametrize("traced", [False, True])
     def test_bitwise_equal_to_step_loop(self, m, k, traced):
@@ -194,7 +173,7 @@ class TestBlockedRecurrence:
             assert not np.shares_memory(h, trace)
             out = ScanOutputs(y=y, h_final=h)
         runs = [(out, (y_ref, h_ref))]
-        for chunk in (1, 7, 64, m):
+        for chunk in (1, 7, 64, max(m, 1)):
             runs.append((scan_chunked(inputs, chunk), loop_chunked(inputs, chunk)))
         for out, (y, h) in runs:
             np.testing.assert_array_equal(out.y, y)
