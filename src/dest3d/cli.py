@@ -188,9 +188,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     m_values = [int(v) for v in args.m_list.split(",")]
-    with _warnings_as_lines():
-        result = complexity_bench(m_values, k=args.k, e=args.e, repeats=args.repeats,
-                                  threads=args.threads)
+    result = complexity_bench(m_values, k=args.k, e=args.e, repeats=args.repeats,
+                              threads=args.threads)
     print(f"{'M':>8}{'scan_time_s':>14}{'attention_time_s':>18}")
     for row in result["rows"]:
         print(f"{row['M']:>8}{row['scan_time']:>14.6f}{row['attention_time']:>18.6f}")
@@ -253,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, default=32)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--threads", type=int, default=1,
-                   help="BLAS worker cap for timing stability (default 1); applied "
-                        "only when threadpoolctl is importable, otherwise a warning "
-                        "is printed and the default BLAS threads are used")
+                   help="BLAS worker cap for timing stability (default 1), set in "
+                        "the environment of the process that times")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -274,6 +272,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; the scene or config is too large for "
+              "this machine", file=sys.stderr)
         return 2
 
 

@@ -45,12 +45,6 @@ from .ssm import ScanInputs, scan_sequential
 # looks up, so a traced run counts it as 0 calls instead of as missing.
 from .ssm import discretize_zoh  # noqa: F401
 
-# Serialized points per step of the streamed parameter pipeline in
-# _run_direction. Its working set is four (CHUNK, K, E) arrays (three reused
-# buffers and softplus's scratch), 2 MB at K=64, E=32: it stays in one core's
-# L2 there, and the per-chunk Python overhead stays small next to the numpy
-# work.
-CHUNK = 32
 TABLE_EXTENT = 2.0  # the table varies out to one box half-size past each face
 
 __all__ = [
@@ -253,21 +247,31 @@ def _param_weights(w: DirectionWeights) -> tuple[np.ndarray, np.ndarray, np.ndar
     return w_x, w_s, bias
 
 
+def _chunk_rows(k: int, e: int) -> int:
+    """Serialized points per step of _run_direction at K states and E state
+    channels: a budget of 2^14 elements per (rows, K, E) buffer, at least 32
+    rows. Longer steps spread each step's fixed Python overhead at small K·E
+    (128 rows at K=4, E=32); at K=16 and K=64 more than 32 rows measured no
+    faster.
+    """
+    return max(32, 2**14 // (k * e))
+
+
 def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                    delay: np.ndarray, w: DirectionWeights,
                    keep_trace: bool) -> tuple[np.ndarray, np.ndarray, dict | None]:
     """One causal scan over the rows of x_in in order. Returns (y, h_final, trace).
 
     The conv output is projected once onto [delta | b | c], biases included.
-    Then CHUNK rows at a time, reusing four buffers allocated here: gen_params
-    adds the s projection, softplus and the delay act in place on delta,
-    a_bar = exp(delta * a) and b_bar = delta * b fill two more buffers, and
-    scan_sequential carries the state on (delta >= 0 by construction, so no
-    chunk is checked), so the (M, K, E) parameters are never held at full
-    size. The backward direction is this function on reversed views of x_in,
-    s and delay. With keep_trace the buffers are full size instead, each chunk
-    writing its own rows, and they make up the trace dict; otherwise it is
-    None.
+    Then _chunk_rows(K, E) rows at a time, reusing four buffers allocated
+    here: gen_params adds the s projection, softplus and the delay act in
+    place on delta, a_bar = exp(delta * a) and b_bar = delta * b fill two more
+    buffers, and scan_sequential carries the state on (delta >= 0 by
+    construction, so no chunk is checked), so the (M, K, E) parameters are
+    never held at full size. The backward direction is this function on
+    reversed views of x_in, s and delay. With keep_trace the buffers are full
+    size instead, each chunk writing its own rows, and they make up the trace
+    dict; otherwise it is None.
     """
     x_conv = silu(depthwise_conv1d(x_in, w.conv_kernel))
     m, e = x_conv.shape
@@ -275,14 +279,15 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     w_x, w_s, bias = _param_weights(w)
     x_row = x_conv @ w_x
     x_row += bias
-    rows = m if keep_trace else min(m, CHUNK)
+    step = _chunk_rows(k, e)
+    rows = m if keep_trace else min(m, step)
     delta_buf, a_bar_buf, b_bar_buf = (np.empty((rows, k, e)) for _ in range(3))
     bc_buf = np.empty((rows, k, 2))
     y = np.empty_like(x_conv)
     h = h0_hat
-    for lo in range(0, m, CHUNK):
-        sl = slice(lo, lo + CHUNK)
-        buf = sl if keep_trace else slice(min(CHUNK, m - lo))
+    for lo in range(0, m, step):
+        sl = slice(lo, lo + step)
+        buf = sl if keep_trace else slice(min(step, m - lo))
         delta, b, c = gen_params(s[sl], x_row[sl], w_s, delta_buf[buf], bc_buf[buf])
         softplus(delta, out=delta)
         delta *= delay[sl, :, None]

@@ -25,6 +25,10 @@ __all__ = [
     "softmax_attention",
 ]
 
+# Elements per row block of depthwise_conv1d: 256 KB per f64 array, so a
+# block's input, output and product buffer fit one core's L2 together.
+CONV_BLOCK_ELEMENTS = 2**15
+
 
 def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     """Reject NaN/Inf at the public entry points."""
@@ -181,6 +185,12 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     x is (seq, channels), kernel is (channels, ksize); tap 0 multiplies the
     current step, tap j the step j positions earlier (zero-padded past). An
     anti-causal conv is this one on a reversed view, reversed back.
+
+    The sequence is walked in blocks of about CONV_BLOCK_ELEMENTS elements, so
+    a block's input rows, its output rows and the one reused product buffer
+    stay in cache across the taps. Each output element still gets tap 0's
+    product and then taps 1, 2, ... added in order, as in a whole-sequence
+    pass, so the result does not depend on the block size.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -188,10 +198,17 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"depthwise_conv1d: x {x.shape} and kernel {kernel.shape} disagree"
         )
-    ksize = kernel.shape[1]
-    out = x * kernel[:, 0]
-    for j in range(1, min(ksize, x.shape[0])):
-        out[j:] += x[:-j] * kernel[:, j]
+    m, channels = x.shape
+    out = np.empty(x.shape, dtype=np.result_type(x, kernel))
+    rows = max(1, CONV_BLOCK_ELEMENTS // max(channels, 1))
+    prod = np.empty((min(rows, m), channels), dtype=out.dtype)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        np.multiply(x[lo:hi], kernel[:, 0], out=out[lo:hi])
+        for j in range(1, min(kernel.shape[1], hi)):
+            start = max(lo, j)
+            out[start:hi] += np.multiply(x[start - j:hi - j], kernel[:, j],
+                                         out=prod[:hi - start])
     return out
 
 

@@ -6,9 +6,10 @@ code. Six axis-priority variants (xyz ... zyx) reorder which coordinate the
 curve consumes first; cycling them across decoder layers gives each layer a
 different 1D view of the same cloud.
 
-The coordinate-to-index transform is Skilling's bit-manipulation algorithm
-(vectorized over points). Its contract, exhaustively tested: a bijection onto
-[0, 2^(3 bits)) whose consecutive codes are grid neighbors at L1 distance 1.
+The coordinate-to-index transform is Skilling's bit-manipulation algorithm,
+vectorized over points without per-point branches. Its contract, exhaustively
+tested: a bijection onto [0, 2^(3 bits)) whose consecutive codes are grid
+neighbors at L1 distance 1.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def hilbert_indices(cells: np.ndarray, bits: int) -> np.ndarray:
 
     Skilling's transform: undo the excess rotations top bit down, Gray-encode
     across axes, then interleave the transposed bits most significant first.
+    The coordinates are held as (3, M) uint64 rows. Each per-point branch is
+    an all-ones/zero mask applied with &, not a boolean index, and every step
+    writes into two reused (M,) rows instead of allocating temporaries.
     """
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
@@ -59,32 +63,44 @@ def hilbert_indices(cells: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError("cells must be (M, 3)")
     if cells.min(initial=0) < 0 or cells.max(initial=0) >= (1 << bits):
         raise ValueError(f"cell coordinates must lie in [0, 2^{bits})")
-    x = cells.astype(np.uint64).copy()
+    x = cells.T.astype(np.uint64, order="C")
+    mask, t = np.empty_like(x[0]), np.empty_like(x[0])
     one = np.uint64(1)
-    q = np.uint64(1) << np.uint64(bits - 1)
-    while q > one:
-        p = q - one
+    for b in range(bits - 1, 0, -1):
+        shift = np.uint64(b)
+        p = (one << shift) - one
+        # where bit b of axis i is set, invert the low bits of axis 0;
+        # elsewhere swap the low bits of axes 0 and i
         for i in range(3):
-            hi = (x[:, i] & q) != 0
-            x[hi, 0] ^= p
-            lo = ~hi
-            t = (x[lo, 0] ^ x[lo, i]) & p
-            x[lo, 0] ^= t
-            x[lo, i] ^= t
-        q >>= one
-    for i in range(1, 3):
-        x[:, i] ^= x[:, i - 1]
-    t = np.zeros(len(x), dtype=np.uint64)
-    q = np.uint64(1) << np.uint64(bits - 1)
-    while q > one:
-        sel = (x[:, 2] & q) != 0
-        t[sel] ^= q - one
-        q >>= one
-    x ^= t[:, None]
-    codes = np.zeros(len(x), dtype=np.uint64)
-    for bit in range(bits - 1, -1, -1):
+            np.right_shift(x[i], shift, out=mask)
+            mask &= one
+            mask -= one  # all ones where the bit is clear
+            np.bitwise_xor(x[0], x[i], out=t)
+            t &= p
+            t &= mask
+            np.invert(mask, out=mask)
+            mask &= p
+            mask |= t
+            x[0] ^= mask
+            x[i] ^= t
+    x[1] ^= x[0]
+    x[2] ^= x[1]
+    t.fill(0)
+    for b in range(bits - 1, 0, -1):
+        shift = np.uint64(b)
+        np.right_shift(x[2], shift, out=mask)
+        mask &= one
+        np.negative(mask, out=mask)  # all ones where the bit is set
+        mask &= (one << shift) - one
+        t ^= mask
+    x ^= t
+    codes = np.zeros_like(t)
+    for b in range(bits - 1, -1, -1):
         for i in range(3):
-            codes = (codes << one) | ((x[:, i] >> np.uint64(bit)) & one)
+            np.right_shift(x[i], np.uint64(b), out=mask)
+            mask &= one
+            codes <<= one
+            codes |= mask
     return codes
 
 

@@ -15,10 +15,12 @@ scan/convolution, chunked-scan, gradient, and delay-kernel contracts.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
-import warnings
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -290,7 +292,7 @@ def _f32_attention(feats: np.ndarray, block: int = 256) -> np.ndarray:
 
 
 def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
-                     repeats: int = 5, seed: int = 0, threads: int | None = 1) -> dict:
+                     repeats: int = 5, seed: int = 0, threads: int = 1) -> dict:
     """Median wall-times of the decoder's f64 scan_sequential vs f32 M x M attention.
 
     Returns rows {M, scan_time, attention_time} plus log-log slopes. Machine
@@ -300,28 +302,38 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     bias the small sizes. Each slope is the median of the slopes fitted to
     single sweeps over all sizes, so a machine whose speed drifts between
     sweeps moves every point of a fit alike. Timing requires a pinned worker
-    count: BLAS pools are limited to `threads` (default one, at least one) when
-    threadpoolctl is importable; pass threads=None to leave the pools alone.
+    count: the timing runs in one child process whose environment limits the
+    BLAS and OpenMP pools to `threads` workers (default one, at least one).
     """
     if len(m_values) < 2:
         raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError(f"sizes must be strictly ascending, got {m_values}")
     for name, value, least in (("sizes", min(m_values), 1), ("k", k, 1), ("e", e, 1),
-                               ("repeats", repeats, 3),
-                               ("threads", 1 if threads is None else threads, 1)):
+                               ("repeats", repeats, 3), ("threads", threads, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    if threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            warnings.warn("threadpoolctl unavailable; timings use default BLAS threads",
-                          RuntimeWarning, stacklevel=2)
-        else:
-            with threadpool_limits(limits=threads):
-                return complexity_bench(m_values, k, e, repeats, seed, threads=None)
+    # imported here, not at the top: subprocess alone adds 0.6 MB of RSS to
+    # every process that imports dest3d
+    import json
+    import subprocess
 
+    src = str(Path(__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import json, sys; from dest3d.verify import _time_scan_and_attention; "
+             "print(json.dumps(_time_scan_and_attention(*json.loads(sys.argv[1]))))")
+    args = json.dumps([m_values, k, e, repeats, seed])
+    proc = subprocess.run([sys.executable, "-c", child, args], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"complexity_bench timing process failed: {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def _time_scan_and_attention(m_values: list[int], k: int, e: int, repeats: int,
+                             seed: int) -> dict:
+    """complexity_bench's timing, run in the process whose pools it pinned."""
     cases = {}
     for m in m_values:
         stream = PrngStream(seed)

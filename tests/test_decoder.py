@@ -19,9 +19,9 @@ from dest3d.decoder import (
 )
 from dest3d.geometry import Box3D, Scene, box_local_coords, farthest_point_sampling, synth_scene
 from dest3d.issm import (
-    CHUNK,
     CorrelationMlp,
     CorrelationTable,
+    _chunk_rows,
     delay_kernel,
     ibs_forward,
     spatial_correlation,
@@ -311,13 +311,15 @@ class TestDecoderStack:
                     calls["softplus_chunk"] += 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(issm_mod, name, counted)
-        layers, m = 3, 2 * CHUNK + 5
+        layers = 3
         cfg = small_cfg(num_layers=layers)
+        rows = _chunk_rows(cfg.num_states, cfg.state_dim)
+        m = 2 * rows + 5
         rng = PrngStream(30)
         scene = Scene(positions=rng.uniform((m, 3), -3.0, 3.0),
                       features=rng.normal((m, cfg.channels)))
         decoder_stack(scene, cfg, decoder_weights_init(PrngStream(31), cfg))
-        chunks = 2 * layers * math.ceil(m / CHUNK)
+        chunks = 2 * layers * math.ceil(m / rows)
         assert calls == {"gen_params": chunks, "softplus": chunks + layers,
                          "softplus_chunk": chunks}
 

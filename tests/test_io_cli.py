@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import dest3d.cli as cli_mod
 from dest3d.cli import load_run_config, main
 from dest3d.decoder import DecoderConfig, decoder_weights_init
 from dest3d.geometry import Box3D
@@ -305,6 +306,20 @@ class TestCliDemo:
         assert summary["objectness_focal_loss"] >= 0
         assert np.isfinite(summary["objectness_focal_loss"])
 
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 12.0 GiB for an array"),
+                                     MemoryError()])
+    def test_out_of_memory_exits_2(self, exc, monkeypatch, capsys):
+        def raises(args):
+            raise exc
+        monkeypatch.setattr(cli_mod, "_demo_lines", raises)
+        code = main(["demo", "scene.destpc", "--states", "4"])
+        captured = capsys.readouterr()
+        err_lines = [l for l in captured.err.splitlines() if l.strip()]
+        assert code == 2
+        assert captured.out == ""
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: out of memory")
+        assert str(exc) in err_lines[0]
+
     def test_deterministic_stdout(self, scene_path):
         args = ("demo", scene_path, "--layers", "2", "--states", "4",
                 "--channels", "16", "--seed", "1")
@@ -543,7 +558,7 @@ class TestCliBench:
         code, out, err = run_cli("bench", "--m-list", "64,128", "--k", "2",
                                  "--e", "4", "--repeats", "3")
         assert code == 0
-        assert "Traceback" not in err
+        assert err == ""
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.strip() and l.lstrip()[0].isdigit()]) == 2
         assert "slope" in out
@@ -567,11 +582,3 @@ class TestCliBench:
         assert len(err_lines) == 1 and err_lines[0].startswith("error:")
         assert named in err_lines[0]
 
-    def test_one_warning_line_without_threadpoolctl(self, monkeypatch, capsys):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        code = main(["bench", "--m-list", "64,128", "--k", "2", "--e", "4",
-                     "--repeats", "3"])
-        err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
-        assert code == 0
-        assert err_lines == ["warning: threadpoolctl unavailable; "
-                             "timings use default BLAS threads"]

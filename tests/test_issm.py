@@ -7,11 +7,11 @@ import pytest
 from dest3d import issm
 from dest3d.geometry import Box3D, box_vertices, synth_scene
 from dest3d.issm import (
-    CHUNK,
     TABLE_EXTENT,
     CorrelationMlp,
     CorrelationTable,
     DirectionWeights,
+    _chunk_rows,
     _param_weights,
     IbsWeights,
     correlation_mlp_init,
@@ -559,7 +559,8 @@ class TestIbsForward:
 
     def test_bidirectional_symmetry_across_chunks(self):
         # the backward scan runs on reversed views and crosses chunk edges
-        self.check_bidirectional_symmetry(m=2 * CHUNK + 3)
+        # (micro's K=2, E=8)
+        self.check_bidirectional_symmetry(m=2 * _chunk_rows(2, 8) + 3)
 
     def check_bidirectional_symmetry(self, m):
         # reversing the sequence and swapping direction weights reverses y
@@ -674,8 +675,8 @@ def max_rel_err(got, ref):
 
 
 class TestChunkedPipeline:
-    """ibs_forward streams parameters CHUNK points at a time; the chunk edges
-    must not show in its outputs."""
+    """ibs_forward streams parameters _chunk_rows(K, E) points at a time; the
+    chunk edges must not show in its outputs."""
 
     @staticmethod
     def check_against_unchunked(seed, m, k, c, e, d, corr_mode="table", metric="center"):
@@ -692,8 +693,9 @@ class TestChunkedPipeline:
         y_ref, h_ref, params = unchunked_block(x, h0, s, delay, w)
         assert max_rel_err(y, y_ref) <= 1e-12
         assert max_rel_err(h, h_ref) <= 1e-12
-        # the untraced path, which decoder_layer runs, reuses min(M, CHUNK)
-        # buffer rows across chunks instead of writing full-size buffers
+        # the untraced path, which decoder_layer runs, reuses
+        # min(M, _chunk_rows(K, E)) buffer rows across chunks instead of
+        # writing full-size buffers
         y_run, h_run = ibs_forward(x, h0, s, delay, w)
         np.testing.assert_array_equal(y_run, y)
         np.testing.assert_array_equal(h_run, h)
@@ -703,18 +705,27 @@ class TestChunkedPipeline:
             for name, ref in params[direction].items():
                 assert max_rel_err(trace[direction][name], ref) <= 1e-12, (direction, name)
 
-    # one partial chunk, the edge after two full chunks, and a partial tail
-    @pytest.mark.parametrize("m", [1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 4 * CHUNK + 3])
+    # one partial chunk, the edge after two full chunks, and a partial tail,
+    # at K=16, E=32 (32 rows per chunk)
+    ROWS = _chunk_rows(16, 32)
+
+    @pytest.mark.parametrize("m", [1, 2 * ROWS - 1, 2 * ROWS, 2 * ROWS + 1, 4 * ROWS + 3])
     @pytest.mark.parametrize("corr_mode", ["table", "mlp"])
     @pytest.mark.parametrize("metric", ["center", "vertex", "surface"])
     def test_matches_unchunked_reference(self, m, corr_mode, metric):
-        self.check_against_unchunked(5000 + m, m, k=3, c=4, e=8, d=3,
+        self.check_against_unchunked(5000 + m, m, k=16, c=4, e=32, d=3,
                                      corr_mode=corr_mode, metric=metric)
 
     def test_matches_unchunked_reference_at_states_heavy_shape(self):
-        # the chunk buffers are (CHUNK, K, E): check them at the K, E and D
-        # of the benchmark's states_heavy workload, across one chunk edge
-        self.check_against_unchunked(5100, CHUNK + 1, k=64, c=32, e=32, d=16)
+        # the chunk buffers are (_chunk_rows(K, E), K, E): check them at the
+        # K, E and D of the benchmark's states_heavy workload, across one
+        # chunk edge
+        self.check_against_unchunked(5100, _chunk_rows(64, 32) + 1, k=64, c=32, e=32, d=16)
+
+    def test_matches_unchunked_reference_at_points_heavy_shape(self):
+        # points_heavy's K=4, E=32 gets more rows per chunk than 32: check
+        # three chunk edges and a partial tail there
+        self.check_against_unchunked(5200, 3 * _chunk_rows(4, 32) + 5, k=4, c=32, e=32, d=16)
 
     def test_peak_memory_below_two_mke_arrays(self):
         m, k, c, e, d = 1024, 32, 32, 32, 16

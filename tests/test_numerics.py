@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dest3d.numerics import (
+    CONV_BLOCK_ELEMENTS,
     LinearWeights,
     PrngStream,
     depthwise_conv1d,
@@ -179,7 +180,41 @@ class TestActivation:
         assert np.isnan(softplus(np.nan))
 
 
+def conv_whole_sequence(x, kernel):
+    """Reference: depthwise_conv1d as one whole-sequence pass per tap."""
+    out = x * kernel[:, 0]
+    for j in range(1, min(kernel.shape[1], x.shape[0])):
+        out[j:] += x[:-j] * kernel[:, j]
+    return out
+
+
 class TestDepthwiseConv:
+    @pytest.mark.parametrize("channels", [32, 48])
+    @pytest.mark.parametrize("blocks,extra", [(0, 5), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_blocks_bitwise_equal_whole_sequence(self, channels, blocks, extra):
+        # fewer rows than the kernel's 8 taps, one block less a row, exactly
+        # one, one plus a row, several plus a tail; 48 channels leave a
+        # budget remainder per block
+        rows = CONV_BLOCK_ELEMENTS // channels
+        rng = PrngStream(channels + blocks + extra)
+        x = rng.normal((blocks * rows + extra, channels))
+        kernel = rng.normal((channels, 8))
+        np.testing.assert_array_equal(depthwise_conv1d(x, kernel),
+                                      conv_whole_sequence(x, kernel))
+        # the backward scan's anti-causal conv runs on a reversed view
+        np.testing.assert_array_equal(depthwise_conv1d(x[::-1], kernel),
+                                      conv_whole_sequence(x[::-1], kernel))
+
+    def test_one_tap_per_row_bitwise(self):
+        # lti_conv_form's kernel has M taps: later blocks run more taps than
+        # earlier ones
+        channels = 64
+        m = 2 * (CONV_BLOCK_ELEMENTS // channels) + 3
+        rng = PrngStream(13)
+        x, kernel = rng.normal((m, channels)), rng.normal((channels, m))
+        np.testing.assert_array_equal(depthwise_conv1d(x, kernel),
+                                      conv_whole_sequence(x, kernel))
+
     def test_identity_kernel_exact(self):
         x = PrngStream(5).normal((10, 3))
         kernel = np.zeros((3, 4))

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from dest3d.decoder import decoder_stack, decoder_weights_init
 from dest3d.geometry import Box3D, Scene
 from dest3d.issm import (
-    CHUNK,
     CorrelationMlp,
+    _chunk_rows,
     correlation_mlp_init,
     correlation_table_init,
     delay_kernel,
@@ -155,7 +155,7 @@ class TestDecoderStack:
         # first (farthest-point sampling starts there) and no two points
         # share a Hilbert cell (points in one cell keep their input order).
         cfg = small_cfg()
-        m = 2 * CHUNK + 2
+        m = 2 * _chunk_rows(cfg.num_states, cfg.state_dim) + 2
         rng = PrngStream(seed)
         scene = Scene(positions=rng.uniform((m, 3), -3.0, 3.0),
                       features=rng.normal((m, cfg.channels)))

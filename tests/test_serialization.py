@@ -17,6 +17,38 @@ def lattice(n):
     return np.array(list(itertools.product(range(n), repeat=3)), dtype=np.float64)
 
 
+def skilling_boolean_mask(cells, bits):
+    """Reference: Skilling's transform as point-major (M, 3) rows whose
+    per-point branches are taken by boolean fancy indexing."""
+    x = cells.astype(np.uint64).copy()
+    one = np.uint64(1)
+    q = np.uint64(1) << np.uint64(bits - 1)
+    while q > one:
+        p = q - one
+        for i in range(3):
+            hi = (x[:, i] & q) != 0
+            x[hi, 0] ^= p
+            lo = ~hi
+            t = (x[lo, 0] ^ x[lo, i]) & p
+            x[lo, 0] ^= t
+            x[lo, i] ^= t
+        q >>= one
+    for i in range(1, 3):
+        x[:, i] ^= x[:, i - 1]
+    t = np.zeros(len(x), dtype=np.uint64)
+    q = np.uint64(1) << np.uint64(bits - 1)
+    while q > one:
+        sel = (x[:, 2] & q) != 0
+        t[sel] ^= q - one
+        q >>= one
+    x ^= t[:, None]
+    codes = np.zeros(len(x), dtype=np.uint64)
+    for bit in range(bits - 1, -1, -1):
+        for i in range(3):
+            codes = (codes << one) | ((x[:, i] >> np.uint64(bit)) & one)
+    return codes
+
+
 class TestHilbertIndex:
     def test_origin_is_zero(self):
         for bits in (1, 3, 9, 16):
@@ -47,6 +79,15 @@ class TestHilbertIndex:
         path = cells[np.argsort(codes)]
         l1 = np.abs(np.diff(path, axis=0)).sum(axis=1)
         assert (l1 == 1).all()
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_equals_boolean_mask_reference(self, bits):
+        # random cells, plus the grid's corners, where every bit is set or clear
+        rng = np.random.default_rng(bits)
+        corners = lattice(2).astype(np.int64) * ((1 << bits) - 1)
+        cells = np.concatenate([rng.integers(0, 1 << bits, size=(5000, 3)), corners])
+        np.testing.assert_array_equal(hilbert_indices(cells, bits),
+                                      skilling_boolean_mask(cells, bits))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

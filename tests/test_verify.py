@@ -1,4 +1,4 @@
-import sys
+import subprocess
 import warnings
 
 import numpy as np
@@ -157,20 +157,24 @@ class TestBench:
         attn = [r["attention_time"] for r in result["rows"]]
         assert attn[0] < attn[1] < attn[2]
 
-    def test_without_threadpoolctl_warns_and_still_times(self, monkeypatch):
-        # None in sys.modules makes the import raise ImportError, so the
-        # fallback runs whether or not threadpoolctl is installed.
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        with pytest.warns(RuntimeWarning, match="threadpoolctl"):
-            result = complexity_bench([64, 128], k=2, e=4, repeats=3)
+    def test_times_in_one_child_with_pinned_blas(self, monkeypatch):
+        # the timing runs in one child process whose environment caps the
+        # BLAS and OpenMP pools at `threads`, and warns about nothing
+        started, real_run = [], subprocess.run
+
+        def recorded(cmd, **kw):
+            started.append(kw["env"])
+            return real_run(cmd, **kw)
+        monkeypatch.setattr(subprocess, "run", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = complexity_bench([64, 128], k=2, e=4, repeats=3, threads=2)
+        assert [(env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) for env in started] \
+            == [("2", "2")]
         assert [r["M"] for r in result["rows"]] == [64, 128]
+        assert all(r["scan_time"] > 0 and r["attention_time"] > 0 for r in result["rows"])
         assert np.isfinite(result["scan_slope"])
         assert np.isfinite(result["attention_slope"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = complexity_bench([64, 128], k=2, e=4, repeats=3, threads=None)
-        assert caught == []
-        assert len(result["rows"]) == 2
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
