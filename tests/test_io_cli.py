@@ -582,3 +582,13 @@ class TestCliBench:
         assert len(err_lines) == 1 and err_lines[0].startswith("error:")
         assert named in err_lines[0]
 
+    def test_no_stderr_without_threadpoolctl(self, monkeypatch, capsys):
+        # None in sys.modules makes any import of threadpoolctl raise, so the
+        # run shows that bench neither needs it nor warns about its absence
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        code = main(["bench", "--m-list", "64,128", "--k", "2", "--e", "4",
+                     "--repeats", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert "slope" in captured.out
