@@ -72,6 +72,8 @@ def loss(x_arr):
     return float((out.y * wy).sum() + (out.h_final * wh).sum())
 
 
-numeric = finite_diff_grad(loss, small.x.copy(), step=1e-5)
+# finite_diff_grad evaluates every probe in one call, as a stack of x arrays
+numeric = finite_diff_grad(lambda stack: np.array([loss(v) for v in stack]),
+                           small.x.copy(), step=1e-5)
 print(f"analytic vs finite-difference d/dx: max diff = "
       f"{np.abs(grads.x - numeric).max():.2e}")

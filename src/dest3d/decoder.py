@@ -11,6 +11,7 @@ those boxes drive the next layer's spatial correlation and delay kernel.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,22 +276,45 @@ class StackResult:
     final_x: np.ndarray
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _mk_bytes(m: int, cfg: DecoderConfig) -> int:
+    """Bytes a layer holds in arrays that grow with M·K: s (M, K, D), the
+    delay (M, K), and the scan's three (rows, K, E) and one (rows, K, 2)
+    chunk buffers."""
+    k = cfg.num_states
+    rows = min(m, issm._chunk_rows(k, cfg.state_dim))
+    return 8 * (m * k * (cfg.corr_dim + 1) + rows * k * (3 * cfg.state_dim + 2))
+
+
 def decoder_stack(scene: Scene, cfg: DecoderConfig,
                   weights: DecoderWeights) -> StackResult:
     """Run the full stack on one scene.
 
     States start as the farthest-point-sampled scene points (after the single
     positional-feature injection); their boxes are predicted from the initial
-    state features and refreshed after every layer.
+    state features and refreshed after every layer. A scene whose M·K arrays
+    alone would exceed physical memory is refused with a MemoryError up
+    front, not when an allocation fails mid-stack.
     """
-    if scene.num_points < cfg.num_states:
-        raise ValueError(
-            f"scene has {scene.num_points} points, fewer than {cfg.num_states} states"
-        )
+    m, k = scene.num_points, cfg.num_states
+    if m < k:
+        raise ValueError(f"scene has {m} points, fewer than {k} states")
     if scene.features.shape[1] != cfg.channels:
         raise ValueError(
             f"scene features width {scene.features.shape[1]} != config channels {cfg.channels}"
         )
+    need, have = _mk_bytes(m, cfg), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"M={m} points x K={k} states need about {need / 2**20:.0f} MiB "
+                          f"for the correlation, delay and scan buffers, more than the "
+                          f"{have / 2**20:.0f} MiB of physical memory")
     x = scene.features + positional_embedding(scene.positions, weights)
     idx = farthest_point_sampling(scene.positions, cfg.num_states)
     state_pos = scene.positions[idx]

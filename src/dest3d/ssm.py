@@ -9,7 +9,9 @@ with K state rows attending one shared input sequence of length M. _recur
 steps it for the plain sweep, the chunked variant (identical outputs, chunk
 summaries combine as affine maps) and both sweeps of the analytic
 reverse-mode pass (checked against finite differences); a time-invariant
-convolutional form is the equivalence oracle.
+convolutional form is the equivalence oracle. _recur also steps leading batch
+axes between time and (K, E) together, so the chunked scan runs its chunks,
+and the gradient oracle its finite-difference probes, as one batch.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from .numerics import depthwise_conv1d
 
-# Steps per block of _recur: bounds its scratch to O(_BLOCK * K * E) whatever
-# the sequence length, while the per-block ops stay large next to Python
-# overhead.
+# Steps per block of _recur: bounds its scratch to O(_BLOCK * K * E) per batch
+# item whatever the sequence length, while the per-block ops stay large next
+# to Python overhead.
 _BLOCK = 64
 
 __all__ = [
@@ -112,11 +114,15 @@ def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
     """Advance state h over the given steps and return the last state.
 
     The one recurrence step of this package: the scans, both sweeps of
-    scan_backward and verify's prefix attention run it. Steps run in blocks of
-    at most _BLOCK rows: the block's input terms b_bar[t] * x[t] are formed
-    in one op into a buffer (the trace rows when trace is given, else
-    O(_BLOCK * K * E) scratch), each step adds a_bar[t] * h into its row in
-    place, and y[t] = c[t] @ h_t is written for the whole block by one
+    scan_backward and verify's prefix attention run it. Time is the first
+    axis; any batch axes sit between it and (K, E): a_bar/b_bar are
+    (T, *batch, K, E), x (T, *batch, E), c (T, *batch, K), y (T, *batch, E)
+    and h (*batch, K, E). Every item steps alike, so one call equals a stack
+    of per-item calls bit for bit, and size-1 axes broadcast. Steps run in
+    blocks of at most _BLOCK rows: the block's input terms b_bar[t] * x[t]
+    are formed in one op into a buffer (the trace rows when trace is given,
+    else O(_BLOCK * h.size) scratch), each step adds a_bar[t] * h into its
+    row in place, and y[t] = c[t] @ h_t is written for the whole block by one
     stacked matmul when y is given. Inputs and h are not mutated, and the
     returned state is a fresh array, also when there are no steps.
     """
@@ -125,11 +131,11 @@ def _recur(a_bar, b_bar, x, h, c=None, y=None, trace=None) -> np.ndarray:
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
         u = trace[lo:hi] if trace is not None else scratch[:hi - lo]
-        np.multiply(b_bar[lo:hi], x[lo:hi, None, :], out=u)
+        np.multiply(b_bar[lo:hi], x[lo:hi, ..., None, :], out=u)
         for a_t, u_t in zip(a_bar[lo:hi], u):
             h = np.add(u_t, a_t * h, out=u_t)
         if y is not None:
-            np.matmul(c[lo:hi, None, :], u, out=y[lo:hi, None, :])
+            np.matmul(c[lo:hi, ..., None, :], u, out=y[lo:hi, ..., None, :])
         h = h.copy()  # the next block refills the buffer h is a row of
     return h if m else h.copy()
 
@@ -147,27 +153,36 @@ def scan_chunked(inputs: ScanInputs, chunk: int) -> ScanOutputs:
     Each chunk is summarized as the affine map h -> A*h + B it applies to the
     incoming state (composition (a2*a1, a2*b1 + b2)); summaries combine
     sequentially to give every chunk its exact entry state, after which chunks
-    are independent and could run concurrently. The reduction order is fixed,
-    so results do not depend on worker count.
+    are independent (the two-level scan of Blelloch 1990). All chunks but the
+    last have full length, so they run as one batch: a time-major
+    (chunk, n, ...) view of them gives every B in one _recur from zero states
+    and every A in one product; one _recur over the chunk axis combines the
+    summaries into the entry states; one more replays the chunks from them,
+    writing y through the same view. The last chunk runs from its own entry
+    state. That is about 2 * chunk + M / chunk Python steps, not about 2 * M,
+    and the reduction order is fixed, so the outputs equal a chunk-by-chunk
+    loop bit for bit.
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     m, k, e = inputs.shape
-    spans = [slice(s, min(s + chunk, m)) for s in range(0, m, chunk)]
-    # Exact entry state per chunk from the summaries of the chunks before it:
-    # A = prod a_bar, B = the chunk's scan from a zero state.
-    entries = [inputs.h0]
-    for sl in spans[:-1]:
-        acc_a = np.prod(inputs.a_bar[sl], axis=0)
-        acc_b = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl],
-                       np.zeros((k, e), dtype=np.float64))
-        entries.append(acc_a * entries[-1] + acc_b)
-    # Replay each chunk from its entry state.
+    n = (m - 1) // chunk if m else 0  # chunks before the last one
+    full = n * chunk
     y = np.empty((m, e), dtype=np.float64)
-    h = inputs.h0.copy()  # the result when M = 0
-    for sl, h_in in zip(spans, entries):
-        h = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl], h_in,
-                   inputs.c[sl], y[sl])
+    h = inputs.h0
+    if n:
+        def chunks(arr):  # (chunk, n, ...) time-major view of the first n chunks
+            return arr[:full].reshape((n, chunk) + arr.shape[1:]).swapaxes(0, 1)
+
+        a_bar, b_bar, x = chunks(inputs.a_bar), chunks(inputs.b_bar), chunks(inputs.x)
+        entries = np.empty((n + 1, k, e))  # entry state of every chunk
+        entries[0] = h
+        h = _recur(np.prod(a_bar, axis=0),
+                   _recur(a_bar, b_bar, x, np.broadcast_to(0.0, (n, k, e))),
+                   np.ones((n, e)), h, trace=entries[1:])
+        _recur(a_bar, b_bar, x, entries[:-1], chunks(inputs.c), chunks(y))
+    h = _recur(inputs.a_bar[full:], inputs.b_bar[full:], inputs.x[full:], h,
+               inputs.c[full:], y[full:])
     return ScanOutputs(y=y, h_final=h)
 
 
@@ -218,19 +233,21 @@ def scan_backward(inputs: ScanInputs, dy: np.ndarray, dh_final: np.ndarray) -> S
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
+    """Central-difference gradient of a scalar function, all probes in one call.
+
+    f maps a (B, *x.shape) stack of points to their B values. It is called
+    once, on the 2 * x.size probes x + step * e_i (i = 0 .. x.size - 1)
+    followed by x - step * e_i. The stack holds 2 * x.size**2 numbers, so its
+    memory grows as O(x.size**2): meant for oracle-sized x.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f(x)
-        flat[i] = orig - step
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
-    return grad
+    n = x.size
+    probes = np.tile(x.reshape(-1), (2, n, 1))
+    diag = np.arange(n)
+    probes[0, diag, diag] += step
+    probes[1, diag, diag] -= step
+    values = np.asarray(f(probes.reshape((2 * n,) + x.shape)), dtype=np.float64)
+    fp, fm = values.reshape(2, n)
+    return ((fp - fm) / (2.0 * step)).reshape(x.shape)

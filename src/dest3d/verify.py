@@ -183,11 +183,13 @@ def _case_grad(stream: PrngStream, perturb: float) -> tuple[float, float]:
     wh = stream.normal((k, e), 0.0, 1.0)
 
     def loss_from(field: str):
-        def f(arr):
-            kw = {name: getattr(inputs, name) for name in ("a_bar", "b_bar", "c", "x", "h0")}
-            kw[field] = arr
-            out = scan_sequential(ScanInputs(**kw))
-            return float((out.y * wy).sum() + (out.h_final * wh).sum())
+        def f(stack):  # (B, *field shape) probes -> (B,) losses, one batched _recur
+            kw = {name: getattr(inputs, name)[:, None] for name in ("a_bar", "b_bar", "c", "x")}
+            kw["h0"] = np.broadcast_to(inputs.h0, (len(stack), k, e))
+            kw[field] = stack if field == "h0" else stack.swapaxes(0, 1)
+            y = np.empty((m, len(stack), e))
+            h = _recur(kw["a_bar"], kw["b_bar"], kw["x"], kw["h0"], kw["c"], y)
+            return (y * wy[:, None]).sum(axis=(0, 2)) + (h * wh).sum(axis=(1, 2))
         return f
 
     grads = scan_backward(inputs, dy=wy, dh_final=wh)

@@ -113,7 +113,8 @@ def test_acc_04_gradient_correctness():
                 out = scan_sequential(ScanInputs(**kw))
                 return float((out.y * wy).sum() + (out.h_final * wh).sum())
 
-            numeric = finite_diff_grad(f, getattr(inputs, name).copy(), step=1e-5)
+            numeric = finite_diff_grad(lambda stack: np.array([f(v) for v in stack]),
+                                       getattr(inputs, name).copy(), step=1e-5)
             analytic = getattr(grads, name)
             diff = np.abs(analytic - numeric)
             ok = (diff <= 1e-8) | (diff <= 1e-5 * np.abs(numeric))

@@ -370,6 +370,40 @@ class TestDecoderStack:
         with pytest.raises(ValueError):
             decoder_stack(scene, cfg, weights)
 
+    def test_memory_budget_refuses_before_any_work(self, monkeypatch):
+        cfg = small_cfg()
+        scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=10, seed=35,
+                            feature_dim=cfg.channels)
+        weights = decoder_weights_init(PrngStream(36), cfg)
+        m, k, e = scene.num_points, cfg.num_states, cfg.state_dim
+        rows = min(m, _chunk_rows(k, e))
+        need = 8 * (m * k * cfg.corr_dim + m * k + 3 * rows * k * e + rows * k * 2)
+        assert decoder_mod._mk_bytes(m, cfg) == need
+
+        def no_work(*args):
+            raise AssertionError("the stack started before the budget check")
+
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(decoder_mod, "positional_embedding", no_work)
+        with pytest.raises(MemoryError, match=f"M={m} points x K={k} states"):
+            decoder_stack(scene, cfg, weights)
+        monkeypatch.undo()
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need)
+        reference = decoder_stack(scene, cfg, weights)
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: None)
+        unknown = decoder_stack(scene, cfg, weights)
+        np.testing.assert_array_equal(unknown.final_x, reference.final_x)
+
+    def test_physical_memory_from_sysconf(self, monkeypatch):
+        have = decoder_mod._physical_memory()
+        assert have is None or (isinstance(have, int) and have > 0)
+
+        def unsupported(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(decoder_mod.os, "sysconf", unsupported)
+        assert decoder_mod._physical_memory() is None
+
     def test_feature_width_mismatch_rejected(self):
         cfg = small_cfg()
         scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=10, seed=34,

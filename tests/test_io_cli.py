@@ -320,6 +320,19 @@ class TestCliDemo:
         assert len(err_lines) == 1 and err_lines[0].startswith("error: out of memory")
         assert str(exc) in err_lines[0]
 
+    def test_over_memory_budget_exits_2(self, scene_path, monkeypatch, capsys):
+        import dest3d.decoder as decoder_mod
+
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: 1)
+        code = main(["demo", scene_path, "--layers", "1", "--states", "4",
+                     "--channels", "16"])
+        captured = capsys.readouterr()
+        err_lines = [l for l in captured.err.splitlines() if l.strip()]
+        assert code == 2
+        assert captured.out == ""
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: out of memory (M=")
+        assert "K=4 states" in err_lines[0]
+
     def test_deterministic_stdout(self, scene_path):
         args = ("demo", scene_path, "--layers", "2", "--states", "4",
                 "--channels", "16", "--seed", "1")

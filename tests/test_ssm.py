@@ -193,6 +193,121 @@ class TestBlockedRecurrence:
             tracemalloc.stop()
         assert peak < 0.25 * m * k * e * 8
 
+    def test_scratch_bounded_with_batch_axis(self):
+        # the scratch is (<= _BLOCK, *batch, K, E): O(_BLOCK) steps per item
+        m, b, k, e = 1024, 4, 8, 16
+        rng = PrngStream(32)
+        a_bar = np.exp(-rng.uniform((m, b, k, e), 0.0, 1.0))
+        b_bar, x = rng.normal((m, b, k, e)), rng.normal((m, b, e))
+        h0 = rng.normal((b, k, e))
+        tracemalloc.start()
+        try:
+            _recur(a_bar, b_bar, x, h0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * b * k * e * 8
+
+
+class TestBatchedRecurrence:
+    """_recur over leading batch axes equals a stack of per-item calls bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1, 63, 65, 130])
+    @pytest.mark.parametrize("batch", [(3,), (2, 3)])
+    def test_equal_to_per_item_calls(self, m, batch):
+        k, e = 4, 5
+        rng = PrngStream(500 + m + len(batch))
+        a_bar = np.exp(-rng.uniform((m,) + batch + (k, e), 0.0, 1.0))
+        b_bar = rng.normal((m,) + batch + (k, e))
+        x, c = rng.normal((m,) + batch + (e,)), rng.normal((m,) + batch + (k,))
+        h0 = rng.normal(batch + (k, e))
+        args = (a_bar, b_bar, x, h0, c)
+        saved = [v.copy() for v in args]
+        y, trace, y_untraced = (np.empty((m,) + batch + tail) for tail in ((e,), (k, e), (e,)))
+        h = _recur(*args, y, trace)
+        h_untraced = _recur(*args, y_untraced)
+        assert h.shape == h_untraced.shape == batch + (k, e)
+        for idx in np.ndindex(*batch):
+            sel = (slice(None),) + idx
+            y_i, trace_i = np.empty((m, e)), np.empty((m, k, e))
+            h_i = _recur(a_bar[sel], b_bar[sel], x[sel], h0[idx], c[sel], y_i, trace_i)
+            for got in (y[sel], y_untraced[sel]):
+                np.testing.assert_array_equal(got, y_i)
+            np.testing.assert_array_equal(trace[sel], trace_i)
+            for got in (h[idx], h_untraced[idx]):
+                np.testing.assert_array_equal(got, h_i)
+        for state in (h, h_untraced):
+            assert not np.shares_memory(state, h0)
+        assert not np.shares_memory(h, trace)
+        for before, after in zip(saved, args):
+            np.testing.assert_array_equal(after, before)
+
+    @pytest.mark.parametrize("m", [0, 1, 64, 130])
+    def test_broadcast_state_and_shared_inputs(self, m):
+        # one (K, E) start seen by every item through a stride-0 view, and
+        # size-1 batch axes on the inputs every item shares (the form verify's
+        # gradient oracle uses)
+        b, k, e = 3, 2, 4
+        inputs = random_inputs(700 + m, m, k, e)
+        x = PrngStream(800 + m).normal((m, b, e))
+        h_view = np.broadcast_to(inputs.h0, (b, k, e))
+        saved = inputs.h0.copy()
+        y = np.empty((m, b, e))
+        h = _recur(inputs.a_bar[:, None], inputs.b_bar[:, None], x, h_view,
+                   inputs.c[:, None], y)
+        assert h.shape == (b, k, e) and h.flags.writeable
+        assert not np.shares_memory(h, inputs.h0)
+        for i in range(b):
+            y_i = np.empty((m, e))
+            h_i = _recur(inputs.a_bar, inputs.b_bar, x[:, i], inputs.h0, inputs.c, y_i)
+            np.testing.assert_array_equal(y[:, i], y_i)
+            np.testing.assert_array_equal(h[i], h_i)
+        np.testing.assert_array_equal(inputs.h0, saved)
+
+
+def per_chunk_scan(inputs, chunk):
+    """scan_chunked as a loop over chunks: one _recur per chunk for its
+    summary, then one per chunk to replay it from its entry state."""
+    m, k, e = inputs.shape
+    spans = [slice(s, min(s + chunk, m)) for s in range(0, m, chunk)]
+    entries = [inputs.h0]
+    for sl in spans[:-1]:
+        acc_a = np.prod(inputs.a_bar[sl], axis=0)
+        acc_b = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl], np.zeros((k, e)))
+        entries.append(acc_a * entries[-1] + acc_b)
+    y = np.empty((m, e))
+    h = inputs.h0.copy()
+    for sl, h_in in zip(spans, entries):
+        h = _recur(inputs.a_bar[sl], inputs.b_bar[sl], inputs.x[sl], h_in,
+                   inputs.c[sl], y[sl])
+    return y, h
+
+
+class TestScanChunkedBatched:
+    """scan_chunked, which runs its full chunks as one batch, equals the
+    chunk-by-chunk loop bit for bit."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 130])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_equal_to_per_chunk_loop(self, m, strided):
+        for seed in range(4):
+            k, e = 1 + seed, 2 + 3 * seed
+            inputs = random_inputs(900 + 10 * m + seed, m, 2 * k, e)
+            if strided:  # every other state row: inputs that are not contiguous
+                inputs = ScanInputs(a_bar=inputs.a_bar[:, ::2], b_bar=inputs.b_bar[:, ::2],
+                                    c=inputs.c[:, ::2], x=inputs.x, h0=inputs.h0[::2])
+            saved = {f: getattr(inputs, f).copy() for f in ("a_bar", "b_bar", "c", "x", "h0")}
+            for chunk in (1, 2, 7, 64, m - 1, m, m + 3):
+                if chunk < 1:
+                    continue
+                out = scan_chunked(inputs, chunk)
+                y, h = per_chunk_scan(inputs, chunk)
+                np.testing.assert_array_equal(out.y, y, err_msg=f"chunk {chunk}")
+                np.testing.assert_array_equal(out.h_final, h, err_msg=f"chunk {chunk}")
+                assert not np.shares_memory(out.h_final, inputs.h0)
+            for f, before in saved.items():
+                np.testing.assert_array_equal(getattr(inputs, f), before)
+
 
 class TestLtiConvForm:
     def test_zero_input_matrix(self):
@@ -257,7 +372,8 @@ class TestScanBackward:
                 out = scan_sequential(ScanInputs(**kw))
                 return float((out.y * wy).sum() + (out.h_final * wh).sum())
 
-            numeric = finite_diff_grad(f, getattr(inputs, name).copy(), step=1e-5)
+            numeric = finite_diff_grad(lambda stack: np.array([f(v) for v in stack]),
+                                       getattr(inputs, name).copy(), step=1e-5)
             analytic = getattr(grads, name)
             diff = np.abs(analytic - numeric)
             ok = (diff <= 1e-8) | (diff <= 1e-5 * np.abs(numeric))
@@ -308,18 +424,39 @@ class TestScanBackwardBitwise:
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        grad = finite_diff_grad(lambda v: float((v**2).sum()), np.array([1.0, 2.0]))
+        grad = finite_diff_grad(lambda v: (v**2).sum(axis=-1), np.array([1.0, 2.0]))
         np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-8)
 
     def test_linear_exact(self):
         w = np.array([3.0, -1.0, 0.5])
-        grad = finite_diff_grad(lambda v: float(v @ w), np.zeros(3))
+        grad = finite_diff_grad(lambda v: v @ w, np.zeros(3))
         np.testing.assert_allclose(grad, w, atol=1e-10)
 
     def test_sine(self):
-        grad = finite_diff_grad(lambda v: float(np.sin(v[0])), np.zeros(1))
+        grad = finite_diff_grad(lambda v: np.sin(v[:, 0]), np.zeros(1))
         np.testing.assert_allclose(grad, [1.0], atol=1e-10)
+
+    def test_one_call_with_every_probe(self):
+        x = np.arange(6.0).reshape(2, 3)
+        x_saved = x.copy()
+        calls = []
+
+        def f(stack):
+            calls.append(stack.copy())
+            return (stack**3).sum(axis=(1, 2))
+
+        grad = finite_diff_grad(f, x, step=1e-3)
+        assert len(calls) == 1
+        stack = calls[0]
+        assert stack.shape == (2 * x.size,) + x.shape
+        for i in range(x.size):
+            for sign, row in ((1.0, stack[i]), (-1.0, stack[x.size + i])):
+                expect = x.reshape(-1).copy()
+                expect[i] += sign * 1e-3
+                np.testing.assert_array_equal(row.reshape(-1), expect)
+        np.testing.assert_allclose(grad, 3 * x**2, atol=1e-5)
+        np.testing.assert_array_equal(x, x_saved)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda v: 0.0, np.zeros(1), step=0.0)
+            finite_diff_grad(lambda v: np.zeros(len(v)), np.zeros(1), step=0.0)

@@ -128,8 +128,9 @@ class TestSuites:
         assert report.passed, f"{kind}: {report.max_abs_err}"
         assert report.cases == 5
 
-    def test_perturbation_fails(self):
-        report = run_equivalence_suite("scan_chunked", seeds=2, perturb=1e-3)
+    @pytest.mark.parametrize("kind", SUITE_NAMES)
+    def test_perturbation_fails(self, kind):
+        report = run_equivalence_suite(kind, seeds=2, perturb=1e-3)
         assert not report.passed
 
     def test_report_invariant(self):
