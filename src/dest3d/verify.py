@@ -7,10 +7,12 @@ keys) obeys the two-term recurrence
 
 with S_m the running similarity sum, which is exactly a state-space update
 whose coefficients come from query-key similarity. attention_direct computes
-the normalized sums outright; attention_recurrence runs the recurrence on the
-scan kernel of ssm, with the queries as its states;
-run_equivalence_suite checks they agree to machine precision, alongside the
-scan/convolution, chunked-scan, gradient, and delay-kernel contracts.
+one prefix's normalized sum outright; attention_recurrence runs the
+recurrence on the scan kernel of ssm, with the queries as its states;
+run_equivalence_suite checks every prefix of the recurrence to machine
+precision against one lower-triangle-masked product of the similarities (no
+running sum, no scan), alongside the scan/convolution, chunked-scan,
+gradient, and delay-kernel contracts.
 """
 
 from __future__ import annotations
@@ -81,7 +83,13 @@ def _similarity(q0: np.ndarray, keys: np.ndarray, kind: str) -> np.ndarray:
 
 def attention_direct(q0: np.ndarray, keys: np.ndarray, values: np.ndarray,
                      m: int, sim: str = "exp_dot") -> np.ndarray:
-    """Similarity-weighted mean of the first m values, computed directly."""
+    """Similarity-weighted mean of the first m values, computed directly.
+
+    The single-prefix public form; like attention_recurrence, it refuses
+    values without exactly one row per key.
+    """
+    if values.shape[0] != keys.shape[0]:
+        raise ValueError(f"values has {values.shape[0]} rows, keys has {keys.shape[0]}")
     if not 1 <= m <= keys.shape[0]:
         raise ValueError(f"m must be in [1, {keys.shape[0]}]")
     w = _similarity(np.asarray(q0, dtype=np.float64),
@@ -128,14 +136,14 @@ def _case_attn(stream: PrngStream, perturb: float) -> tuple[float, float]:
     q0 = stream.normal((k, c), 0.0, 1.0)
     keys = stream.normal((m, c), 0.0, 1.0)
     values = stream.normal((m, c), 0.0, 1.0)
+    mask = np.tri(m)[:, None, :]  # row p-1 keeps keys 0..p-1
     worst_abs = worst_rel = 0.0
     for sim in ("exp_dot", "rbf"):
-        rec = attention_recurrence(q0, keys, values, sim) + perturb
-        for prefix in range(1, m + 1):
-            ref = attention_direct(q0, keys, values, prefix, sim)
-            diff = np.abs(rec[prefix - 1] - ref)
-            worst_abs = max(worst_abs, float(diff.max()))
-            worst_rel = max(worst_rel, float((diff / (np.abs(ref) + 1e-300)).max()))
+        w = mask * _similarity(q0, keys, sim)  # (M prefixes, K, M)
+        ref = (w @ values) / w.sum(axis=2, keepdims=True)
+        diff = np.abs(attention_recurrence(q0, keys, values, sim) + perturb - ref)
+        worst_abs = max(worst_abs, float(diff.max()))
+        worst_rel = max(worst_rel, float((diff / (np.abs(ref) + 1e-300)).max()))
     return worst_abs, worst_rel
 
 

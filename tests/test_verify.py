@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dest3d import verify
 from dest3d.numerics import PrngStream
 from dest3d.ssm import _BLOCK
 from dest3d.verify import (
@@ -56,6 +57,14 @@ class TestAttentionDirect:
         with pytest.raises(ValueError):
             attention_direct(rng.normal((1, 2)), rng.normal((3, 2)),
                              rng.normal((3, 2)), m=0)
+
+    @pytest.mark.parametrize("rows", [3, 4, 6, 9])
+    def test_values_rows_must_match_keys(self, rows):
+        rng = PrngStream(10)
+        q0, keys, values = rng.normal((2, 3)), rng.normal((5, 3)), rng.normal((rows, 3))
+        for m in (1, 5):
+            with pytest.raises(ValueError, match=f"values has {rows} rows, keys has 5"):
+                attention_direct(q0, keys, values, m)
 
 
 class TestAttentionRecurrence:
@@ -132,6 +141,26 @@ class TestSuites:
     def test_perturbation_fails(self, kind):
         report = run_equivalence_suite(kind, seeds=2, perturb=1e-3)
         assert not report.passed
+
+    @pytest.mark.parametrize("row, sim", [(None, None), (-1, "rbf"), (0, "exp_dot")])
+    def test_attn_compares_every_prefix_and_similarity(self, monkeypatch, row, sim):
+        # 1e-9 on one prefix row of one similarity kind must fail the suite;
+        # row None is the untouched wrapper, which must still pass
+        real = verify.attention_recurrence
+
+        def shifted(q0, keys, values, kind):
+            out = real(q0, keys, values, kind)
+            if kind == sim:
+                out[row] += 1e-9
+            return out
+        monkeypatch.setattr(verify, "attention_recurrence", shifted)
+        assert run_equivalence_suite("attn_recurrence", seeds=2).passed is (row is None)
+
+    def test_attn_accuracy(self):
+        # the pass rule stays max_abs_err <= 1e-12; this pins how far inside
+        # it the direct and recurrent sides agree
+        report = run_equivalence_suite("attn_recurrence", seeds=20)
+        assert report.max_abs_err <= 1e-14
 
     def test_report_invariant(self):
         r = EquivalenceReport(suite="x", max_abs_err=1e-13, max_rel_err=0.0,
