@@ -5,7 +5,12 @@ bidirectional interactive scan, lets the object candidates attend to each
 other, pushes both streams through gated feed-forward blocks, and re-predicts
 a box per candidate. Because the scene features update too, later layers see
 progressively refined context rather than the frozen encoder output.
+
+The stack's result keeps the scene features after the last layer only;
+layer n's are the final features of the same stack cut to n layers.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,15 +27,17 @@ print(f"scene: {scene.num_points} points, {len(scene.gt_boxes)} ground-truth box
 print(f"stack: {cfg.num_layers} layers, {cfg.num_states} object candidates\n")
 
 result = decoder_stack(scene, cfg, weights)
+layer_x = [decoder_stack(scene, replace(cfg, num_layers=n), weights).final_x
+           for n in range(1, cfg.num_layers + 1)]
 
 prev_x = prev_h = None
 print("layer  order  |dx|      |dh|      mean objectness")
-for i, layer in enumerate(result.layers):
-    dx = "" if prev_x is None else f"{np.linalg.norm(layer.x - prev_x):8.3f}"
+for i, (x, layer) in enumerate(zip(layer_x, result.layers)):
+    dx = "" if prev_x is None else f"{np.linalg.norm(x - prev_x):8.3f}"
     dh = "" if prev_h is None else f"{np.linalg.norm(layer.h - prev_h):8.3f}"
     obj = np.mean([d.objectness for d in layer.detections])
     print(f"  {i}    {order_for_layer(i)}   {dx:>8}  {dh:>8}  {obj:.3f}")
-    prev_x, prev_h = layer.x, layer.h
+    prev_x, prev_h = x, layer.h
 
 best = max(result.layers[-1].detections, key=lambda d: d.objectness)
 print(f"\nmost confident final detection:")

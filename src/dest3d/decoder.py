@@ -159,9 +159,10 @@ class DecoderWeights:
 
 @dataclass
 class LayerOutput:
-    """Per-layer snapshot: updated streams plus that layer's detections."""
+    """Per-layer snapshot: the updated states and that layer's detections.
+    Layer n's scene features are the final_x of the stack run with
+    num_layers=n; StackResult keeps only the last layer's."""
 
-    x: np.ndarray
     h: np.ndarray
     detections: list[Detection]
 
@@ -326,7 +327,7 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
                              weights.layers[layer], cfg)
         dets = detection_head(h, state_pos, weights.head, f"layer {layer} detection")
         boxes = [d.box for d in dets]
-        outputs.append(LayerOutput(x=x, h=h, detections=dets))
+        outputs.append(LayerOutput(h=h, detections=dets))
     return StackResult(layers=outputs, final_x=x)
 
 

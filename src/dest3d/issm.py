@@ -258,20 +258,18 @@ def _chunk_rows(k: int, e: int) -> int:
 
 
 def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
-                   delay: np.ndarray, w: DirectionWeights,
-                   keep_trace: bool) -> tuple[np.ndarray, np.ndarray, dict | None]:
-    """One causal scan over the rows of x_in in order. Returns (y, h_final, trace).
+                   delay: np.ndarray, w: DirectionWeights) -> tuple[np.ndarray, np.ndarray]:
+    """One causal scan over the rows of x_in in order. Returns (y, h_final).
 
     The conv output is projected once onto [delta | b | c], biases included.
-    Then _chunk_rows(K, E) rows at a time, reusing four buffers allocated
-    here: gen_params adds the s projection, softplus and the delay act in
-    place on delta, a_bar = exp(delta * a) and b_bar = delta * b fill two more
-    buffers, and scan_sequential carries the state on (delta >= 0 by
-    construction, so no chunk is checked), so the (M, K, E) parameters are
-    never held at full size. The backward direction is this function on
-    reversed views of x_in, s and delay. With keep_trace the buffers are full
-    size instead, each chunk writing its own rows, and they make up the trace
-    dict; otherwise it is None.
+    Then _chunk_rows(K, E) rows at a time, reusing four buffers of
+    min(M, _chunk_rows(K, E)) rows allocated here: gen_params adds the s
+    projection, softplus and the delay act in place on delta, a_bar =
+    exp(delta * a) and b_bar = delta * b fill two more buffers, and
+    scan_sequential carries the state on (delta >= 0 by construction, so no
+    chunk is checked), so the (M, K, E) parameters are never held at full
+    size. The backward direction is this function on reversed views of
+    x_in, s and delay.
     """
     x_conv = silu(depthwise_conv1d(x_in, w.conv_kernel))
     m, e = x_conv.shape
@@ -280,14 +278,14 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     x_row = x_conv @ w_x
     x_row += bias
     step = _chunk_rows(k, e)
-    rows = m if keep_trace else min(m, step)
+    rows = min(m, step)
     delta_buf, a_bar_buf, b_bar_buf = (np.empty((rows, k, e)) for _ in range(3))
     bc_buf = np.empty((rows, k, 2))
     y = np.empty_like(x_conv)
     h = h0_hat
     for lo in range(0, m, step):
         sl = slice(lo, lo + step)
-        buf = sl if keep_trace else slice(min(step, m - lo))
+        buf = slice(min(step, m - lo))
         delta, b, c = gen_params(s[sl], x_row[sl], w_s, delta_buf[buf], bc_buf[buf])
         softplus(delta, out=delta)
         delta *= delay[sl, :, None]
@@ -298,14 +296,11 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                                          x=x_conv[sl], h0=h))
         y[sl] = out.y
         h = out.h_final
-    if not keep_trace:
-        return y, h, None
-    return y, h, {"x_conv": x_conv, "b": bc_buf[..., 0], "c": bc_buf[..., 1],
-                  "delta": delta_buf, "a_bar": a_bar_buf, "b_bar": b_bar_buf}
+    return y, h
 
 
 def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
-                w: IbsWeights, return_trace: bool = False):
+                w: IbsWeights) -> tuple[np.ndarray, np.ndarray]:
     """Bidirectional interactive scan over a serialized point sequence.
 
     x is (M, C) in the layer's serialized order and h0 is (K, C). The states
@@ -314,7 +309,7 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     are normalized and projected, the scan runs forward and backward with
     direction-specific weights sharing one SiLU(z) gate, and both outputs get
     residual connections: y = out_y(gated sum) + x, h = out_h(sum of final
-    states) + h0.
+    states) + h0. Returns (y, h).
     """
     x = require_finite("x", np.asarray(x, dtype=np.float64))
     h0 = require_finite("h0", np.asarray(h0, dtype=np.float64))
@@ -333,23 +328,15 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     z = linear(xn, w.in_z)
     h_hat0 = linear(hn, w.in_h)
 
-    y_fwd, h_fwd, tr_f = _run_direction(x_hat, h_hat0, s, delay, w.forward, return_trace)
-    # The backward scan is the forward code on reversed views; its outputs
-    # are flipped back so row t is serialized position t again.
-    y_bwd, h_bwd, tr_b = _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1],
-                                        w.backward, return_trace)
+    y_fwd, h_fwd = _run_direction(x_hat, h_hat0, s, delay, w.forward)
+    # The backward scan is the forward code on reversed views; its output is
+    # flipped back so row t is serialized position t again.
+    y_bwd, h_bwd = _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1], w.backward)
     y_bwd = y_bwd[::-1]
 
     gate = silu(z)
     y = linear((y_fwd + y_bwd) * gate, w.out_y) + x
     h_out = linear(h_fwd + h_bwd, w.out_h) + h0
-    if return_trace:
-        trace = {
-            "x_hat": x_hat, "z": z, "h_hat0": h_hat0, "s": s, "delay": delay,
-            "forward": tr_f, "backward": {name: v[::-1] for name, v in tr_b.items()},
-            "y_fwd": y_fwd, "y_bwd": y_bwd, "h_fwd": h_fwd, "h_bwd": h_bwd,
-        }
-        return y, h_out, trace
     return y, h_out
 
 

@@ -19,14 +19,14 @@ from dest3d.decoder import (
     positional_embedding,
 )
 from dest3d.geometry import Box3D, farthest_point_sampling, synth_scene
-from dest3d.issm import correlation_table_init, delay_kernel, ibs_forward, ibs_weights_init
+from dest3d.issm import IbsWeights, correlation_table_init, delay_kernel, ibs_weights_init
 from dest3d.numerics import PrngStream, softplus
 from dest3d.serialization import SerializationOrder, hilbert_indices, locality_score, serialize
 from dest3d.ssm import ScanInputs, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 from dest3d.verify import attention_direct, attention_recurrence, complexity_bench
 
-from test_decoder import small_cfg, zero_residual_branches
-from test_issm import conditioning, make_boxes, transcribe_block
+from test_decoder import layer_features, small_cfg, zero_linear, zero_residual_branches
+from test_issm import conditioning, make_boxes, traced_block, transcribe_block
 
 
 def report(criterion: str, detail: str):
@@ -175,13 +175,10 @@ def test_acc_06_delay_kernel_contract():
     table = correlation_table_init(rng, 3)
     x, h0 = rng.normal((2, 4)), rng.normal((k, 4))
     pts2 = np.vstack([boxes[0].center, far])
-    _, _, tr = ibs_forward(x, h0, *conditioning(pts2, boxes, w, table), w,
-                           return_trace=True)
+    _, _, tr = traced_block(x, h0, *conditioning(pts2, boxes, w, table), w)
     # identical weights except the kernel disabled
-    from dest3d.issm import IbsWeights
     w_off = IbsWeights(**{**w.__dict__, "alpha_raw": -80.0})
-    _, _, tr0 = ibs_forward(x, h0, *conditioning(pts2, boxes, w_off, table), w_off,
-                            return_trace=True)
+    _, _, tr0 = traced_block(x, h0, *conditioning(pts2, boxes, w_off, table), w_off)
     ratios = []
     for direction_name in ("forward", "backward"):
         upd = np.abs(tr[direction_name]["b_bar"][1] * tr[direction_name]["x_conv"][1]).max()
@@ -203,12 +200,8 @@ def test_acc_07_block_fidelity():
         x, h0 = rng.normal((m, c)), rng.normal((k, c))
         points = rng.normal((m, 3))
         boxes = make_boxes(rng, k)
-        y, h, trace = ibs_forward(x, h0, *conditioning(points, boxes, w, table), w,
-                                  return_trace=True)
-        # intermediate shapes
-        assert trace["x_hat"].shape == (m, e) and trace["z"].shape == (m, e)
-        assert trace["h_hat0"].shape == (k, e)
-        assert trace["s"].shape == (m, k, d) and trace["delay"].shape == (m, k)
+        y, h, trace = traced_block(x, h0, *conditioning(points, boxes, w, table), w)
+        # the shapes of the parameters each direction's scan reads
         for direction in ("forward", "backward"):
             t = trace[direction]
             assert t["x_conv"].shape == (m, e)
@@ -221,7 +214,7 @@ def test_acc_07_block_fidelity():
     assert worst <= 1e-12, worst
     report("ACC-07 block fidelity",
            f"10 seeds vs scalar transcription, max abs err {worst:.3e} <= 1e-12; "
-           f"all intermediate shapes verified")
+           f"all scan-parameter shapes verified")
 
 
 def test_acc_08_simultaneous_update():
@@ -234,23 +227,57 @@ def test_acc_08_simultaneous_update():
     idx = farthest_point_sampling(scene.positions, cfg.num_states)
     prev_h = prev_x[idx]
     norms = []
-    for layer in result.layers:
-        dx = float(np.linalg.norm(layer.x - prev_x))
+    for x, layer in zip(layer_features(scene, cfg, weights), result.layers):
+        dx = float(np.linalg.norm(x - prev_x))
         dh = float(np.linalg.norm(layer.h - prev_h))
         assert dx > 0 and dh > 0
         norms.append((dx, dh))
-        prev_x, prev_h = layer.x, layer.h
+        prev_x, prev_h = x, layer.h
     # residual-zero configuration is the exact identity
     zero_residual_branches(weights)
     result0 = decoder_stack(scene, cfg, weights)
     x0 = scene.features + positional_embedding(scene.positions, weights)
-    for layer in result0.layers:
-        np.testing.assert_array_equal(layer.x, x0)
+    for x, layer in zip(layer_features(scene, cfg, weights), result0.layers):
+        np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(layer.h, x0[idx])
     report("ACC-08 simultaneous update",
            f"3 layers, per-layer (|dx|, |dh|) = "
            f"{[(round(a, 2), round(b, 2)) for a, b in norms]}; "
            f"residual-zero stack is the bit-exact identity")
+
+
+def test_acc_12_frozen_scene_ablation():
+    # DETR decoders keep the scene features fixed. Zeroing the two residual
+    # branches that write x (the block's out_y and the scene FFN's out) is
+    # that setting on this stack: x stays bit for bit while h still moves.
+    # Counts of changed entries, not norms: a norm of differences can
+    # underflow to 0.
+    cfg = small_cfg(num_layers=3)
+    scene = synth_scene(num_boxes=2, points_per_box=16, noise_points=16, seed=8,
+                        feature_dim=cfg.channels)
+    counts = {}
+    for name in ("seeded", "frozen"):
+        weights = decoder_weights_init(PrngStream(88), cfg)
+        if name == "frozen":
+            for lw in weights.layers:
+                lw.ibs.out_y = zero_linear(lw.ibs.out_y)
+                lw.gffn_x.out = zero_linear(lw.gffn_x.out)
+        prev_x = scene.features + positional_embedding(scene.positions, weights)
+        prev_h = prev_x[farthest_point_sampling(scene.positions, cfg.num_states)]
+        counts[name] = []
+        layers = decoder_stack(scene, cfg, weights).layers
+        for x, layer in zip(layer_features(scene, cfg, weights), layers):
+            counts[name].append((int(np.count_nonzero(x != prev_x)),
+                                 int(np.count_nonzero(layer.h != prev_h))))
+            prev_x, prev_h = x, layer.h
+    assert len(counts["frozen"]) == cfg.num_layers
+    assert all(dx == 0 and dh > 0 for dx, dh in counts["frozen"]), counts
+    assert all(dx > 0 and dh > 0 for dx, dh in counts["seeded"]), counts
+    size = scene.features.size
+    report("ACC-12 frozen-scene ablation",
+           f"changed x entries per layer of {size}: seeded "
+           f"{[dx for dx, _ in counts['seeded']]}, out_y and gffn_x.out zeroed "
+           f"{[dx for dx, _ in counts['frozen']]}; h moves at every layer in both")
 
 
 def test_acc_09_complexity_scaling():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,13 @@ def small_cfg(**kw):
                 heads=2, num_states=4, num_classes=5)
     base.update(kw)
     return DecoderConfig(**base)
+
+
+def layer_features(scene, cfg, weights):
+    """The scene features after each of cfg's layers: layer n's are the
+    final_x of the same stack run with num_layers=n."""
+    return [decoder_stack(scene, dataclasses.replace(cfg, num_layers=n), weights).final_x
+            for n in range(1, cfg.num_layers + 1)]
 
 
 def zero_linear(like: LinearWeights) -> LinearWeights:
@@ -336,7 +344,7 @@ class TestDecoderStack:
         h0 = x0[idx]
         boxes = [d.box for d in detection_head(h0, scene.positions[idx], weights.head)]
         x1, h1 = decoder_layer(x0, h0, scene.positions, boxes, 0, weights.layers[0], cfg)
-        np.testing.assert_allclose(result.layers[0].x, x1, atol=1e-13)
+        np.testing.assert_allclose(result.final_x, x1, atol=1e-13)
         np.testing.assert_allclose(result.layers[0].h, h1, atol=1e-13)
 
     def test_per_layer_detection_count(self):
@@ -355,8 +363,8 @@ class TestDecoderStack:
                             feature_dim=cfg.channels)
         weights = decoder_weights_init(PrngStream(31), cfg)
         result = decoder_stack(scene, cfg, weights)
-        for layer in result.layers:
-            assert np.isfinite(layer.x).all() and np.isfinite(layer.h).all()
+        for x, layer in zip(layer_features(scene, cfg, weights), result.layers):
+            assert np.isfinite(x).all() and np.isfinite(layer.h).all()
             for det in layer.detections:
                 assert (det.box.size > 0).all()
                 assert -np.pi < det.box.yaw <= np.pi
@@ -421,8 +429,8 @@ class TestDecoderStack:
         result = decoder_stack(scene, cfg, weights)
         x0 = scene.features + positional_embedding(scene.positions, weights)
         idx = farthest_point_sampling(scene.positions, cfg.num_states)
-        for layer in result.layers:
-            np.testing.assert_array_equal(layer.x, x0)
+        for x, layer in zip(layer_features(scene, cfg, weights), result.layers):
+            np.testing.assert_array_equal(x, x0)
             np.testing.assert_array_equal(layer.h, x0[idx])
 
     def test_simultaneous_update(self):
@@ -434,10 +442,43 @@ class TestDecoderStack:
         prev_x = scene.features + positional_embedding(scene.positions, weights)
         idx = farthest_point_sampling(scene.positions, cfg.num_states)
         prev_h = prev_x[idx]
-        for layer in result.layers:
-            assert np.linalg.norm(layer.x - prev_x) > 0
+        for x, layer in zip(layer_features(scene, cfg, weights), result.layers):
+            assert np.linalg.norm(x - prev_x) > 0
             assert np.linalg.norm(layer.h - prev_h) > 0
-            prev_x, prev_h = layer.x, layer.h
+            prev_x, prev_h = x, layer.h
+
+    def test_truncated_stack_is_prefix_of_full_stack(self, monkeypatch):
+        # layer_features reads layer n's x as the final_x of an n-layer run:
+        # that run must reproduce the full stack's first n layers bit for bit
+        cfg = small_cfg(num_layers=3)
+        scene = synth_scene(num_boxes=2, points_per_box=16, noise_points=16, seed=44,
+                            feature_dim=cfg.channels)
+        weights = decoder_weights_init(PrngStream(45), cfg)
+        layer_call, full_x = decoder_mod.decoder_layer, []
+
+        def recorded(*args):
+            x, h = layer_call(*args)
+            full_x.append(x)
+            return x, h
+
+        monkeypatch.setattr(decoder_mod, "decoder_layer", recorded)
+        full = decoder_stack(scene, cfg, weights)
+        monkeypatch.undo()
+        assert len(full_x) == cfg.num_layers
+        np.testing.assert_array_equal(full_x[-1], full.final_x)
+
+        def fields(layer):
+            return [layer.h] + [np.hstack([d.box.center, d.box.size, d.box.yaw,
+                                           d.class_logits, d.objectness])
+                                for d in layer.detections]
+
+        for n in range(1, cfg.num_layers + 1):
+            run = decoder_stack(scene, dataclasses.replace(cfg, num_layers=n), weights)
+            assert len(run.layers) == n
+            np.testing.assert_array_equal(run.final_x, full_x[n - 1])
+            for got, want in zip(fields(run.layers[-1]), fields(full.layers[n - 1]),
+                                 strict=True):
+                np.testing.assert_array_equal(got, want)
 
     def test_scene_stream_index_stability(self):
         # tag each row with a distinctive burned-in value and confirm rows
@@ -454,7 +495,7 @@ class TestDecoderStack:
         # zero the positional embedding so features stay exactly the tags
         weights.pos_embed_out = zero_linear(weights.pos_embed_out)
         result = decoder_stack(scene, cfg, weights)
-        np.testing.assert_array_equal(result.layers[0].x, scene.features)
+        np.testing.assert_array_equal(result.final_x, scene.features)
 
     def test_point_objectness_shape(self):
         cfg = small_cfg()
