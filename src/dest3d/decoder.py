@@ -288,10 +288,11 @@ def _physical_memory() -> int | None:
 def _mk_bytes(m: int, cfg: DecoderConfig) -> int:
     """Bytes a layer holds in arrays that grow with M·K: s (M, K, D), the
     delay (M, K), and the scan's three (rows, K, E) and one (rows, K, 2)
-    chunk buffers."""
+    chunk buffers, twice when both directions run at once."""
     k = cfg.num_states
     rows = min(m, issm._chunk_rows(k, cfg.state_dim))
-    return 8 * (m * k * (cfg.corr_dim + 1) + rows * k * (3 * cfg.state_dim + 2))
+    scans = 2 if issm._two_threads(k) else 1
+    return 8 * (m * k * (cfg.corr_dim + 1) + scans * rows * k * (3 * cfg.state_dim + 2))
 
 
 def decoder_stack(scene: Scene, cfg: DecoderConfig,

@@ -23,6 +23,8 @@ projections to both streams.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,9 @@ from .ssm import ScanInputs, scan_sequential
 from .ssm import discretize_zoh  # noqa: F401
 
 TABLE_EXTENT = 2.0  # the table varies out to one box half-size past each face
+# K from which a layer's two independent halves run on two threads: at E=32,
+# a 2048-element state block per scan step (see _two_threads)
+_THREAD_MIN_STATES = 64
 
 __all__ = [
     "CorrelationTable",
@@ -120,6 +125,62 @@ class IbsWeights:
     alpha_raw: np.ndarray  # 0-d: the delay kernel's rate before softplus
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _two_threads(k: int) -> bool:
+    """Whether a layer with k states runs its two scan directions, and the
+    two halves of its correlation's boxes, on two threads.
+
+    Both halves are numpy passes that release the GIL, but below K=64 (E=32)
+    a scan step is too short to pay for the GIL hand-offs. ibs_forward alone,
+    two threads over serial (in-process medians, 2 vCPUs), read 1.43 at
+    K·E=512, 0.90 at 1024, 0.65 at 2048 and 0.75 at 4096. The correlation
+    split alone ran at 0.65-0.68 of serial at M >= 2048 for any K, but below
+    the gate it raised peak RSS by 4.0-4.7 MB (the worker's malloc arena) on
+    workloads that gain nothing else, so it takes the same gate.
+    """
+    return k >= _THREAD_MIN_STATES and _cpu_count() > 1
+
+
+def _in_parallel(first, second):
+    """(first(), second()), with second run on a worker thread meanwhile.
+
+    The worker is joined before this returns, also when either call raises.
+    first's exception propagates as is; the worker's is re-raised here.
+    """
+    done = {}
+
+    def work():
+        try:
+            done["value"] = second()
+        except BaseException as exc:  # handed to the calling thread
+            done["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        value = first()
+    finally:
+        worker.join()
+    if "error" in done:
+        raise done["error"]
+    return value, done["value"]
+
+
+def _over_boxes(k: int, fill) -> None:
+    """fill(0, k), or at _two_threads(k) fill(0, k // 2) here while
+    fill(k // 2, k) runs on a worker thread."""
+    if _two_threads(k):
+        _in_parallel(lambda: fill(0, k // 2), lambda: fill(k // 2, k))
+    else:
+        fill(0, k)
+
+
 def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                         corr: CorrelationTable | CorrelationMlp) -> np.ndarray:
     """Per (point, box) geometric feature s of shape (M, K, D).
@@ -131,6 +192,11 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
     - vertex))) over the 8 box vertices; both layers are affine, so hidden
     runs on the points once and on each box's vertices, and out runs once on
     the (M, K, H) sum of silu (its bias counted 8 times).
+
+    Each box's column is computed on its own, so at K >= 64 on more than one
+    CPU (_two_threads) the second half of the boxes runs on a worker thread,
+    with its own scratch, into its own columns of the one output. The result
+    is bit-identical either way.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
@@ -142,19 +208,23 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
         # corner v takes the upper grid index on the axes where its sign is
         # +, so the corners keep box_vertices' x-y-z order
         upper = (_CORNER_SIGNS > 0).astype(np.intp)
-        frac_pair = np.empty((m, 2, 3))  # [1 - f | f] per axis
         out = np.empty((m, k, d), dtype=np.float64)
-        for j, box in enumerate(boxes):
-            # clamped, the map onto [0, g-1] is exact at both ends: no second clip
-            c = np.clip(box_local_coords(points, box), -TABLE_EXTENT, TABLE_EXTENT)
-            c = (c + TABLE_EXTENT) / (2.0 * TABLE_EXTENT) * (g - 1.0)
-            i0 = np.minimum(c.astype(np.int64), g - 2)
-            np.subtract(c, i0, out=frac_pair[:, 1])
-            np.subtract(1.0, frac_pair[:, 1], out=frac_pair[:, 0])
-            w = frac_pair[:, upper, np.arange(3)]  # (M, 8, 3)
-            weights = w[..., 0] * w[..., 1] * w[..., 2]
-            idx = (i0 @ strides)[:, None] + upper @ strides
-            out[:, j] = (weights[:, None] @ flat.take(idx, axis=0))[:, 0]
+
+        def fill(lo: int, hi: int) -> None:
+            frac_pair = np.empty((m, 2, 3))  # [1 - f | f] per axis
+            for j in range(lo, hi):
+                # clamped, the map onto [0, g-1] is exact at both ends: no second clip
+                c = np.clip(box_local_coords(points, boxes[j]), -TABLE_EXTENT, TABLE_EXTENT)
+                c = (c + TABLE_EXTENT) / (2.0 * TABLE_EXTENT) * (g - 1.0)
+                i0 = np.minimum(c.astype(np.int64), g - 2)
+                np.subtract(c, i0, out=frac_pair[:, 1])
+                np.subtract(1.0, frac_pair[:, 1], out=frac_pair[:, 0])
+                w = frac_pair[:, upper, np.arange(3)]  # (M, 8, 3)
+                weights = w[..., 0] * w[..., 1] * w[..., 2]
+                idx = (i0 @ strides)[:, None] + upper @ strides
+                out[:, j] = (weights[:, None] @ flat.take(idx, axis=0))[:, 0]
+
+        _over_boxes(k, fill)
         return out
     if isinstance(corr, CorrelationMlp):
         hidden, head = corr.hidden, corr.out
@@ -162,16 +232,20 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
         if hidden.bias is not None:
             ph += hidden.bias
         hsum = np.empty((m, k, hidden.out_features), dtype=np.float64)
-        a, b, acc = (np.empty_like(ph) for _ in range(3))
-        for j, box in enumerate(boxes):
-            # the 8 vertices add in order into one contiguous (M, H) buffer,
-            # written to the strided column hsum[:, j] once: adding into
-            # that column per vertex ran about 10x slower than acc += b
-            acc.fill(0.0)
-            for vh in box_vertices(box) @ hidden.weight.T:
-                acc += silu(np.subtract(ph, vh, out=a), out=b)
-            hsum[:, j] = acc
-        del a, b, acc  # freed before the (M, K, D) output is allocated
+
+        def fill(lo: int, hi: int) -> None:
+            a, b, acc = (np.empty_like(ph) for _ in range(3))
+            for j in range(lo, hi):
+                # the 8 vertices add in order into one contiguous (M, H)
+                # buffer, written to the strided column hsum[:, j] once:
+                # adding into that column per vertex ran about 10x slower
+                acc.fill(0.0)
+                for vh in box_vertices(boxes[j]) @ hidden.weight.T:
+                    acc += silu(np.subtract(ph, vh, out=a), out=b)
+                hsum[:, j] = acc
+
+        # fill's scratch is freed before the (M, K, D) output is allocated
+        _over_boxes(k, fill)
         out = (hsum.reshape(m * k, -1) @ head.weight.T).reshape(m, k, head.out_features)
         if head.bias is not None:
             out += 8.0 * head.bias
@@ -249,12 +323,18 @@ def _param_weights(w: DirectionWeights) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _chunk_rows(k: int, e: int) -> int:
     """Serialized points per step of _run_direction at K states and E state
-    channels: a budget of 2^14 elements per (rows, K, E) buffer, at least 32
+    channels: a budget of 2^14 elements per (rows, K, E) buffer, at least 24
     rows. Longer steps spread each step's fixed Python overhead at small K·E
-    (128 rows at K=4, E=32); at K=16 and K=64 more than 32 rows measured no
-    faster.
+    (128 rows at K=4, E=32); at K=16 more than 32 rows measured no faster.
+
+    The floor binds only above K·E = 512, where ibs_forward runs both
+    directions at once (_two_threads), so it sets what the second direction's
+    buffers add to peak RSS. On the benchmark's M=2048, K=64 workload, op
+    time over the serial parent / peak-RSS change read: floor 32, 0.65-0.68 /
+    +6.5%; floor 24, 0.69-0.73 / +3.1 to +4.1%; floor 16, 0.77 / +1.7%.
+    Serial, floor 24 read within noise of floor 32.
     """
-    return max(32, 2**14 // (k * e))
+    return max(24, 2**14 // (k * e))
 
 
 def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
@@ -310,6 +390,11 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     direction-specific weights sharing one SiLU(z) gate, and both outputs get
     residual connections: y = out_y(gated sum) + x, h = out_h(sum of final
     states) + h0. Returns (y, h).
+
+    The two directions share no state. At K >= 64 on more than one CPU
+    (_two_threads) the backward one runs on a worker thread while this
+    thread runs the forward one, each with its own chunk buffers; the result
+    is bit-identical to running them one after the other.
     """
     x = require_finite("x", np.asarray(x, dtype=np.float64))
     h0 = require_finite("h0", np.asarray(h0, dtype=np.float64))
@@ -328,10 +413,18 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     z = linear(xn, w.in_z)
     h_hat0 = linear(hn, w.in_h)
 
-    y_fwd, h_fwd = _run_direction(x_hat, h_hat0, s, delay, w.forward)
+    def forward():
+        return _run_direction(x_hat, h_hat0, s, delay, w.forward)
+
     # The backward scan is the forward code on reversed views; its output is
     # flipped back so row t is serialized position t again.
-    y_bwd, h_bwd = _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1], w.backward)
+    def backward():
+        return _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1], w.backward)
+
+    if _two_threads(h0.shape[0]):
+        (y_fwd, h_fwd), (y_bwd, h_bwd) = _in_parallel(forward, backward)
+    else:
+        (y_fwd, h_fwd), (y_bwd, h_bwd) = forward(), backward()
     y_bwd = y_bwd[::-1]
 
     gate = silu(z)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import dest3d.decoder as decoder_mod
+import dest3d.issm as issm_mod
 from dest3d.decoder import (
     DecoderConfig,
     binary_focal_loss,
@@ -291,8 +293,6 @@ class TestDecoderStack:
     def test_conditioning_looked_up_in_issm_once_per_layer(self, monkeypatch):
         # perfbench's tracer wraps these two names at dest3d.issm's globals
         # only; a layer that bypassed them would leave its stage split at 0
-        import dest3d.issm as issm_mod
-
         calls = {"spatial_correlation": 0, "delay_kernel": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(issm_mod, name), **kw):
@@ -309,8 +309,6 @@ class TestDecoderStack:
         # perfbench's tracer wraps the chunk's parameter step and softplus at
         # dest3d.issm's globals: one call each per chunk, per direction and
         # layer. delay_kernel adds one scalar softplus (its alpha) per layer.
-        import dest3d.issm as issm_mod
-
         calls = {"gen_params": 0, "softplus": 0, "softplus_chunk": 0}
         for name in ("gen_params", "softplus"):
             def counted(*args, _name=name, _fn=getattr(issm_mod, name), **kw):
@@ -369,6 +367,25 @@ class TestDecoderStack:
                 assert (det.box.size > 0).all()
                 assert -np.pi < det.box.yaw <= np.pi
 
+    def test_no_thread_outlives_the_stack(self, monkeypatch):
+        # at K=64 on two CPUs every layer starts worker threads; each is
+        # joined before the stack returns, also when layer 1's backward
+        # scan raises on its worker
+        monkeypatch.setattr(issm_mod, "_cpu_count", lambda: 2)
+        cfg = small_cfg(num_states=64)
+        scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=70, seed=37,
+                            feature_dim=cfg.channels)
+        weights = decoder_weights_init(PrngStream(38), cfg)
+        before = threading.active_count()
+        decoder_stack(scene, cfg, weights)
+        assert threading.active_count() == before
+        ibs = weights.layers[1].ibs
+        ibs.backward = dataclasses.replace(
+            ibs.backward, conv_kernel=np.zeros((cfg.state_dim + 1, 8)))
+        with pytest.raises(ValueError, match="depthwise_conv1d"):
+            decoder_stack(scene, cfg, weights)
+        assert threading.active_count() == before
+
     def test_too_few_points_rejected(self):
         cfg = small_cfg(num_states=64)
         scene = synth_scene(num_boxes=0, noise_points=10, seed=32,
@@ -378,14 +395,23 @@ class TestDecoderStack:
         with pytest.raises(ValueError):
             decoder_stack(scene, cfg, weights)
 
-    def test_memory_budget_refuses_before_any_work(self, monkeypatch):
-        cfg = small_cfg()
-        scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=10, seed=35,
+    def test_memory_budget_refuses_before_any_work(self):
+        # at K >= 64 on two CPUs both scan directions hold their chunk
+        # buffers at once; at K=4, or on one CPU, one direction's count
+        for k, cpus, scans in ((4, 2, 1), (64, 2, 2), (64, 1, 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(issm_mod, "_cpu_count", lambda cpus=cpus: cpus)
+                self.check_memory_budget(mp, k, scans)
+
+    @staticmethod
+    def check_memory_budget(monkeypatch, k, scans):
+        cfg = small_cfg(num_states=k)
+        scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=k + 6, seed=35,
                             feature_dim=cfg.channels)
         weights = decoder_weights_init(PrngStream(36), cfg)
-        m, k, e = scene.num_points, cfg.num_states, cfg.state_dim
+        m, e = scene.num_points, cfg.state_dim
         rows = min(m, _chunk_rows(k, e))
-        need = 8 * (m * k * cfg.corr_dim + m * k + 3 * rows * k * e + rows * k * 2)
+        need = 8 * (m * k * cfg.corr_dim + m * k + scans * (3 * rows * k * e + rows * k * 2))
         assert decoder_mod._mk_bytes(m, cfg) == need
 
         def no_work(*args):
@@ -395,7 +421,7 @@ class TestDecoderStack:
         monkeypatch.setattr(decoder_mod, "positional_embedding", no_work)
         with pytest.raises(MemoryError, match=f"M={m} points x K={k} states"):
             decoder_stack(scene, cfg, weights)
-        monkeypatch.undo()
+        monkeypatch.setattr(decoder_mod, "positional_embedding", positional_embedding)
         monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need)
         reference = decoder_stack(scene, cfg, weights)
         monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: None)

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -690,35 +692,44 @@ def traced_block(x, h0, s, delay, w: IbsWeights):
     Wraps the dest3d.issm lookups of gen_params and scan_sequential, and at
     each scan call copies the chunk's x_conv, c, a_bar and b_bar, and the
     delta and b views gen_params returned (softplus and the delay have acted
-    on delta in place by then): the next chunk reuses the buffers. The first
-    half of the chunks is the forward direction, the second the backward
-    one, which is flipped back to serialized order. Each trace array is
+    on delta in place by then): the next chunk reuses the buffers. Chunks are
+    kept per thread. When the backward direction runs on a worker thread,
+    the calling thread's chunks are the forward direction and the worker's
+    the backward one; when both run here, the first half of the chunks is
+    the forward direction and the second the backward one. The backward
+    chunks are flipped back to serialized order. Each trace array is
     (M, ...) per direction.
     """
     real_gen, real_scan = issm.gen_params, issm.scan_sequential
-    pending, chunks = [], []
+    pending, chunks = defaultdict(list), defaultdict(list)
 
     def gen_params(*args):
         out = real_gen(*args)
-        pending.append(out)
+        pending[threading.get_ident()].append(out)
         return out
 
     def scan_sequential(inputs):
-        delta, b, _ = pending.pop()
+        thread = threading.get_ident()
+        delta, b, _ = pending[thread].pop()
         views = {"x_conv": inputs.x, "b": b, "c": inputs.c, "delta": delta,
                  "a_bar": inputs.a_bar, "b_bar": inputs.b_bar}
-        chunks.append({name: v.copy() for name, v in views.items()})
+        chunks[thread].append({name: v.copy() for name, v in views.items()})
         return real_scan(inputs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(issm, "gen_params", gen_params)
         mp.setattr(issm, "scan_sequential", scan_sequential)
         y, h = ibs_forward(x, h0, s, delay, w)
-    half = len(chunks) // 2
+    forward = chunks.pop(threading.get_ident())
+    if chunks:
+        (backward,) = chunks.values()
+    else:
+        half = len(forward) // 2
+        forward, backward = forward[:half], forward[half:]
     trace = {direction: {name: np.concatenate([c[name] for c in part])[::step]
                          for name in part[0]}
-             for direction, part, step in (("forward", chunks[:half], 1),
-                                           ("backward", chunks[half:], -1))}
+             for direction, part, step in (("forward", forward, 1),
+                                           ("backward", backward, -1))}
     return y, h, trace
 
 
@@ -768,6 +779,15 @@ class TestChunkedPipeline:
         # chunk edge
         self.check_against_unchunked(5100, _chunk_rows(64, 32) + 1, k=64, c=32, e=32, d=16)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_unchunked_reference_at_states_heavy_shape_three_chunks(
+            self, monkeypatch, cpus):
+        # three chunks per direction at the states_heavy shape, with the
+        # backward direction on a worker thread (cpus=2) or after the
+        # forward one here (cpus=1)
+        monkeypatch.setattr(issm, "_cpu_count", lambda: cpus)
+        self.check_against_unchunked(5150, 3 * _chunk_rows(64, 32), k=64, c=32, e=32, d=16)
+
     def test_matches_unchunked_reference_at_points_heavy_shape(self):
         # points_heavy's K=4, E=32 gets more rows per chunk than 32: check
         # three chunk edges and a partial tail there
@@ -794,3 +814,96 @@ class TestChunkedPipeline:
                 tracemalloc.stop()
         mke_bytes = m * k * e * 8
         assert peak < 2 * mke_bytes, peak / mke_bytes
+
+
+def forced_threads(monkeypatch, cpus):
+    """Make _two_threads see cpus CPUs, and record every thread started."""
+    monkeypatch.setattr(issm, "_cpu_count", lambda: cpus)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+class TestTwoThreads:
+    """At K >= 64 on more than one CPU, ibs_forward runs its backward
+    direction, and spatial_correlation the second half of its boxes, on a
+    worker thread. The CPU count is forced, so both paths run on any
+    machine, and they must give the same bits."""
+
+    @staticmethod
+    def block_case(seed, k, m=3 * _chunk_rows(64, 32) + 5):
+        # at K=64, E=32: three full chunks and a partial tail per direction
+        rng = PrngStream(seed)
+        w = ibs_weights_init(rng, channels=8, state_dim=32, corr_dim=4)
+        table = correlation_table_init(rng, 4)
+        x, h0 = rng.normal((m, 8)), rng.normal((k, 8))
+        points = rng.normal((m, 3), 0.0, 2.0)
+        return x, h0, conditioning(points, make_boxes(rng, k), w, table), w
+
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        """run() on one forced CPU and on two: the two results and the
+        number of threads each started, all joined when run() returns."""
+        before = threading.active_count()
+        out = []
+        for cpus in (1, 2):
+            started = forced_threads(monkeypatch, cpus)
+            out.append((run(), len(started)))
+            assert threading.active_count() == before
+        return out
+
+    def test_ibs_forward_same_bits(self, monkeypatch):
+        x, h0, (s, delay), w = self.block_case(6000, k=64)
+        (serial, n1), (threaded, n2) = self.both_ways(
+            monkeypatch, lambda: ibs_forward(x, h0, s, delay, w))
+        assert (n1, n2) == (0, 1)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("form", ["table", "mlp"])
+    def test_spatial_correlation_same_bits(self, monkeypatch, form):
+        rng = PrngStream(6001)
+        corr = (correlation_table_init(rng, 5) if form == "table"
+                else correlation_mlp_init(rng, 5))
+        points, boxes = rng.normal((300, 3), 0.0, 2.0), make_boxes(rng, 64)
+        (serial, n1), (threaded, n2) = self.both_ways(
+            monkeypatch, lambda: spatial_correlation(points, boxes, corr))
+        assert (n1, n2) == (0, 1)
+        assert np.array_equal(serial, threaded)
+
+    def test_no_thread_below_64_states(self, monkeypatch):
+        x, h0, (s, delay), w = self.block_case(6002, k=16)
+        points, boxes = PrngStream(6003).normal((50, 3)), make_boxes(PrngStream(6004), 63)
+        started = forced_threads(monkeypatch, 2)
+        ibs_forward(x, h0, s, delay, w)
+        for corr in (correlation_table_init(PrngStream(6005), 3),
+                     correlation_mlp_init(PrngStream(6006), 3)):
+            spatial_correlation(points, boxes, corr)
+        assert started == []
+
+    @pytest.mark.parametrize("bad", [("forward",), ("backward",), ("forward", "backward")])
+    def test_malformed_conv_kernel_raises_as_serial(self, monkeypatch, bad):
+        # each bad direction gets a kernel of a different wrong width, so the
+        # message names the one that raised: forward's when both are bad,
+        # as in the serial order
+        x, h0, (s, delay), w = self.block_case(6007, k=64)
+        for extra, direction in enumerate(bad, start=1):
+            dw = getattr(w, direction)
+            setattr(w, direction, DirectionWeights(**{
+                **dw.__dict__, "conv_kernel": np.zeros((32 + extra, 8))}))
+        before = threading.active_count()
+        messages = []
+        for cpus in (1, 2):
+            forced_threads(monkeypatch, cpus)
+            with pytest.raises(ValueError) as info:
+                ibs_forward(x, h0, s, delay, w)
+            messages.append(str(info.value))
+            assert threading.active_count() == before
+        assert messages[0] == messages[1]
+        assert "(33, 8)" in messages[0]
