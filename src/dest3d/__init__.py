@@ -35,7 +35,6 @@ from .issm import (
     CorrelationTable,
     IbsWeights,
     delay_kernel,
-    gen_params,
     ibs_forward,
     ibs_weights_init,
     spatial_correlation,

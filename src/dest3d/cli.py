@@ -275,8 +275,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
-        print(f"error: out of memory{detail}; the scene or config is too large for "
-              "this machine", file=sys.stderr)
+        print(f"error: out of memory{detail}; the input is too large for this machine",
+              file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,6 @@ those boxes drive the next layer's spatial correlation and delay kernel.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .issm import (
     CorrelationMlp,
     CorrelationTable,
     IbsWeights,
+    _physical_memory,
     correlation_mlp_init,
     correlation_table_init,
     ibs_forward,
@@ -51,6 +51,7 @@ __all__ = [
     "DecoderLayerWeights",
     "DecoderWeights",
     "LayerOutput",
+    "StackResult",
     "inter_state_attention",
     "gffn",
     "decoder_layer",
@@ -275,14 +276,6 @@ def point_objectness(x: np.ndarray, w: DecoderWeights) -> np.ndarray:
 class StackResult:
     layers: list[LayerOutput]
     final_x: np.ndarray
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _mk_bytes(m: int, cfg: DecoderConfig) -> int:

@@ -58,7 +58,6 @@ __all__ = [
     "DirectionWeights",
     "IbsWeights",
     "spatial_correlation",
-    "gen_params",
     "delay_kernel",
     "ibs_forward",
     "ibs_weights_init",
@@ -130,6 +129,14 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _two_threads(k: int) -> bool:
@@ -254,6 +261,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                     f"got {type(corr).__name__}")
 
 
+# Not in __all__; a dest3d.issm global because perfbench's tracer and tests look it up here.
 def gen_params(s: np.ndarray, x_row: np.ndarray, w_s: np.ndarray, delta: np.ndarray,
                bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-softplus scan parameters of one chunk of n points, written in place.

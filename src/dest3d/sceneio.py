@@ -110,7 +110,10 @@ def read_text_points(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
         fields = body.split()
         if len(fields) not in (3, 6):
             raise ValueError(f"{path}:{lineno}: expected 3 or 6 numbers, got {len(fields)}")
-        vals = [float(f) for f in fields]
+        try:
+            vals = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         positions.append(vals[:3])
         if len(fields) == 6:
             colors.append(vals[3:])

@@ -141,13 +141,13 @@ def order_for_layer(layer: int) -> str:
     return AXIS_ORDERS[layer % 6]
 
 
-def locality_score(perm: np.ndarray, positions: np.ndarray, knn: int,
-                   block: int = 512) -> float:
+def locality_score(perm: np.ndarray, positions: np.ndarray, knn: int) -> float:
     """Mean |sequence-rank difference| to each point's knn nearest neighbors.
 
     Lower means spatial neighbors stay closer together in the 1D sequence.
     Neighbor ties at equal distance resolve to lower point index, so the
-    score is deterministic.
+    score is deterministic. Distances are computed 512 points at a time, so
+    memory grows as 512·M rather than M².
     """
     positions = np.asarray(positions, dtype=np.float64)
     perm = np.asarray(perm)
@@ -158,8 +158,8 @@ def locality_score(perm: np.ndarray, positions: np.ndarray, knn: int,
     rank[perm] = np.arange(m)
     total = 0.0
     sq = (positions**2).sum(axis=1)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
+    for lo in range(0, m, 512):
+        hi = min(lo + 512, m)
         d2 = sq[lo:hi, None] - 2.0 * positions[lo:hi] @ positions.T + sq[None, :]
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         neigh = np.argsort(d2, axis=1, kind="stable")[:, :knn]

@@ -7,11 +7,11 @@ keys) obeys the two-term recurrence
 
 with S_m the running similarity sum, which is exactly a state-space update
 whose coefficients come from query-key similarity. attention_direct computes
-one prefix's normalized sum outright; attention_recurrence runs the
-recurrence on the scan kernel of ssm, with the queries as its states;
-run_equivalence_suite checks every prefix of the recurrence to machine
-precision against one lower-triangle-masked product of the similarities (no
-running sum, no scan), alongside the scan/convolution, chunked-scan,
+every prefix's normalized sum outright, from one lower-triangle-masked
+product of the similarities (no running sum, no scan); attention_recurrence
+runs the recurrence on the scan kernel of ssm, with the queries as its
+states; run_equivalence_suite checks the two against each other on every
+prefix to machine precision, alongside the scan/convolution, chunked-scan,
 gradient, and delay-kernel contracts.
 """
 
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Box3D
-from .issm import delay_kernel
+from .issm import _physical_memory, delay_kernel
 from .numerics import PrngStream, softplus
 from .ssm import ScanInputs, _recur, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 
@@ -82,19 +82,18 @@ def _similarity(q0: np.ndarray, keys: np.ndarray, kind: str) -> np.ndarray:
 
 
 def attention_direct(q0: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                     m: int, sim: str = "exp_dot") -> np.ndarray:
-    """Similarity-weighted mean of the first m values, computed directly.
+                     sim: str = "exp_dot") -> np.ndarray:
+    """All prefix results (M, K, C), each a similarity-weighted mean computed directly.
 
-    The single-prefix public form; like attention_recurrence, it refuses
-    values without exactly one row per key.
+    Row m-1 weights keys 0..m-1 through the lower triangle of one (M, K, M)
+    similarity product. Like attention_recurrence, it refuses values without
+    exactly one row per key.
     """
     if values.shape[0] != keys.shape[0]:
         raise ValueError(f"values has {values.shape[0]} rows, keys has {keys.shape[0]}")
-    if not 1 <= m <= keys.shape[0]:
-        raise ValueError(f"m must be in [1, {keys.shape[0]}]")
-    w = _similarity(np.asarray(q0, dtype=np.float64),
-                    np.asarray(keys[:m], dtype=np.float64), sim)  # (K, m)
-    return (w @ values[:m]) / w.sum(axis=1, keepdims=True)
+    w = np.tri(keys.shape[0])[:, None, :] * _similarity(
+        np.asarray(q0, dtype=np.float64), np.asarray(keys, dtype=np.float64), sim)
+    return (w @ values) / w.sum(axis=2, keepdims=True)
 
 
 def attention_recurrence(q0: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -136,11 +135,9 @@ def _case_attn(stream: PrngStream, perturb: float) -> tuple[float, float]:
     q0 = stream.normal((k, c), 0.0, 1.0)
     keys = stream.normal((m, c), 0.0, 1.0)
     values = stream.normal((m, c), 0.0, 1.0)
-    mask = np.tri(m)[:, None, :]  # row p-1 keeps keys 0..p-1
     worst_abs = worst_rel = 0.0
     for sim in ("exp_dot", "rbf"):
-        w = mask * _similarity(q0, keys, sim)  # (M prefixes, K, M)
-        ref = (w @ values) / w.sum(axis=2, keepdims=True)
+        ref = attention_direct(q0, keys, values, sim)
         diff = np.abs(attention_recurrence(q0, keys, values, sim) + perturb - ref)
         worst_abs = max(worst_abs, float(diff.max()))
         worst_rel = max(worst_rel, float((diff / (np.abs(ref) + 1e-300)).max()))
@@ -279,19 +276,19 @@ def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
                              max_rel_err=worst_rel, cases=seeds, tolerance=tol)
 
 
-def _f32_attention(feats: np.ndarray, block: int = 256) -> np.ndarray:
+def _f32_attention(feats: np.ndarray) -> np.ndarray:
     """Dense self-attention used only for timing.
 
-    Row-blocked with in-place softmax so the working set stays cache-sized at
-    every M; otherwise the small sizes run cache-resident and the fitted
-    exponent measures the allocator, not the quadratic work.
+    Blocks of 256 rows with in-place softmax, so the working set stays
+    cache-sized at every M; otherwise the small sizes run cache-resident and
+    the fitted exponent measures the allocator, not the quadratic work.
     """
     m, e = feats.shape
     out = np.empty_like(feats)
     inv = np.float32(1.0 / np.sqrt(e))
     ft = feats.T.copy()
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
+    for lo in range(0, m, 256):
+        hi = min(lo + 256, m)
         s = feats[lo:hi] @ ft
         s *= inv
         s -= s.max(axis=-1, keepdims=True)
@@ -302,7 +299,7 @@ def _f32_attention(feats: np.ndarray, block: int = 256) -> np.ndarray:
 
 
 def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
-                     repeats: int = 5, seed: int = 0, threads: int = 1) -> dict:
+                     repeats: int = 5, threads: int = 1) -> dict:
     """Median wall-times of the decoder's f64 scan_sequential vs f32 M x M attention.
 
     Returns rows {M, scan_time, attention_time} plus log-log slopes. Machine
@@ -314,6 +311,9 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     sweeps moves every point of a fit alike. Timing requires a pinned worker
     count: the timing runs in one child process whose environment limits the
     BLAS and OpenMP pools to `threads` workers (default one, at least one).
+    The child holds two f64 (M, K, E) arrays for every size at once, so sizes
+    whose 16·K·E·ΣM bytes exceed physical memory raise MemoryError before it
+    starts.
     """
     if len(m_values) < 2:
         raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
@@ -323,6 +323,11 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
                                ("repeats", repeats, 3), ("threads", threads, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    need, have = 16 * k * e * sum(m_values), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"sizes {m_values} x K={k} x E={e} need about {need / 2**20:.0f} MiB "
+                          f"for the scan inputs, more than the {have / 2**20:.0f} MiB of "
+                          f"physical memory")
     # imported here, not at the top: subprocess alone adds 0.6 MB of RSS to
     # every process that imports dest3d
     import json
@@ -333,7 +338,7 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = ("import json, sys; from dest3d.verify import _time_scan_and_attention; "
              "print(json.dumps(_time_scan_and_attention(*json.loads(sys.argv[1]))))")
-    args = json.dumps([m_values, k, e, repeats, seed])
+    args = json.dumps([m_values, k, e, repeats])
     proc = subprocess.run([sys.executable, "-c", child, args], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -341,12 +346,11 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     return json.loads(proc.stdout)
 
 
-def _time_scan_and_attention(m_values: list[int], k: int, e: int, repeats: int,
-                             seed: int) -> dict:
+def _time_scan_and_attention(m_values: list[int], k: int, e: int, repeats: int) -> dict:
     """complexity_bench's timing, run in the process whose pools it pinned."""
     cases = {}
     for m in m_values:
-        stream = PrngStream(seed)
+        stream = PrngStream(0)
         inputs = ScanInputs(a_bar=np.exp(-stream.uniform((m, k, e), 0.0, 1.0)),
                             b_bar=stream.normal((m, k, e), 0.0, 0.1),
                             c=stream.normal((m, k), 0.0, 1.0),

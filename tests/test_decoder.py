@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import threading
 
 import numpy as np
@@ -435,7 +436,7 @@ class TestDecoderStack:
         def unsupported(name):
             raise ValueError(f"unrecognized configuration name {name}")
 
-        monkeypatch.setattr(decoder_mod.os, "sysconf", unsupported)
+        monkeypatch.setattr(os, "sysconf", unsupported)
         assert decoder_mod._physical_memory() is None
 
     def test_feature_width_mismatch_rejected(self):

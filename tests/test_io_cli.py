@@ -273,6 +273,14 @@ class TestCliSerialize:
         assert code == 0
         assert "locality_score" in out
 
+    def test_text_field_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "cloud.txt"
+        path.write_text("1 2 3\n4 x 6\n")
+        code, out, err = run_cli("serialize", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: {path}:2: could not convert string to float: 'x'"
+
     @pytest.mark.parametrize("knn", ["0", "-2"])
     def test_score_rejects_knn_below_one(self, tmp_path, knn):
         path = tmp_path / "line.txt"
@@ -594,6 +602,15 @@ class TestCliBench:
         assert out == ""
         assert len(err_lines) == 1 and err_lines[0].startswith("error:")
         assert named in err_lines[0]
+
+    def test_sizes_beyond_physical_memory_exit_2(self):
+        # refused before the timing process allocates anything
+        code, out, err = run_cli("bench", "--m-list", "1000000000,2000000000", "--k", "64")
+        err_lines = [l for l in err.splitlines() if l.strip()]
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: out of memory (sizes ")
 
     def test_no_stderr_without_threadpoolctl(self, monkeypatch, capsys):
         # None in sys.modules makes any import of threadpoolctl raise, so the

@@ -23,48 +23,42 @@ class TestAttentionDirect:
         rng = PrngStream(0)
         q0, keys, values = rng.normal((3, 4)), rng.normal((6, 4)), rng.normal((6, 4))
         for sim in ("exp_dot", "rbf"):
-            out = attention_direct(q0, keys, values, m=1, sim=sim)
-            np.testing.assert_allclose(out, np.tile(values[0], (3, 1)), rtol=1e-12)
+            out = attention_direct(q0, keys, values, sim=sim)
+            assert out.shape == (6, 3, 4)
+            np.testing.assert_allclose(out[0], np.tile(values[0], (3, 1)), rtol=1e-12)
 
     def test_identical_values_collapse(self):
         rng = PrngStream(1)
         v = rng.normal((4,))
         values = np.tile(v, (7, 1))
         q0, keys = rng.normal((2, 4)), rng.normal((7, 4))
+        out = attention_direct(q0, keys, values)
         for m in range(1, 8):
-            out = attention_direct(q0, keys, values, m)
-            np.testing.assert_allclose(out, np.tile(v, (2, 1)), rtol=1e-10)
+            np.testing.assert_allclose(out[m - 1], np.tile(v, (2, 1)), rtol=1e-10)
 
     def test_triple_loop_oracle(self):
         rng = PrngStream(2)
         q0, keys, values = rng.normal((2, 4)), rng.normal((8, 4)), rng.normal((8, 4))
-        m = 5
-        out = attention_direct(q0, keys, values, m, "exp_dot")
-        expected = np.zeros((2, 4))
-        for i in range(2):
-            weights = []
-            for j in range(m):
-                dot = sum(q0[i, a] * keys[j, a] for a in range(4))
-                weights.append(np.exp(dot / 2.0))  # sqrt(C)=2
-            total = sum(weights)
-            for j in range(m):
-                for a in range(4):
-                    expected[i, a] += weights[j] / total * values[j, a]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_bad_prefix(self):
-        rng = PrngStream(3)
-        with pytest.raises(ValueError):
-            attention_direct(rng.normal((1, 2)), rng.normal((3, 2)),
-                             rng.normal((3, 2)), m=0)
+        out = attention_direct(q0, keys, values, "exp_dot")
+        for m in range(1, 9):
+            expected = np.zeros((2, 4))
+            for i in range(2):
+                weights = []
+                for j in range(m):
+                    dot = sum(q0[i, a] * keys[j, a] for a in range(4))
+                    weights.append(np.exp(dot / 2.0))  # sqrt(C)=2
+                total = sum(weights)
+                for j in range(m):
+                    for a in range(4):
+                        expected[i, a] += weights[j] / total * values[j, a]
+            np.testing.assert_allclose(out[m - 1], expected, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [3, 4, 6, 9])
     def test_values_rows_must_match_keys(self, rows):
         rng = PrngStream(10)
         q0, keys, values = rng.normal((2, 3)), rng.normal((5, 3)), rng.normal((rows, 3))
-        for m in (1, 5):
-            with pytest.raises(ValueError, match=f"values has {rows} rows, keys has 5"):
-                attention_direct(q0, keys, values, m)
+        with pytest.raises(ValueError, match=f"values has {rows} rows, keys has 5"):
+            attention_direct(q0, keys, values)
 
 
 class TestAttentionRecurrence:
@@ -88,9 +82,7 @@ class TestAttentionRecurrence:
         rng = PrngStream(6)
         q0, keys, values = rng.normal((2, 4)), rng.normal((8, 4)), rng.normal((8, 4))
         rec = attention_recurrence(q0, keys, values, sim)
-        for m in range(1, 9):
-            ref = attention_direct(q0, keys, values, m, sim)
-            assert np.abs(rec[m - 1] - ref).max() < 1e-12
+        assert np.abs(rec - attention_direct(q0, keys, values, sim)).max() < 1e-12
 
 
 def loop_attention(q0, keys, values, sim):
@@ -156,6 +148,21 @@ class TestSuites:
         monkeypatch.setattr(verify, "attention_recurrence", shifted)
         assert run_equivalence_suite("attn_recurrence", seeds=2).passed is (row is None)
 
+    @pytest.mark.parametrize("row, sim", [(None, None), (-1, "exp_dot"), (0, "rbf")])
+    def test_attn_checks_against_the_shared_direct_reference(self, monkeypatch, row, sim):
+        # the suite's reference is verify.attention_direct itself: 1e-9 on one
+        # of its prefix rows for one similarity kind must fail the suite, and
+        # the untouched wrapper (row None) must still pass
+        real = verify.attention_direct
+
+        def shifted(q0, keys, values, kind):
+            out = real(q0, keys, values, kind)
+            if kind == sim:
+                out[row] += 1e-9
+            return out
+        monkeypatch.setattr(verify, "attention_direct", shifted)
+        assert run_equivalence_suite("attn_recurrence", seeds=2).passed is (row is None)
+
     def test_attn_accuracy(self):
         # the pass rule stays max_abs_err <= 1e-12; this pins how far inside
         # it the direct and recurrent sides agree
@@ -205,6 +212,24 @@ class TestBench:
         assert all(r["scan_time"] > 0 and r["attention_time"] > 0 for r in result["rows"])
         assert np.isfinite(result["scan_slope"])
         assert np.isfinite(result["attention_slope"])
+
+    def test_refuses_sizes_beyond_physical_memory_before_timing(self, monkeypatch):
+        # 16·K·E·ΣM bytes: about 98 TB here, checked before any array or child
+        def no_child(*args, **kw):
+            raise AssertionError("the timing process started")
+        monkeypatch.setattr(subprocess, "run", no_child)
+        with pytest.raises(MemoryError, match=r"K=64 x E=32 need about \d+ MiB"):
+            complexity_bench([10**9, 2 * 10**9], k=64, e=32, repeats=3)
+
+    def test_memory_bound_is_two_f64_arrays_per_size(self, monkeypatch):
+        # one (M, K, E) a_bar and one b_bar per size, all held at once
+        need = 16 * 2 * 4 * (64 + 128)
+        monkeypatch.setattr(verify, "_physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            complexity_bench([64, 128], k=2, e=4, repeats=3)
+        monkeypatch.setattr(verify, "_physical_memory", lambda: need)
+        assert [r["M"] for r in complexity_bench([64, 128], k=2, e=4, repeats=3)["rows"]] \
+            == [64, 128]
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
