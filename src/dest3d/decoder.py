@@ -35,6 +35,7 @@ from .numerics import (
     linear,
     linear_init,
     require_finite,
+    row_blocks,
     sigmoid,
     silu,
     softmax_attention,
@@ -181,14 +182,22 @@ def gffn(t: np.ndarray, w: GffnWeights) -> np.ndarray:
 
     t + out(SiLU(gate(norm(t))) * value-path); when w carries a conv kernel
     (the scene stream's), the value path runs through a causal depthwise conv
-    over the serialized order.
+    over the serialized order. The rows run in row_blocks, each with the
+    conv's ksize - 1 rows of context before it, so no (M, ffn_dim) array is
+    made; the result is bit-identical to one pass over all rows.
     """
-    tn = layer_norm(t, w.norm_gamma, w.norm_beta)
-    g = silu(linear(tn, w.gate))
-    v = linear(tn, w.value)
-    if w.conv_kernel is not None:
-        v = depthwise_conv1d(v, w.conv_kernel)
-    return t + linear(g * v, w.out)
+    context = 0 if w.conv_kernel is None else w.conv_kernel.shape[1] - 1
+    out = np.empty_like(t)
+    for blk in row_blocks(t.shape[0], w.gate.out_features):
+        ctx = min(blk.start, context)
+        tn = layer_norm(t[blk.start - ctx:blk.stop], w.norm_gamma, w.norm_beta)
+        g = silu(linear(tn[ctx:], w.gate))
+        v = linear(tn, w.value)
+        if w.conv_kernel is not None:
+            v = depthwise_conv1d(v, w.conv_kernel)
+        g *= v[ctx:]
+        np.add(t[blk], linear(g, w.out), out=out[blk])
+    return out
 
 
 def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
@@ -281,7 +290,14 @@ class StackResult:
 def _mk_bytes(m: int, cfg: DecoderConfig) -> int:
     """Bytes a layer holds in arrays that grow with M·K: s (M, K, D), the
     delay (M, K), and the scan's three (rows, K, E) and one (rows, K, 2)
-    chunk buffers, twice when both directions run at once."""
+    chunk buffers, twice when both directions run at once.
+
+    It leaves out the arrays that grow with M alone: the scene stream's
+    (M, C) features, their serialized copy and each stage's (M, C) output;
+    ibs_forward's (M, E) x_hat and gate; and per direction x_conv, x_row
+    and y. It also leaves out the per-stage scratch, which row_blocks
+    bounds at about BLOCK_ELEMENTS f64 values per array at any M (per
+    thread at K >= 64), and the (M, K) temporaries of the delay kernel."""
     k = cfg.num_states
     rows = min(m, issm._chunk_rows(k, cfg.state_dim))
     scans = 2 if issm._two_threads(k) else 1

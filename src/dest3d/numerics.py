@@ -25,9 +25,9 @@ __all__ = [
     "softmax_attention",
 ]
 
-# Elements per row block of depthwise_conv1d: 256 KB per f64 array, so a
-# block's input, output and product buffer fit one core's L2 together.
-CONV_BLOCK_ELEMENTS = 2**15
+# Elements per row block of the decoder's per-point stages: 256 KB per f64
+# array, so a block's inputs, outputs and scratch fit one core's L2 together.
+BLOCK_ELEMENTS = 2**15
 
 
 def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -184,13 +184,10 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     x is (seq, channels), kernel is (channels, ksize); tap 0 multiplies the
     current step, tap j the step j positions earlier (zero-padded past). An
-    anti-causal conv is this one on a reversed view, reversed back.
-
-    The sequence is walked in blocks of about CONV_BLOCK_ELEMENTS elements, so
-    a block's input rows, its output rows and the one reused product buffer
-    stay in cache across the taps. Each output element still gets tap 0's
-    product and then taps 1, 2, ... added in order, as in a whole-sequence
-    pass, so the result does not depend on the block size.
+    anti-causal conv is this one on a reversed view, reversed back. Each
+    output element gets tap 0's product and then taps 1, 2, ... added in
+    order, so a row block run with its ksize - 1 rows of context before it
+    gives the same bits as the whole sequence (see row_blocks).
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -198,18 +195,27 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"depthwise_conv1d: x {x.shape} and kernel {kernel.shape} disagree"
         )
-    m, channels = x.shape
-    out = np.empty(x.shape, dtype=np.result_type(x, kernel))
-    rows = max(1, CONV_BLOCK_ELEMENTS // max(channels, 1))
-    prod = np.empty((min(rows, m), channels), dtype=out.dtype)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        np.multiply(x[lo:hi], kernel[:, 0], out=out[lo:hi])
-        for j in range(1, min(kernel.shape[1], hi)):
-            start = max(lo, j)
-            out[start:hi] += np.multiply(x[start - j:hi - j], kernel[:, j],
-                                         out=prod[:hi - start])
+    out = np.multiply(x, kernel[:, 0])
+    prod = np.empty_like(out)
+    for j in range(1, min(kernel.shape[1], x.shape[0])):
+        out[j:] += np.multiply(x[:-j], kernel[:, j], out=prod[j:])
     return out
+
+
+def row_blocks(m: int, width: int) -> list[slice]:
+    """Consecutive row slices covering range(m), for a stage whose widest
+    per-row array holds width elements.
+
+    Each block has rows = max(1, BLOCK_ELEMENTS // width) rows, except the
+    last, which also takes the m % rows rows left over: no block is shorter
+    than rows unless m is. A BLAS product of a few rows can round
+    differently from the same rows of a larger product (OpenBLAS's
+    small-matrix and single-row paths); over blocks this long, a stage
+    gives the same bits as one pass over all m rows.
+    """
+    rows = max(1, BLOCK_ELEMENTS // width)
+    starts = list(range(0, max(m - rows, 0) + 1, rows))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

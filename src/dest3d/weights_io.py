@@ -53,8 +53,9 @@ def flatten_weights(weights) -> dict[str, np.ndarray]:
 def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
     """Fill an initialized weight bundle in place from a flat name map.
 
-    Every array must be finite and have its template array's shape; the
-    first that does not is named in the error.
+    Every array must be finite and have its template array's shape, and a
+    transition rate (a_vec) must be <= 0; the first that is not is named in
+    the error.
     """
     template = flatten_weights(weights)
     missing = sorted(set(template) - set(arrays))
@@ -65,6 +66,10 @@ def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
         value = require_finite(f"weight {name}", arrays[name])
         if target.shape != value.shape:
             raise ValueError(f"shape mismatch at {name}: {target.shape} vs {value.shape}")
+        # a positive scan transition rate makes exp(delta * a) overflow
+        if name.endswith(".a_vec") and (value > 0).any():
+            raise ValueError(f"weight {name} must be <= 0 (a scan transition rate), "
+                             f"got {float(value.max()):g}")
         target[...] = value
 
 

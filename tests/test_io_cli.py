@@ -179,6 +179,21 @@ class TestWeightsIO:
         with pytest.raises(ValueError, match=r"shape mismatch at head\.obj\.bias"):
             unflatten_weights(w, flat)
 
+    @pytest.mark.parametrize("value", [0.0, 1e-300, 1e3])
+    def test_positive_transition_rate_named(self, value):
+        cfg = DecoderConfig(num_layers=2, channels=8, state_dim=8, corr_dim=4,
+                            ffn_dim=16, heads=2, num_states=2, num_classes=3)
+        w = decoder_weights_init(PrngStream(2), cfg)
+        flat = {name: arr.copy() for name, arr in flatten_weights(w).items()}
+        flat["layers.1.ibs.backward.a_vec"][3] = value
+        if value == 0.0:  # non-positive: loads
+            unflatten_weights(w, flat)
+            assert w.layers[1].ibs.backward.a_vec[3] == 0.0
+            return
+        with pytest.raises(ValueError, match=r"weight layers\.1\.ibs\.backward\.a_vec "
+                                             r"must be <= 0 \(a scan transition rate\)"):
+            unflatten_weights(w, flat)
+
     def test_name_mismatch_rejected(self, tmp_path):
         cfg = DecoderConfig(num_layers=1, channels=8, state_dim=8, corr_dim=4,
                             ffn_dim=16, heads=2, num_states=2, num_classes=3)
@@ -376,6 +391,22 @@ class TestCliDemo:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "point_obj_out.weight" in err
+
+    def test_positive_transition_rate_exit_2(self, scene_path, tmp_path):
+        # loaded, a_vec = 1e3 made numpy print warnings and the second
+        # layer's boxes overflow; refused at load it is one line
+        wpath = tmp_path / "w.bin"
+        args = ("demo", scene_path, "--layers", "2", "--states", "3",
+                "--channels", "16", "--seed", "2")
+        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
+        arrays = load_weights(wpath)
+        arrays["layers.1.ibs.forward.a_vec"][:] = 1e3
+        save_weights(wpath, arrays)
+        code, out, err = run_cli(*args, "--weights", str(wpath))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: weight layers.1.ibs.forward.a_vec must be <= 0 "
+                                    "(a scan transition rate), got 1000"]
 
     def test_manifest_offset_past_end_exit_2(self, scene_path, tmp_path):
         wpath = tmp_path / "w.bin"

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dest3d.numerics import (
-    CONV_BLOCK_ELEMENTS,
+    BLOCK_ELEMENTS,
     LinearWeights,
     PrngStream,
     depthwise_conv1d,
     layer_norm,
     linear,
+    row_blocks,
     sigmoid,
     silu,
     softmax_attention,
@@ -194,22 +195,27 @@ class TestDepthwiseConv:
     def test_blocks_bitwise_equal_whole_sequence(self, channels, blocks, extra):
         # fewer rows than the kernel's 8 taps, one block less a row, exactly
         # one, one plus a row, several plus a tail; 48 channels leave a
-        # budget remainder per block
-        rows = CONV_BLOCK_ELEMENTS // channels
+        # budget remainder per block. The whole sequence, and each of its
+        # row_blocks run with 7 rows of context before it (as gffn and the
+        # scan prelude run them), equal the whole-sequence reference.
+        rows = BLOCK_ELEMENTS // channels
         rng = PrngStream(channels + blocks + extra)
         x = rng.normal((blocks * rows + extra, channels))
         kernel = rng.normal((channels, 8))
-        np.testing.assert_array_equal(depthwise_conv1d(x, kernel),
-                                      conv_whole_sequence(x, kernel))
         # the backward scan's anti-causal conv runs on a reversed view
-        np.testing.assert_array_equal(depthwise_conv1d(x[::-1], kernel),
-                                      conv_whole_sequence(x[::-1], kernel))
+        for seq in (x, x[::-1]):
+            ref = conv_whole_sequence(seq, kernel)
+            np.testing.assert_array_equal(depthwise_conv1d(seq, kernel), ref)
+            for sl in row_blocks(len(seq), channels):
+                ctx = min(sl.start, 7)
+                block = depthwise_conv1d(seq[sl.start - ctx:sl.stop], kernel)[ctx:]
+                np.testing.assert_array_equal(block, ref[sl])
 
     def test_one_tap_per_row_bitwise(self):
-        # lti_conv_form's kernel has M taps: later blocks run more taps than
+        # lti_conv_form's kernel has M taps: later rows run more taps than
         # earlier ones
         channels = 64
-        m = 2 * (CONV_BLOCK_ELEMENTS // channels) + 3
+        m = 2 * (BLOCK_ELEMENTS // channels) + 3
         rng = PrngStream(13)
         x, kernel = rng.normal((m, channels)), rng.normal((channels, m))
         np.testing.assert_array_equal(depthwise_conv1d(x, kernel),
