@@ -73,8 +73,7 @@ def load_run_config(path: str | None, overrides: dict) -> tuple[DecoderConfig, i
 
 def cmd_gen_scene(args) -> int:
     scene = synth_scene(num_boxes=args.boxes, points_per_box=args.points_per_box,
-                        noise_points=args.noise, extent=args.extent,
-                        seed=args.seed, feature_dim=args.feature_dim)
+                        noise_points=args.noise, extent=args.extent, seed=args.seed)
     out = Path(args.output)
     if args.format == "binary":
         write_destpc(out, scene.positions, scene.colors)
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=int, default=256)
     p.add_argument("--extent", type=float, default=6.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-dim", type=int, default=32)
     p.add_argument("--format", choices=("binary", "text"), default="binary")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_scene)
@@ -252,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, default=32)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--threads", type=int, default=1,
-                   help="BLAS worker cap for timing stability (default 1), set in "
-                        "the environment of the process that times")
+                   help="BLAS worker cap for timing stability (default 1, at most "
+                        "the CPU count), set in the environment of the process that times")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -287,23 +287,6 @@ class StackResult:
     final_x: np.ndarray
 
 
-def _mk_bytes(m: int, cfg: DecoderConfig) -> int:
-    """Bytes a layer holds in arrays that grow with M·K: s (M, K, D), the
-    delay (M, K), and the scan's three (rows, K, E) and one (rows, K, 2)
-    chunk buffers, twice when both directions run at once.
-
-    It leaves out the arrays that grow with M alone: the scene stream's
-    (M, C) features, their serialized copy and each stage's (M, C) output;
-    ibs_forward's (M, E) x_hat and gate; and per direction x_conv, x_row
-    and y. It also leaves out the per-stage scratch, which row_blocks
-    bounds at about BLOCK_ELEMENTS f64 values per array at any M (per
-    thread at K >= 64), and the (M, K) temporaries of the delay kernel."""
-    k = cfg.num_states
-    rows = min(m, issm._chunk_rows(k, cfg.state_dim))
-    scans = 2 if issm._two_threads(k) else 1
-    return 8 * (m * k * (cfg.corr_dim + 1) + scans * rows * k * (3 * cfg.state_dim + 2))
-
-
 def decoder_stack(scene: Scene, cfg: DecoderConfig,
                   weights: DecoderWeights) -> StackResult:
     """Run the full stack on one scene.
@@ -321,7 +304,7 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
         raise ValueError(
             f"scene features width {scene.features.shape[1]} != config channels {cfg.channels}"
         )
-    need, have = _mk_bytes(m, cfg), _physical_memory()
+    need, have = issm._mk_bytes(m, k, cfg.state_dim, cfg.corr_dim), _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"M={m} points x K={k} states need about {need / 2**20:.0f} MiB "
                           f"for the correlation, delay and scan buffers, more than the "

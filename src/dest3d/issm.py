@@ -24,7 +24,6 @@ projections to both streams.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +140,8 @@ def _physical_memory() -> int | None:
 
 
 def _two_threads(k: int) -> bool:
-    """Whether a layer with k states runs its two scan directions, and the
-    two halves of its correlation's boxes, on two threads.
+    """Whether _both runs a layer's two independent halves, its two scan
+    directions or the two halves of its correlation's boxes, on two threads.
 
     Both halves are numpy passes that release the GIL, but below K=64 (E=32)
     a scan step is too short to pay for the GIL hand-offs. ibs_forward alone,
@@ -155,38 +154,21 @@ def _two_threads(k: int) -> bool:
     return k >= _THREAD_MIN_STATES and _cpu_count() > 1
 
 
-def _in_parallel(first, second):
-    """(first(), second()), with second run on a worker thread meanwhile.
+def _both(k: int, first, second):
+    """(first(), second()) for a layer with k states: one after the other,
+    or at _two_threads(k) with second on a worker thread meanwhile.
 
-    The worker is joined before this returns, also when either call raises.
-    first's exception propagates as is; the worker's is re-raised here.
+    The worker is joined before this returns, also when either call raises;
+    first's exception wins over the worker's, as in the serial order.
     """
-    done = {}
+    if not _two_threads(k):
+        return first(), second()
+    # imported here, not at the top: there it added 0.5-0.7 MB of peak RSS to every decoder run
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        try:
-            done["value"] = second()
-        except BaseException as exc:  # handed to the calling thread
-            done["error"] = exc
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        value = first()
-    finally:
-        worker.join()
-    if "error" in done:
-        raise done["error"]
-    return value, done["value"]
-
-
-def _over_boxes(k: int, fill) -> None:
-    """fill(0, k), or at _two_threads(k) fill(0, k // 2) here while
-    fill(k // 2, k) runs on a worker thread."""
-    if _two_threads(k):
-        _in_parallel(lambda: fill(0, k // 2), lambda: fill(k // 2, k))
-    else:
-        fill(0, k)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = pool.submit(second)
+        return first(), later.result()
 
 
 def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
@@ -201,12 +183,12 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
     runs on the points once and on each box's vertices, and out runs once on
     the (M, K, H) sum of silu (its bias counted 8 times).
 
-    Each box's column is computed on its own, so at K >= 64 on more than one
-    CPU (_two_threads) the second half of the boxes runs on a worker thread,
-    with its own scratch, into its own columns of the one output. The table
-    form walks each half's boxes inside row_blocks of the points, of width
-    D, so a box's scratch stays within L2 at any M. The result is
-    bit-identical either way. The table form's 2048-row
+    Each box's column is computed on its own, so the boxes are filled in two
+    halves through _both, which at K >= 64 on more than one CPU runs the
+    second half on a worker thread, with its own scratch, into its own
+    columns of the one output. The result is bit-identical either way. The
+    table form walks each half's boxes inside row_blocks of the points, of
+    width D, so a box's scratch stays within L2 at any M. Its 2048-row
     blocks ran 1.4-1.5x faster than one block at M >= 8192; blocks of 512
     or 256 rows ran 1.9x and 2.9x slower at M=2048, K=64, where the two
     threads hand the GIL over at every numpy call.
@@ -239,7 +221,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                     idx = (i0 @ strides)[:, None] + upper @ strides
                     out[blk, j] = (weights[:, None] @ flat.take(idx, axis=0))[:, 0]
 
-        _over_boxes(k, fill)
+        _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
         return out
     if isinstance(corr, CorrelationMlp):
         hidden, head = corr.hidden, corr.out
@@ -260,7 +242,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                 hsum[:, j] = acc
 
         # fill's scratch is freed before the (M, K, D) output is allocated
-        _over_boxes(k, fill)
+        _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
         out = (hsum.reshape(m * k, -1) @ head.weight.T).reshape(m, k, head.out_features)
         if head.bias is not None:
             out += 8.0 * head.bias
@@ -343,14 +325,32 @@ def _chunk_rows(k: int, e: int) -> int:
     rows. Longer steps spread each step's fixed Python overhead at small K·E
     (128 rows at K=4, E=32); at K=16 more than 32 rows measured no faster.
 
-    The floor binds only above K·E = 512, where ibs_forward runs both
-    directions at once (_two_threads), so it sets what the second direction's
-    buffers add to peak RSS. On the benchmark's M=2048, K=64 workload, op
-    time over the serial parent / peak-RSS change read: floor 32, 0.65-0.68 /
-    +6.5%; floor 24, 0.69-0.73 / +3.1 to +4.1%; floor 16, 0.77 / +1.7%.
-    Serial, floor 24 read within noise of floor 32.
+    The floor binds from K·E = 683 (K >= 22 at E=32), serial layers with
+    K < 64 included. Where _two_threads(K) holds, both directions hold their
+    buffers at once, so the floor sets what the second direction's buffers
+    add to peak RSS. On the benchmark's M=2048, K=64 workload, op time over
+    the serial parent / peak-RSS change read: floor 32, 0.65-0.68 / +6.5%;
+    floor 24, 0.69-0.73 / +3.1 to +4.1%; floor 16, 0.77 / +1.7%. Serial,
+    floor 24 read within noise of floor 32.
     """
     return max(24, 2**14 // (k * e))
+
+
+def _mk_bytes(m: int, k: int, e: int, d: int) -> int:
+    """Bytes a layer of M points, K states, E state channels and D correlation
+    channels holds in arrays that grow with M·K: s (M, K, D), the delay
+    (M, K), and the scan's three (rows, K, E) and one (rows, K, 2) chunk
+    buffers, twice when both directions run at once.
+
+    It leaves out the arrays that grow with M alone: the scene stream's
+    (M, C) features, their serialized copy and each stage's (M, C) output;
+    ibs_forward's (M, E) x_hat and gate; and per direction x_conv, x_row
+    and y. It also leaves out the per-stage scratch, which row_blocks
+    bounds at about BLOCK_ELEMENTS f64 values per array at any M (per
+    thread at K >= 64), and the (M, K) temporaries of the delay kernel."""
+    rows = min(m, _chunk_rows(k, e))
+    scans = 2 if _two_threads(k) else 1
+    return 8 * (m * k * (d + 1) + scans * rows * k * (3 * e + 2))
 
 
 def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
@@ -414,8 +414,8 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     residual connections: y = out_y(gated sum) + x, h = out_h(sum of final
     states) + h0. Returns (y, h).
 
-    The two directions share no state. At K >= 64 on more than one CPU
-    (_two_threads) the backward one runs on a worker thread while this
+    The two directions share no state, so they run through _both: at K >= 64
+    on more than one CPU the backward one runs on a worker thread while this
     thread runs the forward one, each with its own chunk buffers; the result
     is bit-identical to running them one after the other. The x stream's
     layer norm and input projections, and the gate and out_y residual, run
@@ -451,10 +451,7 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     def backward():
         return _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1], w.backward)
 
-    if _two_threads(h0.shape[0]):
-        (y_fwd, h_fwd), (y_bwd, h_bwd) = _in_parallel(forward, backward)
-    else:
-        (y_fwd, h_fwd), (y_bwd, h_bwd) = forward(), backward()
+    (y_fwd, h_fwd), (y_bwd, h_bwd) = _both(h0.shape[0], forward, backward)
     y_bwd = y_bwd[::-1]
 
     y = np.empty_like(x)

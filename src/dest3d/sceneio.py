@@ -55,19 +55,32 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
+def _as_f32(name: str, values: np.ndarray) -> np.ndarray:
+    """values as little-endian float32, refused unless every entry is finite
+    there; a value past float32's range would otherwise be written as inf."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite in float32 (DESTPC1 stores float32, "
+                         f"|value| <= {np.finfo(np.float32).max:.4g})")
+    return out
+
+
 def write_destpc(path: str | Path, positions: np.ndarray,
                  colors: np.ndarray | None = None) -> None:
-    positions = np.asarray(positions, dtype=np.float32)
+    """Write a DESTPC1 file; positions or colors that are not finite in
+    float32 are refused before anything is written."""
+    positions = _as_f32("positions", positions)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must be (M, 3)")
     m = positions.shape[0]
     parts = [MAGIC, struct.pack("<IB3x", m, 1 if colors is not None else 0),
-             positions.astype("<f4").tobytes()]
+             positions.tobytes()]
     if colors is not None:
-        colors = np.asarray(colors, dtype=np.float32)
+        colors = _as_f32("colors", colors)
         if colors.shape != positions.shape:
             raise ValueError("colors must be (M, 3)")
-        parts.append(colors.astype("<f4").tobytes())
+        parts.append(colors.tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Box3D
-from .issm import _physical_memory, delay_kernel
+from .issm import _cpu_count, _physical_memory, delay_kernel
 from .numerics import PrngStream, softplus
 from .ssm import ScanInputs, _recur, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 
@@ -310,10 +310,10 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     single sweeps over all sizes, so a machine whose speed drifts between
     sweeps moves every point of a fit alike. Timing requires a pinned worker
     count: the timing runs in one child process whose environment limits the
-    BLAS and OpenMP pools to `threads` workers (default one, at least one).
-    The child holds two f64 (M, K, E) arrays for every size at once, so sizes
-    whose 16·K·E·ΣM bytes exceed physical memory raise MemoryError before it
-    starts.
+    BLAS and OpenMP pools to `threads` workers (default one, at least one,
+    at most the CPUs this process may run on). The child holds two f64
+    (M, K, E) arrays for every size at once, so sizes whose 16·K·E·ΣM bytes
+    exceed physical memory raise MemoryError before it starts.
     """
     if len(m_values) < 2:
         raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
@@ -323,6 +323,10 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
                                ("repeats", repeats, 3), ("threads", threads, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    cpus = _cpu_count()
+    if threads > cpus:
+        raise ValueError(f"threads must be <= {cpus}, the CPUs this process may run on, "
+                         f"got {threads}")
     need, have = 16 * k * e * sum(m_values), _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"sizes {m_values} x K={k} x E={e} need about {need / 2**20:.0f} MiB "

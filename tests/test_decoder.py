@@ -1,7 +1,11 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,31 @@ class TestDecoderStack:
             decoder_stack(scene, cfg, weights)
         assert threading.active_count() == before
 
+    def test_executor_imported_only_where_it_runs(self):
+        # _both imports concurrent.futures in its threaded branch alone: a
+        # K=16 stack leaves it unimported, a K=64 one on two CPUs imports it
+        script = textwrap.dedent("""
+            import sys
+            from dest3d import issm
+            from dest3d.decoder import DecoderConfig, decoder_stack, decoder_weights_init
+            from dest3d.geometry import synth_scene
+            from dest3d.numerics import PrngStream
+            issm._cpu_count = lambda: 2
+            for k in (16, 64):
+                cfg = DecoderConfig(num_layers=1, channels=16, state_dim=16, corr_dim=8,
+                                    ffn_dim=32, heads=2, num_states=k, num_classes=5)
+                scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=k + 6,
+                                    seed=39, feature_dim=cfg.channels)
+                decoder_stack(scene, cfg, decoder_weights_init(PrngStream(40), cfg))
+                print(k, "concurrent.futures" in sys.modules)
+        """)
+        src = str(Path(issm_mod.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["16", "False", "64", "True"]
+
     def test_too_few_points_rejected(self):
         cfg = small_cfg(num_states=64)
         scene = synth_scene(num_boxes=0, noise_points=10, seed=32,
@@ -413,7 +442,7 @@ class TestDecoderStack:
         m, e = scene.num_points, cfg.state_dim
         rows = min(m, _chunk_rows(k, e))
         need = 8 * (m * k * cfg.corr_dim + m * k + scans * (3 * rows * k * e + rows * k * 2))
-        assert decoder_mod._mk_bytes(m, cfg) == need
+        assert issm_mod._mk_bytes(m, k, e, cfg.corr_dim) == need
 
         def no_work(*args):
             raise AssertionError("the stack started before the budget check")

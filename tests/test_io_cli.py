@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dest3d.cli as cli_mod
+import dest3d.verify as verify_mod
 from dest3d.cli import load_run_config, main
 from dest3d.decoder import DecoderConfig, decoder_weights_init
 from dest3d.geometry import Box3D
@@ -50,6 +51,15 @@ class TestSceneIO:
         m, has_color = struct.unpack_from("<IB3x", raw, 8)
         assert m == 7 and has_color == 0
         assert len(raw) == 16 + 7 * 12
+
+    @pytest.mark.parametrize("field", ["positions", "colors"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_not_finite_in_float32_refused(self, tmp_path, field, value):
+        arrays = {"positions": np.zeros((2, 3)), "colors": np.zeros((2, 3))}
+        arrays[field][1, 2] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite in float32"):
+            write_destpc(tmp_path / "x.destpc", **arrays)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.destpc"
@@ -256,6 +266,25 @@ class TestCliGenScene:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: extent must be finite")
+
+    def test_extent_past_float32_refused_before_writing(self, tmp_path):
+        # 1e39 is finite in f64 but not in DESTPC1's float32: nothing is
+        # written, and numpy's cast warning is not printed
+        code, out, err = run_cli("gen-scene", "--extent", "1e39",
+                                 "-o", str(tmp_path / "x.destpc"))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "warning" not in err.lower()
+        assert err.splitlines() == [
+            "error: positions must be finite in float32 (DESTPC1 stores float32, "
+            "|value| <= 3.403e+38)"]
+        assert list(tmp_path.iterdir()) == []
+        # the text format holds the same scene
+        code, _, err = run_cli("gen-scene", "--extent", "1e39", "--format", "text",
+                               "-o", str(tmp_path / "x.txt"))
+        assert code == 0, err
+        positions, _ = read_text_points(tmp_path / "x.txt")
+        assert np.isfinite(positions).all() and np.abs(positions).max() > 1e38
 
 
 class TestCliSerialize:
@@ -624,10 +653,19 @@ class TestCliBench:
         (("--e", "0"), "e must be >= 1, got 0"),
         (("--threads", "0"), "threads must be >= 1, got 0"),
         (("--threads", "-1"), "threads must be >= 1, got -1"),
+        (("--threads", "3"), "threads must be <= 2, the CPUs this process may run on, got 3"),
     ])
-    def test_rejects_sizes_it_cannot_fit(self, args, named):
-        code, out, err = run_cli("bench", "--m-list", "64,128", "--k", "2", "--e", "4",
-                                 "--repeats", "3", *args)
+    def test_rejects_sizes_it_cannot_fit(self, args, named, monkeypatch, capsys):
+        # run in-process, with two CPUs forced, so --threads 3 is refused on
+        # any machine; every case is refused before the timing child starts
+        monkeypatch.setattr(verify_mod, "_cpu_count", lambda: 2)
+
+        def no_child(*args, **kw):
+            raise AssertionError("the timing process started")
+        monkeypatch.setattr(subprocess, "run", no_child)
+        code = main(["bench", "--m-list", "64,128", "--k", "2", "--e", "4",
+                     "--repeats", "3", *args])
+        out, err = capsys.readouterr()
         err_lines = [l for l in err.splitlines() if l.strip()]
         assert code == 2
         assert out == ""

@@ -196,7 +196,9 @@ class TestBench:
 
     def test_times_in_one_child_with_pinned_blas(self, monkeypatch):
         # the timing runs in one child process whose environment caps the
-        # BLAS and OpenMP pools at `threads`, and warns about nothing
+        # BLAS and OpenMP pools at `threads`, and warns about nothing; two
+        # CPUs are forced, so threads=2 is allowed on any machine
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
         started, real_run = [], subprocess.run
 
         def recorded(cmd, **kw):
