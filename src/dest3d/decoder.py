@@ -293,9 +293,10 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
 
     States start as the farthest-point-sampled scene points (after the single
     positional-feature injection); their boxes are predicted from the initial
-    state features and refreshed after every layer. A scene whose M·K arrays
-    alone would exceed physical memory is refused with a MemoryError up
-    front, not when an allocation fails mid-stack.
+    state features and refreshed after every layer. A scene whose layer
+    would hold more than physical memory in the arrays issm._layer_bytes
+    counts is refused with a MemoryError up front, not when an allocation
+    fails mid-stack.
     """
     m, k = scene.num_points, cfg.num_states
     if m < k:
@@ -304,10 +305,11 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
         raise ValueError(
             f"scene features width {scene.features.shape[1]} != config channels {cfg.channels}"
         )
-    need, have = issm._mk_bytes(m, k, cfg.state_dim, cfg.corr_dim), _physical_memory()
+    need = issm._layer_bytes(m, k, cfg.channels, cfg.state_dim, cfg.corr_dim)
+    have = _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"M={m} points x K={k} states need about {need / 2**20:.0f} MiB "
-                          f"for the correlation, delay and scan buffers, more than the "
+                          f"for one layer's arrays, more than the "
                           f"{have / 2**20:.0f} MiB of physical memory")
     x = scene.features + positional_embedding(scene.positions, weights)
     idx = farthest_point_sampling(scene.positions, cfg.num_states)

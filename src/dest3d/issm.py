@@ -336,32 +336,47 @@ def _chunk_rows(k: int, e: int) -> int:
     return max(24, 2**14 // (k * e))
 
 
-def _mk_bytes(m: int, k: int, e: int, d: int) -> int:
-    """Bytes a layer of M points, K states, E state channels and D correlation
-    channels holds in arrays that grow with M·K: s (M, K, D), the delay
-    (M, K), and the scan's three (rows, K, E) and one (rows, K, 2) chunk
-    buffers, twice when both directions run at once.
+def _prelude_blocks(m: int, k: int, e: int) -> list[slice]:
+    """The row blocks _run_direction runs its prelude and scans in: the
+    row_blocks rule at width E+2 (the [delta | b | c] rows), rounded up to
+    whole _chunk_rows(K, E) chunks, the last block also taking the rows left
+    over, so the chunk edges are those of one pass over all M rows."""
+    return row_blocks(m, e + 2, unit=_chunk_rows(k, e))
 
-    It leaves out the arrays that grow with M alone: the scene stream's
-    (M, C) features, their serialized copy and each stage's (M, C) output;
-    ibs_forward's (M, E) x_hat and gate; and per direction x_conv, x_row
-    and y. It also leaves out the per-stage scratch, which row_blocks
-    bounds at about BLOCK_ELEMENTS f64 values per array at any M (per
-    thread at K >= 64), and the (M, K) temporaries of the delay kernel."""
+
+def _layer_bytes(m: int, k: int, c: int, e: int, d: int) -> int:
+    """Bytes a decoder layer of M points, K states, C channels, E state
+    channels and D correlation channels holds at most in the arrays that
+    grow with M, reached in ibs_forward (x_hat and its output are counted
+    together, though the first is dropped before the second is made).
+
+    It counts s (M, K, D) and the delay (M, K); the (M, C) input, its
+    serialized copy and ibs_forward's (M, C) output; the (M, E) x_hat and
+    the two directions' (M, E) outputs; and per direction that runs at once
+    (two when _two_threads(K) holds) the three (rows, K, E) and one (rows,
+    K, 2) chunk buffers and the (B, E) and (B, E+2) prelude buffers, B the
+    longest _prelude_blocks block. It leaves out the per-stage scratch, which
+    row_blocks bounds at about BLOCK_ELEMENTS f64 values per array at any M
+    (per thread at K >= 64), and the (M, K) temporaries of the delay kernel.
+    """
     rows = min(m, _chunk_rows(k, e))
+    last = _prelude_blocks(m, k, e)[-1]
     scans = 2 if _two_threads(k) else 1
-    return 8 * (m * k * (d + 1) + scans * rows * k * (3 * e + 2))
+    per_scan = rows * k * (3 * e + 2) + (last.stop - last.start) * (2 * e + 2)
+    return 8 * (m * k * (d + 1) + 3 * m * (c + e) + scans * per_scan)
 
 
 def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                    delay: np.ndarray, w: DirectionWeights) -> tuple[np.ndarray, np.ndarray]:
     """One causal scan over the rows of x_in in order. Returns (y, h_final).
 
-    row_blocks of x_in, each run with its ksize - 1 rows of context before
-    it, go through the causal conv and SiLU into x_conv and are projected
-    onto [delta | b | c], biases included, into x_row; no other (M, E) array
-    is made. Then _chunk_rows(K, E) rows at a time, reusing four buffers of
-    min(M, _chunk_rows(K, E)) rows allocated here: gen_params adds the s
+    y (M, E) is the only array made at full M. The rows run in
+    _prelude_blocks, each whole _chunk_rows(K, E) chunks but the last: a
+    block, with its ksize - 1 rows of context before it, goes through the
+    causal conv and SiLU into x_conv and is projected onto [delta | b | c],
+    biases included, into x_row, two buffers of the longest block's rows
+    allocated here. Then the block's chunks are scanned, reusing four more
+    buffers of min(M, _chunk_rows(K, E)) rows: gen_params adds the s
     projection, softplus and the delay act in place on delta, a_bar =
     exp(delta * a) and b_bar = delta * b fill two more buffers, and
     scan_sequential carries the state on (delta >= 0 by construction, so no
@@ -373,32 +388,35 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     k = h0_hat.shape[0]
     context = w.conv_kernel.shape[1] - 1
     w_x, w_s, bias = _param_weights(w)
-    x_conv, x_row = np.empty((m, e)), np.empty((m, e + 2))
-    for blk in row_blocks(m, e + 2):
-        ctx = min(blk.start, context)
-        conv = depthwise_conv1d(x_in[blk.start - ctx:blk.stop], w.conv_kernel)
-        silu(conv[ctx:], out=x_conv[blk])
-        np.matmul(x_conv[blk], w_x, out=x_row[blk])
-        x_row[blk] += bias
+    blocks = _prelude_blocks(m, k, e)
+    longest = blocks[-1].stop - blocks[-1].start
+    x_conv, x_row = np.empty((longest, e)), np.empty((longest, e + 2))
     step = _chunk_rows(k, e)
     rows = min(m, step)
     delta_buf, a_bar_buf, b_bar_buf = (np.empty((rows, k, e)) for _ in range(3))
     bc_buf = np.empty((rows, k, 2))
-    y = np.empty_like(x_conv)
+    y = np.empty((m, e))
     h = h0_hat
-    for lo in range(0, m, step):
-        sl = slice(lo, lo + step)
-        buf = slice(min(step, m - lo))
-        delta, b, c = gen_params(s[sl], x_row[sl], w_s, delta_buf[buf], bc_buf[buf])
-        softplus(delta, out=delta)
-        delta *= delay[sl, :, None]
-        a_bar = np.multiply(delta, w.a_vec, out=a_bar_buf[buf])
-        np.exp(a_bar, out=a_bar)
-        b_bar = np.multiply(delta, b[:, :, None], out=b_bar_buf[buf])
-        out = scan_sequential(ScanInputs(a_bar=a_bar, b_bar=b_bar, c=c,
-                                         x=x_conv[sl], h0=h))
-        y[sl] = out.y
-        h = out.h_final
+    for blk in blocks:
+        n = blk.stop - blk.start
+        ctx = min(blk.start, context)
+        conv = depthwise_conv1d(x_in[blk.start - ctx:blk.stop], w.conv_kernel)
+        silu(conv[ctx:], out=x_conv[:n])
+        np.matmul(x_conv[:n], w_x, out=x_row[:n])
+        x_row[:n] += bias
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            pts, sl, buf = slice(blk.start + lo, blk.start + hi), slice(lo, hi), slice(hi - lo)
+            delta, b, c = gen_params(s[pts], x_row[sl], w_s, delta_buf[buf], bc_buf[buf])
+            softplus(delta, out=delta)
+            delta *= delay[pts, :, None]
+            a_bar = np.multiply(delta, w.a_vec, out=a_bar_buf[buf])
+            np.exp(a_bar, out=a_bar)
+            b_bar = np.multiply(delta, b[:, :, None], out=b_bar_buf[buf])
+            out = scan_sequential(ScanInputs(a_bar=a_bar, b_bar=b_bar, c=c,
+                                             x=x_conv[sl], h0=h))
+            y[pts] = out.y
+            h = out.h_final
     return y, h
 
 
@@ -416,11 +434,14 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
 
     The two directions share no state, so they run through _both: at K >= 64
     on more than one CPU the backward one runs on a worker thread while this
-    thread runs the forward one, each with its own chunk buffers; the result
-    is bit-identical to running them one after the other. The x stream's
-    layer norm and input projections, and the gate and out_y residual, run
-    over row_blocks, so its normalized copy and the SiLU scratch are never
-    held at (M, C) or (M, E).
+    thread runs the forward one, each with its own buffers; the result is
+    bit-identical to running them one after the other. Besides its inputs
+    and the (M, C) output, the call holds at full M only x_hat (M, E), which
+    both scans read and which is dropped before the combine, and the two
+    directions' (M, E) outputs. Everything else runs over row_blocks: the x
+    stream's layer norm and in_x projection, and the combine, which builds
+    the SiLU(z) gate from a second layer norm of its block, so the
+    normalized copy and the gate are never held at (M, C) or (M, E).
     """
     x = require_finite("x", np.asarray(x, dtype=np.float64))
     h0 = require_finite("h0", np.asarray(h0, dtype=np.float64))
@@ -435,11 +456,9 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
 
     m, e = x.shape[0], w.in_x.out_features
     width = max(x.shape[1], e)
-    x_hat, gate = np.empty((m, e)), np.empty((m, e))
+    x_hat = np.empty((m, e))
     for blk in row_blocks(m, width):
-        xn = layer_norm(x[blk], w.norm_x_gamma, w.norm_x_beta)
-        x_hat[blk] = linear(xn, w.in_x)
-        silu(linear(xn, w.in_z), out=gate[blk])
+        x_hat[blk] = linear(layer_norm(x[blk], w.norm_x_gamma, w.norm_x_beta), w.in_x)
     hn = layer_norm(h0, w.norm_h_gamma, w.norm_h_beta)
     h_hat0 = linear(hn, w.in_h)
 
@@ -452,12 +471,13 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
         return _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1], w.backward)
 
     (y_fwd, h_fwd), (y_bwd, h_bwd) = _both(h0.shape[0], forward, backward)
+    del x_hat, forward, backward  # not held through the combine and its output
     y_bwd = y_bwd[::-1]
 
     y = np.empty_like(x)
     for blk in row_blocks(m, width):
         gated = np.add(y_fwd[blk], y_bwd[blk])
-        gated *= gate[blk]
+        gated *= silu(linear(layer_norm(x[blk], w.norm_x_gamma, w.norm_x_beta), w.in_z))
         np.add(linear(gated, w.out_y), x[blk], out=y[blk])
     h_out = linear(h_fwd + h_bwd, w.out_h) + h0
     return y, h_out

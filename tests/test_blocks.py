@@ -8,9 +8,12 @@ all M rows (the unblocked computation):
   * "rule": the shipped constant, at the shipped widths (C = E = 32,
     ffn 64, D = 16), where B is the stage's widest block in rows;
   * "two": 2 rows at the stage's widest width, below the conv's 7 rows of
-    causal context, so a block's context reaches back over several blocks.
+    causal context, so a gffn block's context reaches back over several
+    blocks. The scan prelude's blocks hold whole scan chunks, so there
+    "two" gives blocks of one chunk, at least 24 rows.
 
-Each runs at M in {B-1, B, B+1, 3B+5}. The "two" checks are bitwise at
+Each runs at M in {B-1, B, B+1, 3B+5}; ibs_forward also at one scan chunk
+-1, +0 and +1, its B a whole number of chunks. The "two" checks are bitwise at
 widths up to 16. At the shipped widths a product of a few rows takes
 OpenBLAS's small-matrix path, which rounds differently from the same rows
 of a larger product, so TestTwoRowBlocksAtShippedWidths bounds that
@@ -88,6 +91,15 @@ class TestRowBlocks:
         monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 4)
         assert row_blocks(3, 8) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
+    @pytest.mark.parametrize("m", [0, 1, 127, 1024, 2047, 2048, 2049, 3077])
+    def test_units_round_the_rows_up_and_keep_their_edges(self, m):
+        # 963 rows at width 34, rounded up to 8 units of 128
+        blocks = row_blocks(m, 34, unit=128)
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.stop - b.start == 1024 for b in blocks[:-1])
+        assert 1024 <= blocks[-1].stop - blocks[-1].start < 2048 or len(blocks) == 1
+
 
 @pytest.fixture
 def two_cpus(monkeypatch):
@@ -110,12 +122,16 @@ class TestBlocksAreBitwise:
             assert_blocks_change_nothing(monkeypatch, elements, lambda: [gffn(t, w)])
 
     @pytest.mark.parametrize("which,cfg", CASES)
-    @pytest.mark.parametrize("k", [4, 64])
+    @pytest.mark.parametrize("k", [4, 16, 64])
     def test_ibs_forward(self, monkeypatch, two_cpus, which, cfg, k):
-        # at K=64 the two directions run on two threads (_cpu_count forced)
-        width = cfg.state_dim + 2  # the scan prelude's [delta | b | c] rows
+        # at K=64 the two directions run on two threads (_cpu_count forced).
+        # The scan prelude's blocks, of width [delta | b | c], are rounded up
+        # to whole chunks: under "two" one chunk each (32 rows at K=64)
+        width = cfg.state_dim + 2
         elements = self.elements(which, width)
-        for m in sizes(max(1, elements // width)):
+        chunk = issm._chunk_rows(k, cfg.state_dim)
+        block = -(-max(1, elements // width) // chunk) * chunk
+        for m in sorted({chunk - 1, chunk, chunk + 1, *sizes(block)}):
             x, h0, s, delay, w = ibs_inputs(cfg, m, k, seed=m + k)
             assert_blocks_change_nothing(monkeypatch, elements,
                                          lambda: ibs_forward(x, h0, s, delay, w.ibs))
@@ -135,8 +151,10 @@ class TestBlocksAreBitwise:
     @pytest.mark.parametrize("mode", ["table", "mlp"])
     def test_decoder_stack(self, monkeypatch, which, cfg, mode):
         # the widest stage is gffn's (rows, ffn_dim): "two" gives it 2 rows
-        # per block and the others 2-8; B is the scan prelude's block, so
-        # 3B+5 rows split every stage but the correlation (its own test)
+        # per block and the others 2-8; B is the rule's rows at the scan
+        # prelude's width, so 3B+5 rows split every stage but the
+        # correlation (its own test) and, under "two", the prelude, whose
+        # blocks are whole scan chunks (test_ibs_forward splits those)
         cfg = DecoderConfig(**{**vars(cfg), "num_layers": 2, "correlation_mode": mode,
                                "num_states": 4 if which == "rule" else 1})
         elements = self.elements(which, cfg.ffn_dim)
@@ -165,6 +183,27 @@ class TestTwoRowBlocksAtShippedWidths:
         cfg = DecoderConfig(num_layers=2, num_states=1)
         for m in sizes(2):
             self.assert_close(monkeypatch, 2 * cfg.ffn_dim, stack_outputs(cfg, m, seed=m))
+
+
+def test_ibs_forward_scratch_stays_within_a_few_blocks():
+    # besides its output, ibs_forward holds at full M the two directions'
+    # (M, E) outputs and x_hat (M, E), the last dropped before the (M, C)
+    # output is made; the per-direction (M, E) conv output, its (M, E+2)
+    # [delta | b | c] projection and the (M, E) gate held 13 MiB more here
+    m, k = 16384, 4
+    cfg = DecoderConfig(channels=32, state_dim=32, num_states=k)
+    x, h0, s, delay, w = ibs_inputs(cfg, m, k, seed=8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y, _ = ibs_forward(x, h0, s, delay, w.ibs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stream = m * cfg.state_dim * 8
+    scratch = peak - base - 2 * stream - max(stream, y.nbytes)
+    chunk_buffers = 8 * issm._chunk_rows(k, cfg.state_dim) * k * (3 * cfg.state_dim + 2)
+    assert scratch <= 8 * numerics.BLOCK_ELEMENTS * 8 + chunk_buffers
 
 
 def test_gffn_scratch_stays_within_a_few_blocks():

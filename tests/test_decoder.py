@@ -12,6 +12,7 @@ import pytest
 
 import dest3d.decoder as decoder_mod
 import dest3d.issm as issm_mod
+from dest3d.cli import main as cli_main
 from dest3d.decoder import (
     DecoderConfig,
     binary_focal_loss,
@@ -35,6 +36,7 @@ from dest3d.issm import (
     spatial_correlation,
 )
 from dest3d.numerics import LinearWeights, PrngStream, layer_norm, linear, softmax_attention
+from dest3d.sceneio import write_destpc
 from dest3d.serialization import SerializationOrder, order_for_layer, serialize
 from dest3d.weights_io import flatten_weights
 
@@ -426,8 +428,8 @@ class TestDecoderStack:
             decoder_stack(scene, cfg, weights)
 
     def test_memory_budget_refuses_before_any_work(self):
-        # at K >= 64 on two CPUs both scan directions hold their chunk
-        # buffers at once; at K=4, or on one CPU, one direction's count
+        # at K >= 64 on two CPUs both scan directions hold their chunk and
+        # prelude buffers at once; at K=4, or on one CPU, one direction's count
         for k, cpus, scans in ((4, 2, 1), (64, 2, 2), (64, 1, 1)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(issm_mod, "_cpu_count", lambda cpus=cpus: cpus)
@@ -439,10 +441,13 @@ class TestDecoderStack:
         scene = synth_scene(num_boxes=1, points_per_box=10, noise_points=k + 6, seed=35,
                             feature_dim=cfg.channels)
         weights = decoder_weights_init(PrngStream(36), cfg)
-        m, e = scene.num_points, cfg.state_dim
+        m, c, e = scene.num_points, cfg.channels, cfg.state_dim
         rows = min(m, _chunk_rows(k, e))
-        need = 8 * (m * k * cfg.corr_dim + m * k + scans * (3 * rows * k * e + rows * k * 2))
-        assert issm_mod._mk_bytes(m, k, e, cfg.corr_dim) == need
+        stream = 3 * m * c + 3 * m * e  # x, its serialized copy, y; x_hat, y_fwd, y_bwd
+        # at these M the prelude runs one block of all M rows
+        buffers = 3 * rows * k * e + rows * k * 2 + m * e + m * (e + 2)
+        need = 8 * (m * k * cfg.corr_dim + m * k + stream + scans * buffers)
+        assert issm_mod._layer_bytes(m, k, c, e, cfg.corr_dim) == need
 
         def no_work(*args):
             raise AssertionError("the stack started before the budget check")
@@ -457,6 +462,34 @@ class TestDecoderStack:
         monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: None)
         unknown = decoder_stack(scene, cfg, weights)
         np.testing.assert_array_equal(unknown.final_x, reference.final_x)
+
+    def test_memory_budget_counts_the_stream_arrays(self, monkeypatch, tmp_path, capsys):
+        # a budget that holds the M·K arrays and the scan buffers but not the
+        # (M, C) and (M, E) stream arrays: at K=4 those are most of a layer
+        cfg = DecoderConfig(num_states=4)
+        m, k, e = 3000, cfg.num_states, cfg.state_dim
+        rows = _chunk_rows(k, e)
+        mk_only = 8 * (m * k * (cfg.corr_dim + 1) + rows * k * (3 * e + 2))
+        need = issm_mod._layer_bytes(m, k, cfg.channels, e, cfg.corr_dim)
+        assert need > 3 * mk_only
+        have = (mk_only + need) // 2
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: have)
+        rng = PrngStream(37)
+        scene = Scene(positions=rng.uniform((m, 3), -3.0, 3.0),
+                      features=rng.normal((m, cfg.channels)))
+        with pytest.raises(MemoryError, match=f"M={m} points x K={k} states"):
+            decoder_stack(scene, cfg, decoder_weights_init(PrngStream(38), cfg))
+
+        path = tmp_path / "scene.destpc"
+        write_destpc(path, scene.positions)
+        assert cli_main(["demo", str(path), "--layers", "1", "--states", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if l.strip()] == [
+            f"error: out of memory (M={m} points x K={k} states need about "
+            f"{need / 2**20:.0f} MiB for one layer's arrays, more than the "
+            f"{have / 2**20:.0f} MiB of physical memory); "
+            "the input is too large for this machine"]
 
     def test_physical_memory_from_sysconf(self, monkeypatch):
         have = decoder_mod._physical_memory()
