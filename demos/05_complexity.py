@@ -1,23 +1,25 @@
 """Why a scan instead of attention between decoder layers.
 
-Updating M scene points with self-attention costs O(M^2); the state-space
-scan costs O(M). This script times both at increasing M and fits log-log
-slopes: the scan should come out near 1, dense attention near 2. Absolute
-times are machine-dependent, the exponents are not.
+Updating M scene points with self-attention costs O(M^2); the decoder's
+interactive scan block, ibs_forward, costs O(M). This script times both at
+increasing M, the block on a synthetic scene's first decoder layer at the
+default config, and fits log-log slopes: the block should come out near 1,
+dense attention near 2. Absolute times are machine-dependent, the exponents
+are not.
 """
 
 from dest3d import complexity_bench
 
-result = complexity_bench([1024, 2048, 4096, 8192], k=16, e=32, repeats=5)
+result = complexity_bench([1024, 2048, 4096, 8192], repeats=5)
 
-print(f"{'M':>8} {'scan (s)':>12} {'attention (s)':>15} {'ratio':>8}")
+print(f"{'M':>8} {'block (s)':>12} {'attention (s)':>15} {'ratio':>8}")
 for row in result["rows"]:
-    print(f"{row['M']:>8} {row['scan_time']:>12.5f} "
+    print(f"{row['M']:>8} {row['block_time']:>12.5f} "
           f"{row['attention_time']:>15.5f} "
-          f"{row['attention_time'] / row['scan_time']:>8.1f}x")
+          f"{row['attention_time'] / row['block_time']:>8.1f}x")
 
 print(f"\nfitted log-log slopes:")
-print(f"  scan      {result['scan_slope']:.3f}  (linear would be 1.0)")
+print(f"  block     {result['block_slope']:.3f}  (linear would be 1.0)")
 print(f"  attention {result['attention_slope']:.3f}  (quadratic would be 2.0)")
-print("\ndoubling the cloud roughly doubles the scan but quadruples attention;")
+print("\ndoubling the cloud roughly doubles the block but quadruples attention;")
 print("that gap is what makes per-layer scene updates affordable")

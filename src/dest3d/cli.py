@@ -172,8 +172,7 @@ def _demo_lines(args) -> list[dict]:
 def cmd_verify(args) -> int:
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     perturb = 1e-3 if args.inject_error else 0.0
-    reports = [run_equivalence_suite(s, seeds=args.seeds, tol=args.tol,
-                                     perturb=perturb) for s in suites]
+    reports = [run_equivalence_suite(s, seeds=args.seeds, perturb=perturb) for s in suites]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -187,12 +186,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     m_values = [int(v) for v in args.m_list.split(",")]
-    result = complexity_bench(m_values, k=args.k, e=args.e, repeats=args.repeats,
-                              threads=args.threads)
-    print(f"{'M':>8}{'scan_time_s':>14}{'attention_time_s':>18}")
+    result = complexity_bench(m_values, repeats=args.repeats)
+    print(f"{'M':>8}{'block_time_s':>14}{'attention_time_s':>18}")
     for row in result["rows"]:
-        print(f"{row['M']:>8}{row['scan_time']:>14.6f}{row['attention_time']:>18.6f}")
-    print(f"scan log-log slope: {result['scan_slope']:.3f}")
+        print(f"{row['M']:>8}{row['block_time']:>14.6f}{row['attention_time']:>18.6f}")
+    print(f"ibs_forward log-log slope: {result['block_slope']:.3f}")
     print(f"attention log-log slope: {result['attention_slope']:.3f}")
     return 0
 
@@ -238,20 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run equivalence suites; exit 0 iff all pass")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--inject-error", action="store_true",
                    help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="scan vs attention wall-time scaling")
+    p = sub.add_parser("bench", help="ibs_forward vs attention wall-time scaling")
     p.add_argument("--m-list", default="1024,2048,4096,8192")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--e", type=int, default=32)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1,
-                   help="BLAS worker cap for timing stability (default 1, at most "
-                        "the CPU count), set in the environment of the process that times")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -265,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, FileNotFoundError, ChildProcessError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -26,9 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box3D
-from .issm import _cpu_count, _physical_memory, delay_kernel
+from .decoder import DecoderConfig, decoder_weights_init, detection_head, positional_embedding
+from .geometry import Box3D, farthest_point_sampling, synth_scene
+from .issm import _layer_bytes, _physical_memory, delay_kernel, ibs_forward, spatial_correlation
 from .numerics import PrngStream, softplus
+from .serialization import SerializationOrder, order_for_layer, serialize
 from .ssm import ScanInputs, _recur, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 
 __all__ = [
@@ -251,9 +253,10 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
+def run_equivalence_suite(kind: str, seeds: int = 20,
                           perturb: float = 0.0) -> EquivalenceReport:
-    """Run one named oracle over seeded random desk-scale instances.
+    """Run one named oracle over seeded random desk-scale instances, at the
+    suite's own tolerance.
 
     Failures are reported, never raised. perturb injects a deliberate error
     into the checked side (a negative-control hook for the CLI).
@@ -262,11 +265,7 @@ def run_equivalence_suite(kind: str, seeds: int = 20, tol: float | None = None,
         raise ValueError(f"unknown suite {kind!r}; choose from {SUITE_NAMES}")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    case, default_tol = _SUITES[kind]
-    if tol is None:
-        tol = default_tol
-    elif not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    case, tol = _SUITES[kind]
     worst_abs = worst_rel = 0.0
     for seed in range(seeds):
         a, r = case(PrngStream(seed), perturb)
@@ -298,39 +297,39 @@ def _f32_attention(feats: np.ndarray) -> np.ndarray:
     return out
 
 
-def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
-                     repeats: int = 5, threads: int = 1) -> dict:
-    """Median wall-times of the decoder's f64 scan_sequential vs f32 M x M attention.
+def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
+    """Median wall-times of the decoder's ibs_forward vs f32 M x M attention.
 
-    Returns rows {M, scan_time, attention_time} plus log-log slopes. Machine
-    constants cancel in the slopes: the scan should sit near 1, dense
-    attention near 2. Every size gets one untimed warmup pass and the timed
-    repeats interleave across sizes, so page faults and clock ramp-up do not
-    bias the small sizes. Each slope is the median of the slopes fitted to
-    single sweeps over all sizes, so a machine whose speed drifts between
-    sweeps moves every point of a fit alike. Timing requires a pinned worker
-    count: the timing runs in one child process whose environment limits the
-    BLAS and OpenMP pools to `threads` workers (default one, at least one,
-    at most the CPUs this process may run on). The child holds two f64
-    (M, K, E) arrays for every size at once, so sizes whose 16·K·E·ΣM bytes
-    exceed physical memory raise MemoryError before it starts.
+    The block runs at DecoderConfig()'s shape on layer 0's inputs, built as
+    decoder_stack builds them on a synth_scene of each size M. Returns rows
+    {M, block_time, attention_time} plus log-log slopes. Machine constants
+    cancel in the slopes: the block should sit near 1, dense attention near
+    2. Every size gets one untimed warmup pass and the timed repeats
+    interleave across sizes, so page faults and clock ramp-up do not bias
+    the small sizes. Each slope is the median of the slopes fitted to single
+    sweeps over all sizes, so a machine whose speed drifts between sweeps
+    moves every point of a fit alike. The timing runs in one child process
+    whose environment limits the BLAS and OpenMP pools to one worker. The
+    child holds every size's layer inputs at once, so sizes whose summed
+    issm._layer_bytes exceed physical memory raise MemoryError before it
+    starts; a child that fails raises ChildProcessError.
     """
     if len(m_values) < 2:
         raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError(f"sizes must be strictly ascending, got {m_values}")
-    for name, value, least in (("sizes", min(m_values), 1), ("k", k, 1), ("e", e, 1),
-                               ("repeats", repeats, 3), ("threads", threads, 1)):
+    for name, value, least in (("sizes", min(m_values), 1), ("repeats", repeats, 3)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    cpus = _cpu_count()
-    if threads > cpus:
-        raise ValueError(f"threads must be <= {cpus}, the CPUs this process may run on, "
-                         f"got {threads}")
-    need, have = 16 * k * e * sum(m_values), _physical_memory()
+    cfg = DecoderConfig()
+    if m_values[0] < cfg.num_states:  # decoder_stack's own floor: one point per state
+        raise ValueError(f"sizes must be >= {cfg.num_states}, the decoder's states, "
+                         f"got {m_values[0]}")
+    need, have = sum(_layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim, cfg.corr_dim)
+                     for m in m_values), _physical_memory()
     if have is not None and need > have:
-        raise MemoryError(f"sizes {m_values} x K={k} x E={e} need about {need / 2**20:.0f} MiB "
-                          f"for the scan inputs, more than the {have / 2**20:.0f} MiB of "
+        raise MemoryError(f"sizes {m_values} need about {need / 2**20:.0f} MiB for the decoder "
+                          f"layer's arrays, more than the {have / 2**20:.0f} MiB of "
                           f"physical memory")
     # imported here, not at the top: subprocess alone adds 0.6 MB of RSS to
     # every process that imports dest3d
@@ -338,43 +337,52 @@ def complexity_bench(m_values: list[int], k: int = 16, e: int = 32,
     import subprocess
 
     src = str(Path(__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = ("import json, sys; from dest3d.verify import _time_scan_and_attention; "
-             "print(json.dumps(_time_scan_and_attention(*json.loads(sys.argv[1]))))")
-    args = json.dumps([m_values, k, e, repeats])
-    proc = subprocess.run([sys.executable, "-c", child, args], env=env,
-                          capture_output=True, text=True)
+    child = ("import json, sys; from dest3d.verify import _time_block_and_attention; "
+             "print(json.dumps(_time_block_and_attention(*json.loads(sys.argv[1]))))")
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps([m_values, repeats])],
+                          env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"complexity_bench timing process failed: {proc.stderr.strip()}")
+        status = (f"was killed by signal {-proc.returncode}" if proc.returncode < 0
+                  else f"exited with status {proc.returncode}")
+        last = proc.stderr.strip().splitlines()[-1:]
+        raise ChildProcessError(f"complexity_bench timing process {status}"
+                                + "".join(f": {line}" for line in last))
     return json.loads(proc.stdout)
 
 
-def _time_scan_and_attention(m_values: list[int], k: int, e: int, repeats: int) -> dict:
+def _time_block_and_attention(m_values: list[int], repeats: int) -> dict:
     """complexity_bench's timing, run in the process whose pools it pinned."""
+    cfg = DecoderConfig()
+    weights = decoder_weights_init(PrngStream(0), cfg)
+    w = weights.layers[0]
+    order = SerializationOrder(order_for_layer(0), cfg.serialization_bits)
     cases = {}
-    for m in m_values:
-        stream = PrngStream(0)
-        inputs = ScanInputs(a_bar=np.exp(-stream.uniform((m, k, e), 0.0, 1.0)),
-                            b_bar=stream.normal((m, k, e), 0.0, 0.1),
-                            c=stream.normal((m, k), 0.0, 1.0),
-                            x=stream.normal((m, e), 0.0, 1.0),
-                            h0=np.zeros((k, e)))
-        feats = stream.normal((m, e), 0.0, 1.0).astype(np.float32)
-        cases[m] = (partial(scan_sequential, inputs), partial(_f32_attention, feats))
+    for m in m_values:  # layer 0's inputs as decoder_stack builds them, half on box surfaces
+        scene = synth_scene(points_per_box=m // 6, noise_points=m - 3 * (m // 6),
+                            feature_dim=cfg.channels)
+        x = scene.features + positional_embedding(scene.positions, weights)
+        idx = farthest_point_sampling(scene.positions, cfg.num_states)
+        boxes = [d.box for d in detection_head(x[idx], scene.positions[idx], weights.head)]
+        perm = serialize(scene.positions, order)
+        xp, pp = x[perm], scene.positions[perm]
+        block = partial(ibs_forward, xp, x[idx], spatial_correlation(pp, boxes, w.corr),
+                        delay_kernel(boxes, pp, w.ibs.alpha_raw, metric=cfg.delay_metric), w.ibs)
+        cases[m] = (block, partial(_f32_attention, xp.astype(np.float32)))
 
     times = {m: ([], []) for m in m_values}
-    for run_scan, run_attn in cases.values():  # warmup
-        run_scan()
+    for run_block, run_attn in cases.values():  # warmup
+        run_block()
         run_attn()
-    for side in (0, 1):  # every scan repeat, then every attention repeat
+    for side in (0, 1):  # every block repeat, then every attention repeat
         for _ in range(repeats):
             for m, runs in cases.items():
                 t0 = time.perf_counter()
                 runs[side]()
                 times[m][side].append(time.perf_counter() - t0)
 
-    rows = [{"M": m, "scan_time": float(np.median(times[m][0])),
+    rows = [{"M": m, "block_time": float(np.median(times[m][0])),
              "attention_time": float(np.median(times[m][1]))} for m in m_values]
     logm = np.log(m_values)
 
@@ -383,4 +391,4 @@ def _time_scan_and_attention(m_values: list[int], k: int, e: int, repeats: int) 
                 for r in range(repeats)]
         return float(np.median(fits))
 
-    return {"rows": rows, "scan_slope": slope(0), "attention_slope": slope(1)}
+    return {"rows": rows, "block_slope": slope(0), "attention_slope": slope(1)}

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import dest3d.cli as cli_mod
-import dest3d.verify as verify_mod
 from dest3d.cli import load_run_config, main
 from dest3d.decoder import DecoderConfig, decoder_weights_init
 from dest3d.geometry import Box3D
@@ -625,46 +624,29 @@ class TestCliVerify:
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
-    def test_bad_tolerance_exit_2(self, tol):
-        code, out, err = run_cli("verify", "--suite", "scan_chunked", "--seeds", "1",
-                                 f"--tol={tol}")
-        assert code == 2
-        assert "FAIL" not in out
-        assert err.startswith("error: tol must be finite and >= 0")
-
 
 class TestCliBench:
     def test_small_run(self):
-        code, out, err = run_cli("bench", "--m-list", "64,128", "--k", "2",
-                                 "--e", "4", "--repeats", "3")
+        code, out, err = run_cli("bench", "--m-list", "64,128", "--repeats", "3")
         assert code == 0
         assert err == ""
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.strip() and l.lstrip()[0].isdigit()]) == 2
-        assert "slope" in out
+        assert len([l for l in lines if l.startswith("ibs_forward log-log slope: ")]) == 1
 
     @pytest.mark.parametrize("args,named", [
         (("--m-list", "64"), "at least two sizes"),
         (("--m-list", "64,64"), "strictly ascending"),
         (("--m-list", "128,64"), "strictly ascending"),
         (("--m-list", "0,64"), "sizes must be >= 1, got 0"),
-        (("--k", "0"), "k must be >= 1, got 0"),
-        (("--e", "0"), "e must be >= 1, got 0"),
-        (("--threads", "0"), "threads must be >= 1, got 0"),
-        (("--threads", "-1"), "threads must be >= 1, got -1"),
-        (("--threads", "3"), "threads must be <= 2, the CPUs this process may run on, got 3"),
+        (("--m-list", "8,64"), "sizes must be >= 16, the decoder's states, got 8"),
     ])
     def test_rejects_sizes_it_cannot_fit(self, args, named, monkeypatch, capsys):
-        # run in-process, with two CPUs forced, so --threads 3 is refused on
-        # any machine; every case is refused before the timing child starts
-        monkeypatch.setattr(verify_mod, "_cpu_count", lambda: 2)
-
+        # run in-process; every case is refused before the timing child starts
         def no_child(*args, **kw):
             raise AssertionError("the timing process started")
         monkeypatch.setattr(subprocess, "run", no_child)
-        code = main(["bench", "--m-list", "64,128", "--k", "2", "--e", "4",
-                     "--repeats", "3", *args])
+        code = main(["bench", "--m-list", "64,128", "--repeats", "3", *args])
         out, err = capsys.readouterr()
         err_lines = [l for l in err.splitlines() if l.strip()]
         assert code == 2
@@ -674,19 +656,34 @@ class TestCliBench:
 
     def test_sizes_beyond_physical_memory_exit_2(self):
         # refused before the timing process allocates anything
-        code, out, err = run_cli("bench", "--m-list", "1000000000,2000000000", "--k", "64")
+        code, out, err = run_cli("bench", "--m-list", "1000000000,2000000000")
         err_lines = [l for l in err.splitlines() if l.strip()]
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
         assert len(err_lines) == 1 and err_lines[0].startswith("error: out of memory (sizes ")
 
+    @pytest.mark.parametrize("returncode,stderr,named", [
+        # what a kill by the OS's out-of-memory handler looks like
+        (-9, "", "error: complexity_bench timing process was killed by signal 9"),
+        (1, "Traceback (most recent call last):\n  ...\nMemoryError\n",
+         "error: complexity_bench timing process exited with status 1: MemoryError"),
+    ])
+    def test_failed_timing_process_exit_2(self, returncode, stderr, named, monkeypatch,
+                                          capsys):
+        monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(
+            cmd, returncode, "", stderr))
+        code = main(["bench", "--m-list", "64,128", "--repeats", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [named]
+
     def test_no_stderr_without_threadpoolctl(self, monkeypatch, capsys):
         # None in sys.modules makes any import of threadpoolctl raise, so the
         # run shows that bench neither needs it nor warns about its absence
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        code = main(["bench", "--m-list", "64,128", "--k", "2", "--e", "4",
-                     "--repeats", "3"])
+        code = main(["bench", "--m-list", "64,128", "--repeats", "3"])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""

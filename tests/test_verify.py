@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dest3d import verify
+from dest3d import decoder, issm, verify
+from dest3d.decoder import DecoderConfig, decoder_stack, decoder_weights_init
+from dest3d.geometry import synth_scene
+from dest3d.issm import ibs_forward
 from dest3d.numerics import PrngStream
 from dest3d.ssm import _BLOCK
 from dest3d.verify import (
@@ -187,18 +190,36 @@ class TestBench:
     def test_structure_and_monotonicity(self):
         # medians of 7 repeats: up to 3 samples per size slowed by other
         # load on the machine cannot move a median
-        result = complexity_bench([256, 1024, 4096], k=4, e=8, repeats=7)
+        result = complexity_bench([256, 1024, 4096], repeats=7)
         assert len(result["rows"]) == 3
-        times = [r["scan_time"] for r in result["rows"]]
+        times = [r["block_time"] for r in result["rows"]]
         assert times[0] < times[1] < times[2]
         attn = [r["attention_time"] for r in result["rows"]]
         assert attn[0] < attn[1] < attn[2]
 
+    def test_times_the_block_on_decoder_stacks_layer_0_inputs(self, monkeypatch):
+        # the bench's first block call gets, bit for bit, what decoder_stack
+        # hands ibs_forward in layer 0 of the same scene and weights
+        m, cfg = 96, DecoderConfig()
+        weights = decoder_weights_init(PrngStream(0), cfg)
+        monkeypatch.setattr(verify, "decoder_weights_init", lambda stream, cfg: weights)
+        calls = {decoder: [], verify: []}
+        for mod, seen in calls.items():
+            def recorded(*args, seen=seen):
+                seen.append(args)
+                return ibs_forward(*args)
+            monkeypatch.setattr(mod, "ibs_forward", recorded)
+        decoder_stack(synth_scene(points_per_box=m // 6, noise_points=m - 3 * (m // 6)),
+                      cfg, weights)
+        verify._time_block_and_attention([m, 2 * m], repeats=3)
+        stack, bench = calls[decoder][0], calls[verify][0]
+        for a, b in zip(stack[:4], bench[:4]):
+            np.testing.assert_array_equal(a, b)
+        assert bench[4] is stack[4]
+
     def test_times_in_one_child_with_pinned_blas(self, monkeypatch):
         # the timing runs in one child process whose environment caps the
-        # BLAS and OpenMP pools at `threads`, and warns about nothing; two
-        # CPUs are forced, so threads=2 is allowed on any machine
-        monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+        # BLAS and OpenMP pools at one worker, and warns about nothing
         started, real_run = [], subprocess.run
 
         def recorded(cmd, **kw):
@@ -207,31 +228,34 @@ class TestBench:
         monkeypatch.setattr(subprocess, "run", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = complexity_bench([64, 128], k=2, e=4, repeats=3, threads=2)
+            result = complexity_bench([64, 128], repeats=3)
         assert [(env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) for env in started] \
-            == [("2", "2")]
+            == [("1", "1")]
         assert [r["M"] for r in result["rows"]] == [64, 128]
-        assert all(r["scan_time"] > 0 and r["attention_time"] > 0 for r in result["rows"])
-        assert np.isfinite(result["scan_slope"])
+        assert all(r["block_time"] > 0 and r["attention_time"] > 0 for r in result["rows"])
+        assert np.isfinite(result["block_slope"])
         assert np.isfinite(result["attention_slope"])
 
     def test_refuses_sizes_beyond_physical_memory_before_timing(self, monkeypatch):
-        # 16·K·E·ΣM bytes: about 98 TB here, checked before any array or child
+        # the decoder layer's arrays: about 11 TB here, checked before any
+        # array or child
         def no_child(*args, **kw):
             raise AssertionError("the timing process started")
         monkeypatch.setattr(subprocess, "run", no_child)
-        with pytest.raises(MemoryError, match=r"K=64 x E=32 need about \d+ MiB"):
-            complexity_bench([10**9, 2 * 10**9], k=64, e=32, repeats=3)
+        with pytest.raises(MemoryError, match=r"sizes \[\d+, \d+\] need about \d+ MiB"):
+            complexity_bench([10**9, 2 * 10**9], repeats=3)
 
-    def test_memory_bound_is_two_f64_arrays_per_size(self, monkeypatch):
-        # one (M, K, E) a_bar and one b_bar per size, all held at once
-        need = 16 * 2 * 4 * (64 + 128)
+    def test_memory_bound_is_the_decoder_layers_bytes_per_size(self, monkeypatch):
+        # issm._layer_bytes at DecoderConfig()'s shape, summed over the sizes
+        # the child holds at once
+        cfg = DecoderConfig()
+        need = sum(issm._layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim,
+                                     cfg.corr_dim) for m in (64, 128))
         monkeypatch.setattr(verify, "_physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
-            complexity_bench([64, 128], k=2, e=4, repeats=3)
+            complexity_bench([64, 128], repeats=3)
         monkeypatch.setattr(verify, "_physical_memory", lambda: need)
-        assert [r["M"] for r in complexity_bench([64, 128], k=2, e=4, repeats=3)["rows"]] \
-            == [64, 128]
+        assert [r["M"] for r in complexity_bench([64, 128], repeats=3)["rows"]] == [64, 128]
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
