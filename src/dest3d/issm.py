@@ -32,6 +32,7 @@ from .geometry import _CORNER_SIGNS, Box3D, box_local_coords, box_vertices, circ
 from .numerics import (
     LinearWeights,
     PrngStream,
+    block_rows,
     depthwise_conv1d,
     layer_norm,
     linear,
@@ -180,8 +181,8 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
     corners from the flattened grid and one stacked (M, 1, 8) @ (M, 8, D)
     product with their weights. A CorrelationMlp sums out(silu(hidden(point
     - vertex))) over the 8 box vertices; both layers are affine, so hidden
-    runs on the points once and on each box's vertices, and out runs once on
-    the (M, K, H) sum of silu (its bias counted 8 times).
+    runs on the points once and on each box's vertices, and out runs per box
+    on that box's (M, H) sum of silu, its bias added once, times 8.
 
     Each box's column is computed on its own, so the boxes are filled in two
     halves through _both, which at K >= 64 on more than one CPU runs the
@@ -228,22 +229,17 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
         ph = points @ hidden.weight.T
         if hidden.bias is not None:
             ph += hidden.bias
-        hsum = np.empty((m, k, hidden.out_features), dtype=np.float64)
+        out = np.empty((m, k, head.out_features), dtype=np.float64)
 
         def fill(lo: int, hi: int) -> None:
             a, b, acc = (np.empty_like(ph) for _ in range(3))
             for j in range(lo, hi):
-                # the 8 vertices add in order into one contiguous (M, H)
-                # buffer, written to the strided column hsum[:, j] once:
-                # adding into that column per vertex ran about 10x slower
                 acc.fill(0.0)
                 for vh in box_vertices(boxes[j]) @ hidden.weight.T:
                     acc += silu(np.subtract(ph, vh, out=a), out=b)
-                hsum[:, j] = acc
+                out[:, j] = acc @ head.weight.T
 
-        # fill's scratch is freed before the (M, K, D) output is allocated
         _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
-        out = (hsum.reshape(m * k, -1) @ head.weight.T).reshape(m, k, head.out_features)
         if head.bias is not None:
             out += 8.0 * head.bias
         return out
@@ -300,7 +296,10 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
         if metric == "surface":
             np.maximum(q, 0.0, out=q)
         d[:, j] = np.linalg.norm(q, axis=1)
-    return np.exp(alpha * np.minimum(radii[None, :] - d, 0.0))
+    np.subtract(radii, d, out=d)
+    np.minimum(d, 0.0, out=d)
+    d *= alpha
+    return np.exp(d, out=d)
 
 
 def _param_weights(w: DirectionWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,6 +343,14 @@ def _prelude_blocks(m: int, k: int, e: int) -> list[slice]:
     return row_blocks(m, e + 2, unit=_chunk_rows(k, e))
 
 
+def _longest_prelude_block(m: int, k: int, e: int) -> int:
+    """Rows of the last, longest _prelude_blocks(m, k, e) block, without
+    building the list: all m rows below one block, else one block plus the
+    rows left over."""
+    rows = block_rows(e + 2, _chunk_rows(k, e))
+    return m if m < rows else rows + m % rows
+
+
 def _layer_bytes(m: int, k: int, c: int, e: int, d: int) -> int:
     """Bytes a decoder layer of M points, K states, C channels, E state
     channels and D correlation channels holds at most in the arrays that
@@ -357,12 +364,11 @@ def _layer_bytes(m: int, k: int, c: int, e: int, d: int) -> int:
     K, 2) chunk buffers and the (B, E) and (B, E+2) prelude buffers, B the
     longest _prelude_blocks block. It leaves out the per-stage scratch, which
     row_blocks bounds at about BLOCK_ELEMENTS f64 values per array at any M
-    (per thread at K >= 64), and the (M, K) temporaries of the delay kernel.
+    (per thread at K >= 64).
     """
     rows = min(m, _chunk_rows(k, e))
-    last = _prelude_blocks(m, k, e)[-1]
     scans = 2 if _two_threads(k) else 1
-    per_scan = rows * k * (3 * e + 2) + (last.stop - last.start) * (2 * e + 2)
+    per_scan = rows * k * (3 * e + 2) + _longest_prelude_block(m, k, e) * (2 * e + 2)
     return 8 * (m * k * (d + 1) + 3 * m * (c + e) + scans * per_scan)
 
 
@@ -388,8 +394,7 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     k = h0_hat.shape[0]
     context = w.conv_kernel.shape[1] - 1
     w_x, w_s, bias = _param_weights(w)
-    blocks = _prelude_blocks(m, k, e)
-    longest = blocks[-1].stop - blocks[-1].start
+    longest = _longest_prelude_block(m, k, e)
     x_conv, x_row = np.empty((longest, e)), np.empty((longest, e + 2))
     step = _chunk_rows(k, e)
     rows = min(m, step)
@@ -397,7 +402,7 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     bc_buf = np.empty((rows, k, 2))
     y = np.empty((m, e))
     h = h0_hat
-    for blk in blocks:
+    for blk in _prelude_blocks(m, k, e):
         n = blk.stop - blk.start
         ctx = min(blk.start, context)
         conv = depthwise_conv1d(x_in[blk.start - ctx:blk.stop], w.conv_kernel)

@@ -202,20 +202,26 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def block_rows(width: int, unit: int = 1) -> int:
+    """Rows per row_blocks block: max(1, BLOCK_ELEMENTS // width), rounded
+    up to a whole number of units of unit rows."""
+    rows = max(1, BLOCK_ELEMENTS // width)
+    return rows + -rows % unit
+
+
 def row_blocks(m: int, width: int, unit: int = 1) -> list[slice]:
     """Consecutive row slices covering range(m), for a stage whose widest
     per-row array holds width elements.
 
-    Each block has rows = max(1, BLOCK_ELEMENTS // width) rows, rounded up
-    to a whole number of units of unit rows, except the last, which also
-    takes the m % rows rows left over: no block is shorter than rows unless
-    m is, and every block but the last holds whole units. A BLAS product of
-    a few rows can round differently from the same rows of a larger product
-    (OpenBLAS's small-matrix and single-row paths); over blocks this long, a
-    stage gives the same bits as one pass over all m rows.
+    Each block has rows = block_rows(width, unit) rows, except the last,
+    which also takes the m % rows rows left over: no block is shorter than
+    rows unless m is, and every block but the last holds whole units. A
+    BLAS product of a few rows can round differently from the same rows of a
+    larger product (OpenBLAS's small-matrix and single-row paths); over
+    blocks this long, a stage gives the same bits as one pass over all m
+    rows.
     """
-    rows = max(1, BLOCK_ELEMENTS // width)
-    rows += -rows % unit
+    rows = block_rows(width, unit)
     starts = list(range(0, max(m - rows, 0) + 1, rows))
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m])]
 

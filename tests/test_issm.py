@@ -6,15 +6,18 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from dest3d import issm
-from dest3d.geometry import Box3D, box_vertices, synth_scene
+from dest3d import issm, numerics
+from dest3d.geometry import Box3D, box_vertices, circumscribed_radius, synth_scene
 from dest3d.issm import (
     TABLE_EXTENT,
     CorrelationMlp,
     CorrelationTable,
     DirectionWeights,
     _chunk_rows,
+    _layer_bytes,
+    _longest_prelude_block,
     _param_weights,
+    _prelude_blocks,
     IbsWeights,
     correlation_mlp_init,
     correlation_table_init,
@@ -24,7 +27,16 @@ from dest3d.issm import (
     ibs_weights_init,
     spatial_correlation,
 )
-from dest3d.numerics import LinearWeights, PrngStream, depthwise_conv1d, layer_norm, linear, silu
+from dest3d.numerics import (
+    LinearWeights,
+    PrngStream,
+    block_rows,
+    depthwise_conv1d,
+    layer_norm,
+    linear,
+    silu,
+    softplus,
+)
 from dest3d.ssm import ScanInputs, discretize_zoh, scan_sequential
 
 
@@ -326,16 +338,17 @@ class TestSpatialCorrelation:
 
     @pytest.mark.parametrize("form", ["table", "mlp"])
     def test_peak_memory_per_box(self, form):
-        # s is 4 MiB at M=2048, K=16, D=16, and the per-box loop adds about
-        # one more s-sized array (measured 7.1 MiB table; 8.3 MiB mlp, whose
-        # three (M, H) loop buffers are freed before its output layer). An
-        # all-K form holds an (M, K, 8, D or H) intermediate, 32 MiB here.
+        # s is 4 MiB at M=2048, K=16, D=16. The table's per-box loop adds
+        # about one more s-sized array (measured 7.1 MiB). The mlp projects
+        # each box's (M, H) vertex sum as it goes (measured 5.26 MiB), so its
+        # bound sits below s plus an (M, K, H) sum, 8 MiB at H=16. An all-K
+        # form holds an (M, K, 8, D or H) intermediate, 32 MiB here.
         m, k, d = 2048, 16, 16
         rng = PrngStream(5)
         corr = (correlation_table_init(rng, d) if form == "table"
                 else correlation_mlp_init(rng, d))
         points, boxes = rng.normal((m, 3), 0.0, 2.0), make_boxes(rng, k)
-        bound = 10 * 2**20
+        bound = 10 * 2**20 if form == "table" else 6.5 * 2**20
         assert bound < m * k * 8 * d * 8
         started = not tracemalloc.is_tracing()
         if started:
@@ -504,6 +517,37 @@ class TestDelayKernel:
         # inside and on the faces of its own box, a point is at distance 0
         own = np.concatenate([d[20 * j:20 * j + 8, j] for j in range(4)])
         np.testing.assert_allclose(own, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("metric", ["center", "vertex", "surface"])
+    def test_in_place_peak_memory_and_values(self, metric):
+        # the kernel works in its (M, K) distance array: its peak over entry
+        # stays under 1.5 outputs (three (M, K) temporaries read 3.0 MiB over
+        # this 1 MiB output), and its values are those of the expression
+        m, k, alpha_raw = 2048, 64, 0.7
+        rng = PrngStream(13)
+        boxes = make_boxes(rng, k)
+        points = rng.normal((m, 3), 0.0, 3.0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = delay_kernel(boxes, points, alpha_raw, metric)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1.5 * got.nbytes, peak / got.nbytes
+        d = np.empty((m, k))
+        for j, box in enumerate(boxes):
+            q = np.abs((points - box.center) @ box.rotation()) - box.size / 2.0
+            d[:, j] = np.linalg.norm({"center": points - box.center, "vertex": q,
+                                      "surface": np.maximum(q, 0.0)}[metric], axis=1)
+        radii = np.array([circumscribed_radius(b) for b in boxes])
+        alpha = float(softplus(np.float64(alpha_raw)))
+        assert np.array_equal(got, np.exp(alpha * np.minimum(radii[None, :] - d, 0.0)))
+        assert (got < 1.0).any()
 
     def test_unknown_metric(self):
         # checked before the per-box loop, so an empty box list does not hide it
@@ -907,3 +951,24 @@ class TestTwoThreads:
             assert threading.active_count() == before
         assert messages[0] == messages[1]
         assert "(33, 8)" in messages[0]
+
+
+class TestLayerBytes:
+    @pytest.mark.parametrize("k", [1, 4, 16, 64, 200])
+    @pytest.mark.parametrize("e", [1, 8, 32])
+    def test_longest_block_matches_listed_blocks(self, k, e):
+        # every m up to three blocks and four rows past, so below one block,
+        # exact multiples of it and every remainder, and one M of many blocks
+        block = block_rows(e + 2, _chunk_rows(k, e))
+        for m in [*range(1, 3 * block + 5), 100007]:
+            last = _prelude_blocks(m, k, e)[-1]
+            assert _longest_prelude_block(m, k, e) == last.stop - last.start, m
+
+    def test_estimate_builds_no_block_list(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("the estimate listed the row blocks")
+
+        for module, name in ((issm, "_prelude_blocks"), (issm, "row_blocks"),
+                             (numerics, "row_blocks")):
+            monkeypatch.setattr(module, name, listed)
+        assert _layer_bytes(2 * 10**9, 16, 32, 32, 16) > 8 * 2 * 10**9 * 16 * 17
