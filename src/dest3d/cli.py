@@ -187,10 +187,10 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     m_values = [int(v) for v in args.m_list.split(",")]
     result = complexity_bench(m_values, repeats=args.repeats)
-    print(f"{'M':>8}{'block_time_s':>14}{'attention_time_s':>18}")
+    print(f"{'M':>8}{'layer_time_s':>14}{'attention_time_s':>18}")
     for row in result["rows"]:
-        print(f"{row['M']:>8}{row['block_time']:>14.6f}{row['attention_time']:>18.6f}")
-    print(f"ibs_forward log-log slope: {result['block_slope']:.3f}")
+        print(f"{row['M']:>8}{row['layer_time']:>14.6f}{row['attention_time']:>18.6f}")
+    print(f"decoder layer log-log slope: {result['layer_slope']:.3f}")
     print(f"attention log-log slope: {result['attention_slope']:.3f}")
     return 0
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="ibs_forward vs attention wall-time scaling")
+    p = sub.add_parser("bench", help="decoder layer vs attention wall-time scaling")
     p.add_argument("--m-list", default="1024,2048,4096,8192")
     p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(func=cmd_bench)

@@ -42,6 +42,7 @@ from .numerics import (
     softplus,
 )
 from .serialization import SerializationOrder, order_for_layer, serialize
+from .weights_io import flatten_weights
 
 __all__ = [
     "DecoderConfig",
@@ -281,6 +282,15 @@ def point_objectness(x: np.ndarray, w: DecoderWeights) -> np.ndarray:
     return sigmoid(linear(hidden, w.point_obj_out))[:, 0]
 
 
+def _require_memory(need: int, who: str, what: str) -> None:
+    """Raise MemoryError, naming who needs the bytes and for what, when need
+    exceeds physical memory; where physical memory is unknown, pass."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"{who} need about {need / 2**20:.0f} MiB for {what}, more than "
+                          f"the {have / 2**20:.0f} MiB of physical memory")
+
+
 @dataclass
 class StackResult:
     layers: list[LayerOutput]
@@ -305,12 +315,8 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
         raise ValueError(
             f"scene features width {scene.features.shape[1]} != config channels {cfg.channels}"
         )
-    need = issm._layer_bytes(m, k, cfg.channels, cfg.state_dim, cfg.corr_dim)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise MemoryError(f"M={m} points x K={k} states need about {need / 2**20:.0f} MiB "
-                          f"for one layer's arrays, more than the "
-                          f"{have / 2**20:.0f} MiB of physical memory")
+    _require_memory(issm._layer_bytes(m, k, cfg.channels, cfg.state_dim, cfg.corr_dim),
+                    f"M={m} points x K={k} states", "one layer's arrays")
     x = scene.features + positional_embedding(scene.positions, weights)
     idx = farthest_point_sampling(scene.positions, cfg.num_states)
     state_pos = scene.positions[idx]
@@ -363,11 +369,13 @@ def _head_init(stream: PrngStream, channels: int, num_classes: int) -> Detection
 
 
 def decoder_weights_init(stream: PrngStream, cfg: DecoderConfig) -> DecoderWeights:
-    """Seeded weights for the whole stack; saved references fix the draw order."""
+    """Seeded weights for the whole stack; saved references fix the draw order.
+    num_layers layers of the first one's size beyond physical memory raise
+    MemoryError before the second is drawn."""
     pos_embed_hidden = linear_init(stream, cfg.channels, 3)
     pos_embed_out = linear_init(stream, cfg.channels, cfg.channels)
     layers = []
-    for _ in range(cfg.num_layers):
+    for layer in range(cfg.num_layers):
         ibs = ibs_weights_init(stream, cfg.channels, cfg.state_dim,
                                cfg.corr_dim, cfg.kernel_size)
         table = correlation_table_init(stream, cfg.corr_dim)
@@ -380,6 +388,10 @@ def decoder_weights_init(stream: PrngStream, cfg: DecoderConfig) -> DecoderWeigh
         corr = table if cfg.correlation_mode == "table" else mlp
         layers.append(DecoderLayerWeights(ibs=ibs, corr=corr, attn=attn,
                                           gffn_x=gffn_x, gffn_h=gffn_h))
+        if layer == 0:
+            per_layer = sum(a.nbytes for a in flatten_weights(layers[0]).values())
+            _require_memory(cfg.num_layers * per_layer, f"{cfg.num_layers} layers",
+                            "their weights")
     head = _head_init(stream, cfg.channels, cfg.num_classes)
     point_obj_hidden = linear_init(stream, cfg.channels, cfg.channels)
     point_obj_out = linear_init(stream, 1, cfg.channels)

@@ -20,17 +20,16 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .decoder import DecoderConfig, decoder_weights_init, detection_head, positional_embedding
-from .geometry import Box3D, farthest_point_sampling, synth_scene
-from .issm import _layer_bytes, _physical_memory, delay_kernel, ibs_forward, spatial_correlation
+from .decoder import DecoderConfig, _require_memory, decoder_stack, decoder_weights_init
+from .geometry import Box3D, synth_scene
+from .issm import _layer_bytes, delay_kernel
 from .numerics import PrngStream, softplus
-from .serialization import SerializationOrder, order_for_layer, serialize
 from .ssm import ScanInputs, _recur, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
 
 __all__ = [
@@ -221,24 +220,23 @@ def _case_delay(stream: PrngStream, perturb: float) -> tuple[float, float]:
     radius = 0.5 * float(np.linalg.norm(size))
     direction = stream.normal((3,), 0.0, 1.0)
     direction /= np.linalg.norm(direction)
-    dists = np.concatenate([
+    # a line of 160 points out from the center, then the 1/e anchor and a far point
+    line = np.concatenate([
         np.linspace(0.0, radius, 40),
         radius + np.linspace(1e-3, 5.0 / alpha, 120),
     ])
+    dists = np.concatenate([line, [radius + 1.0 / alpha, radius + 12.0 / alpha]])
     pts = center[None, :] + dists[:, None] * direction[None, :]
-    factors = delay_kernel([box], pts, alpha_raw)[:, 0] + perturb
-    inside = factors[dists <= radius]
+    kernel = delay_kernel([box], pts, alpha_raw)[:, 0]
+    factors = kernel[:len(line)] + perturb
+    inside = factors[line <= radius]
     v_inside = float(np.abs(inside - 1.0).max())
-    beyond = factors[dists > radius]
+    beyond = factors[line > radius]
     v_monotone = float(np.maximum(np.diff(beyond), 0.0).max()) if len(beyond) > 1 else 0.0
-    anchor = center + (radius + 1.0 / alpha) * direction
-    v_anchor = abs(float(delay_kernel([box], anchor[None, :], alpha_raw)[0, 0] + perturb)
-                   - np.exp(-1.0))
+    v_anchor = abs(float(kernel[-2] + perturb) - np.exp(-1.0))
     # far-point suppression: delta scales by the factor, so the state-update
     # magnitude ratio with/without the kernel is the factor itself
-    far = center + (radius + 12.0 / alpha) * direction
-    ratio = float(delay_kernel([box], far[None, :], alpha_raw)[0, 0])
-    v_suppress = max(0.0, ratio - 1e-4)
+    v_suppress = max(0.0, float(kernel[-1]) - 1e-4)
     worst = max(v_inside, v_monotone, v_anchor, v_suppress)
     return worst, worst
 
@@ -269,14 +267,14 @@ def run_equivalence_suite(kind: str, seeds: int = 20,
     worst_abs = worst_rel = 0.0
     for seed in range(seeds):
         a, r = case(PrngStream(seed), perturb)
-        worst_abs = max(worst_abs, a)
-        worst_rel = max(worst_rel, r)
+        worst_abs = max(worst_abs, float(a))  # Python floats: to_dict() feeds json
+        worst_rel = max(worst_rel, float(r))
     return EquivalenceReport(suite=kind, max_abs_err=worst_abs,
                              max_rel_err=worst_rel, cases=seeds, tolerance=tol)
 
 
 def _f32_attention(feats: np.ndarray) -> np.ndarray:
-    """Dense self-attention used only for timing.
+    """Dense self-attention over a scene's (M, C) features, used only for timing.
 
     Blocks of 256 rows with in-place softmax, so the working set stays
     cache-sized at every M; otherwise the small sizes run cache-resident and
@@ -298,21 +296,22 @@ def _f32_attention(feats: np.ndarray) -> np.ndarray:
 
 
 def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
-    """Median wall-times of the decoder's ibs_forward vs f32 M x M attention.
+    """Median wall-times of one decoder layer vs f32 M x M attention.
 
-    The block runs at DecoderConfig()'s shape on layer 0's inputs, built as
-    decoder_stack builds them on a synth_scene of each size M. Returns rows
-    {M, block_time, attention_time} plus log-log slopes. Machine constants
-    cancel in the slopes: the block should sit near 1, dense attention near
+    Per size M, the layer is decoder_stack with num_layers=1 at
+    DecoderConfig()'s other settings, on a synth_scene of M points, half on
+    box surfaces; the attention runs on that scene's features. Returns rows
+    {M, layer_time, attention_time} plus log-log slopes. Machine constants
+    cancel in the slopes: the layer should sit near 1, dense attention near
     2. Every size gets one untimed warmup pass and the timed repeats
     interleave across sizes, so page faults and clock ramp-up do not bias
     the small sizes. Each slope is the median of the slopes fitted to single
     sweeps over all sizes, so a machine whose speed drifts between sweeps
     moves every point of a fit alike. The timing runs in one child process
     whose environment limits the BLAS and OpenMP pools to one worker. The
-    child holds every size's layer inputs at once, so sizes whose summed
-    issm._layer_bytes exceed physical memory raise MemoryError before it
-    starts; a child that fails raises ChildProcessError.
+    child holds every size's scene and runs one stack at a time; sizes whose
+    summed issm._layer_bytes exceed physical memory raise MemoryError before
+    it starts, and a child that fails raises ChildProcessError.
     """
     if len(m_values) < 2:
         raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
@@ -325,12 +324,9 @@ def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
     if m_values[0] < cfg.num_states:  # decoder_stack's own floor: one point per state
         raise ValueError(f"sizes must be >= {cfg.num_states}, the decoder's states, "
                          f"got {m_values[0]}")
-    need, have = sum(_layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim, cfg.corr_dim)
-                     for m in m_values), _physical_memory()
-    if have is not None and need > have:
-        raise MemoryError(f"sizes {m_values} need about {need / 2**20:.0f} MiB for the decoder "
-                          f"layer's arrays, more than the {have / 2**20:.0f} MiB of "
-                          f"physical memory")
+    _require_memory(sum(_layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim,
+                                     cfg.corr_dim) for m in m_values),
+                    f"sizes {m_values}", "the decoder layer's arrays")
     # imported here, not at the top: subprocess alone adds 0.6 MB of RSS to
     # every process that imports dest3d
     import json
@@ -339,8 +335,8 @@ def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
     src = str(Path(__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = ("import json, sys; from dest3d.verify import _time_block_and_attention; "
-             "print(json.dumps(_time_block_and_attention(*json.loads(sys.argv[1]))))")
+    child = ("import json, sys; from dest3d.verify import _time_layer_and_attention; "
+             "print(json.dumps(_time_layer_and_attention(*json.loads(sys.argv[1]))))")
     proc = subprocess.run([sys.executable, "-c", child, json.dumps([m_values, repeats])],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -352,37 +348,29 @@ def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
     return json.loads(proc.stdout)
 
 
-def _time_block_and_attention(m_values: list[int], repeats: int) -> dict:
+def _time_layer_and_attention(m_values: list[int], repeats: int) -> dict:
     """complexity_bench's timing, run in the process whose pools it pinned."""
-    cfg = DecoderConfig()
+    cfg = replace(DecoderConfig(), num_layers=1)
     weights = decoder_weights_init(PrngStream(0), cfg)
-    w = weights.layers[0]
-    order = SerializationOrder(order_for_layer(0), cfg.serialization_bits)
     cases = {}
-    for m in m_values:  # layer 0's inputs as decoder_stack builds them, half on box surfaces
+    for m in m_values:
         scene = synth_scene(points_per_box=m // 6, noise_points=m - 3 * (m // 6),
                             feature_dim=cfg.channels)
-        x = scene.features + positional_embedding(scene.positions, weights)
-        idx = farthest_point_sampling(scene.positions, cfg.num_states)
-        boxes = [d.box for d in detection_head(x[idx], scene.positions[idx], weights.head)]
-        perm = serialize(scene.positions, order)
-        xp, pp = x[perm], scene.positions[perm]
-        block = partial(ibs_forward, xp, x[idx], spatial_correlation(pp, boxes, w.corr),
-                        delay_kernel(boxes, pp, w.ibs.alpha_raw, metric=cfg.delay_metric), w.ibs)
-        cases[m] = (block, partial(_f32_attention, xp.astype(np.float32)))
+        cases[m] = (partial(decoder_stack, scene, cfg, weights),
+                    partial(_f32_attention, scene.features.astype(np.float32)))
 
     times = {m: ([], []) for m in m_values}
-    for run_block, run_attn in cases.values():  # warmup
-        run_block()
+    for run_layer, run_attn in cases.values():  # warmup
+        run_layer()
         run_attn()
-    for side in (0, 1):  # every block repeat, then every attention repeat
+    for side in (0, 1):  # every layer repeat, then every attention repeat
         for _ in range(repeats):
             for m, runs in cases.items():
                 t0 = time.perf_counter()
                 runs[side]()
                 times[m][side].append(time.perf_counter() - t0)
 
-    rows = [{"M": m, "block_time": float(np.median(times[m][0])),
+    rows = [{"M": m, "layer_time": float(np.median(times[m][0])),
              "attention_time": float(np.median(times[m][1]))} for m in m_values]
     logm = np.log(m_values)
 
@@ -391,4 +379,4 @@ def _time_block_and_attention(m_values: list[int], repeats: int) -> dict:
                 for r in range(repeats)]
         return float(np.median(fits))
 
-    return {"rows": rows, "block_slope": slope(0), "attention_slope": slope(1)}
+    return {"rows": rows, "layer_slope": slope(0), "attention_slope": slope(1)}

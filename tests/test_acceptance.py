@@ -281,12 +281,12 @@ def test_acc_12_frozen_scene_ablation():
 
 def test_acc_09_complexity_scaling():
     result = complexity_bench([1024, 2048, 4096, 8192], repeats=7)
-    block_slope = result["block_slope"]
+    layer_slope = result["layer_slope"]
     attn_slope = result["attention_slope"]
-    assert 0.9 <= block_slope <= 1.3, f"ibs_forward slope {block_slope}"
+    assert 0.9 <= layer_slope <= 1.3, f"decoder layer slope {layer_slope}"
     assert 1.7 <= attn_slope <= 2.3, f"attention slope {attn_slope}"
     report("ACC-09 complexity scaling",
-           f"ibs_forward slope {block_slope:.3f} in [0.9, 1.3]; "
+           f"decoder layer slope {layer_slope:.3f} in [0.9, 1.3]; "
            f"attention slope {attn_slope:.3f} in [1.7, 2.3]")
 
 

@@ -90,6 +90,28 @@ class TestWeightsInit:
             np.testing.assert_array_equal(flat["table"][name], flat["mlp"][name],
                                           err_msg=name)
 
+    def test_refuses_layers_beyond_physical_memory_after_drawing_one(self, monkeypatch):
+        # num_layers times the first layer's bytes, checked before the second
+        # layer is drawn; a budget that fits leaves the draws unchanged
+        cfg = small_cfg(num_layers=3)
+        reference = flatten_weights(decoder_weights_init(PrngStream(22), cfg))
+        need = cfg.num_layers * sum(a.nbytes for n, a in reference.items()
+                                    if n.startswith("layers.0."))
+        drawn = []
+        real_init = decoder_mod.ibs_weights_init
+        monkeypatch.setattr(decoder_mod, "ibs_weights_init",
+                            lambda *a: drawn.append(1) or real_init(*a))
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError, match=f"^3 layers need about 0 MiB for their "
+                                              f"weights, more than the 0 MiB of physical"):
+            decoder_weights_init(PrngStream(22), cfg)
+        assert len(drawn) == 1
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need)
+        flat = flatten_weights(decoder_weights_init(PrngStream(22), cfg))
+        assert flat.keys() == reference.keys()
+        for name, value in reference.items():
+            np.testing.assert_array_equal(flat[name], value, err_msg=name)
+
 
 class TestInterStateAttention:
     def test_zero_out_projection_is_identity(self):

@@ -22,6 +22,7 @@ from dest3d.sceneio import (
     write_destpc,
     write_text_points,
 )
+from dest3d.verify import SUITE_NAMES
 from dest3d.weights_io import flatten_weights, load_weights, save_weights, unflatten_weights
 
 
@@ -374,7 +375,14 @@ class TestCliDemo:
     def test_over_memory_budget_exits_2(self, scene_path, monkeypatch, capsys):
         import dest3d.decoder as decoder_mod
 
-        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: 1)
+        # room for the weights, not for the layer's arrays
+        cfg = DecoderConfig(num_layers=1, num_states=4, channels=16)
+        weights = sum(a.nbytes for a in flatten_weights(
+            decoder_weights_init(PrngStream(0), cfg)).values())
+        need = decoder_mod.issm._layer_bytes(len(read_points(scene_path)[0]), cfg.num_states,
+                                             cfg.channels, cfg.state_dim, cfg.corr_dim)
+        assert weights < need - 1
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need - 1)
         code = main(["demo", scene_path, "--layers", "1", "--states", "4",
                      "--channels", "16"])
         captured = capsys.readouterr()
@@ -383,6 +391,20 @@ class TestCliDemo:
         assert captured.out == ""
         assert len(err_lines) == 1 and err_lines[0].startswith("error: out of memory (M=")
         assert "K=4 states" in err_lines[0]
+
+    def test_weights_over_memory_budget_exit_2(self, scene_path, monkeypatch, capsys):
+        import dest3d.decoder as decoder_mod
+
+        monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: 2**20)
+        code = main(["demo", scene_path, "--layers", "1000", "--states", "4",
+                     "--channels", "16"])
+        captured = capsys.readouterr()
+        err_lines = [l for l in captured.err.splitlines() if l.strip()]
+        assert code == 2
+        assert captured.out == ""
+        assert len(err_lines) == 1 and err_lines[0].startswith(
+            "error: out of memory (1000 layers need about ")
+        assert "MiB for their weights, more than the 1 MiB of physical memory" in err_lines[0]
 
     def test_deterministic_stdout(self, scene_path):
         args = ("demo", scene_path, "--layers", "2", "--states", "4",
@@ -620,6 +642,14 @@ class TestCliVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_failing_suites_still_print_valid_json(self, capsys):
+        # every suite fails, delay_monotone on a check computed in numpy
+        # scalars; the output must stay JSON
+        assert main(["verify", "--json", "--inject-error"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["suite"] for r in doc] == list(SUITE_NAMES)
+        assert all(r["pass"] is False for r in doc)
+
     def test_unknown_suite_exit_2(self):
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 2
@@ -632,7 +662,7 @@ class TestCliBench:
         assert err == ""
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.strip() and l.lstrip()[0].isdigit()]) == 2
-        assert len([l for l in lines if l.startswith("ibs_forward log-log slope: ")]) == 1
+        assert len([l for l in lines if l.startswith("decoder layer log-log slope: ")]) == 1
 
     @pytest.mark.parametrize("args,named", [
         (("--m-list", "64"), "at least two sizes"),

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import warnings
 
@@ -5,9 +6,7 @@ import numpy as np
 import pytest
 
 from dest3d import decoder, issm, verify
-from dest3d.decoder import DecoderConfig, decoder_stack, decoder_weights_init
-from dest3d.geometry import synth_scene
-from dest3d.issm import ibs_forward
+from dest3d.decoder import DecoderConfig, decoder_stack
 from dest3d.numerics import PrngStream
 from dest3d.ssm import _BLOCK
 from dest3d.verify import (
@@ -192,30 +191,25 @@ class TestBench:
         # load on the machine cannot move a median
         result = complexity_bench([256, 1024, 4096], repeats=7)
         assert len(result["rows"]) == 3
-        times = [r["block_time"] for r in result["rows"]]
+        times = [r["layer_time"] for r in result["rows"]]
         assert times[0] < times[1] < times[2]
         attn = [r["attention_time"] for r in result["rows"]]
         assert attn[0] < attn[1] < attn[2]
 
-    def test_times_the_block_on_decoder_stacks_layer_0_inputs(self, monkeypatch):
-        # the bench's first block call gets, bit for bit, what decoder_stack
-        # hands ibs_forward in layer 0 of the same scene and weights
-        m, cfg = 96, DecoderConfig()
-        weights = decoder_weights_init(PrngStream(0), cfg)
-        monkeypatch.setattr(verify, "decoder_weights_init", lambda stream, cfg: weights)
-        calls = {decoder: [], verify: []}
-        for mod, seen in calls.items():
-            def recorded(*args, seen=seen):
-                seen.append(args)
-                return ibs_forward(*args)
-            monkeypatch.setattr(mod, "ibs_forward", recorded)
-        decoder_stack(synth_scene(points_per_box=m // 6, noise_points=m - 3 * (m // 6)),
-                      cfg, weights)
-        verify._time_block_and_attention([m, 2 * m], repeats=3)
-        stack, bench = calls[decoder][0], calls[verify][0]
-        for a, b in zip(stack[:4], bench[:4]):
-            np.testing.assert_array_equal(a, b)
-        assert bench[4] is stack[4]
+    def test_times_a_one_layer_decoder_stack_per_size(self, monkeypatch):
+        # the timed layer is decoder_stack itself, at DecoderConfig() with one
+        # layer, on each size's scene
+        calls = []
+
+        def recorded(scene, cfg, weights):
+            calls.append((scene.num_points, cfg, len(weights.layers)))
+            return decoder_stack(scene, cfg, weights)
+        monkeypatch.setattr(verify, "decoder_stack", recorded)
+        sizes = [96, 192]
+        result = verify._time_layer_and_attention(sizes, repeats=3)
+        one_layer = dataclasses.replace(DecoderConfig(), num_layers=1)
+        assert calls == [(m, one_layer, 1) for m in sizes] * 4  # warmup + 3 repeats
+        assert [r["M"] for r in result["rows"]] == sizes
 
     def test_times_in_one_child_with_pinned_blas(self, monkeypatch):
         # the timing runs in one child process whose environment caps the
@@ -232,8 +226,8 @@ class TestBench:
         assert [(env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) for env in started] \
             == [("1", "1")]
         assert [r["M"] for r in result["rows"]] == [64, 128]
-        assert all(r["block_time"] > 0 and r["attention_time"] > 0 for r in result["rows"])
-        assert np.isfinite(result["block_slope"])
+        assert all(r["layer_time"] > 0 and r["attention_time"] > 0 for r in result["rows"])
+        assert np.isfinite(result["layer_slope"])
         assert np.isfinite(result["attention_slope"])
 
     def test_refuses_sizes_beyond_physical_memory_before_timing(self, monkeypatch):
@@ -251,10 +245,10 @@ class TestBench:
         cfg = DecoderConfig()
         need = sum(issm._layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim,
                                      cfg.corr_dim) for m in (64, 128))
-        monkeypatch.setattr(verify, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(decoder, "_physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             complexity_bench([64, 128], repeats=3)
-        monkeypatch.setattr(verify, "_physical_memory", lambda: need)
+        monkeypatch.setattr(decoder, "_physical_memory", lambda: need)
         assert [r["M"] for r in complexity_bench([64, 128], repeats=3)["rows"]] == [64, 128]
 
     def test_rejects_unsorted(self):
