@@ -11,7 +11,7 @@ those boxes drive the next layer's spatial correlation and delay kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .issm import (
     CorrelationMlp,
     CorrelationTable,
     IbsWeights,
+    _DELAY_METRICS,
     _physical_memory,
     correlation_mlp_init,
     correlation_table_init,
@@ -65,8 +66,6 @@ __all__ = [
 ]
 
 SIZE_FLOOR = 0.05  # meters; keeps predicted boxes non-degenerate
-_SIZE_FIELDS = ("num_layers", "channels", "state_dim", "corr_dim", "ffn_dim", "heads",
-                "kernel_size", "num_states", "serialization_bits", "num_classes")
 
 
 @dataclass
@@ -98,8 +97,12 @@ class DecoderConfig:
             raise ValueError("channels must be divisible by heads")
         if self.correlation_mode not in ("table", "mlp"):
             raise ValueError(f"unknown correlation_mode {self.correlation_mode!r}")
-        if self.delay_metric not in ("center", "vertex", "surface"):
+        if self.delay_metric not in _DELAY_METRICS:
             raise ValueError(f"unknown delay_metric {self.delay_metric!r}")
+
+
+# the fields annotated int, in declaration order (annotations are strings here)
+_SIZE_FIELDS = tuple(f.name for f in fields(DecoderConfig) if f.type == "int")
 
 
 @dataclass

@@ -52,6 +52,7 @@ TABLE_EXTENT = 2.0  # the table varies out to one box half-size past each face
 # K from which a layer's two independent halves run on two threads: at E=32,
 # a 2048-element state block per scan step (see _two_threads)
 _THREAD_MIN_STATES = 64
+_DELAY_METRICS = ("center", "vertex", "surface")  # delay_kernel's distances
 
 __all__ = [
     "CorrelationTable",
@@ -194,7 +195,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
     or 256 rows ran 1.9x and 2.9x slower at M=2048, K=64, where the two
     threads hand the GIL over at every numpy call.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = require_finite("points", np.asarray(points, dtype=np.float64))
     m = points.shape[0]
     k = len(boxes)
     if isinstance(corr, CorrelationTable):
@@ -281,11 +282,11 @@ def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
     the kernel a suppressor; points within a state's circumscribed sphere are
     untouched (factor exactly 1).
     """
-    if metric not in ("center", "vertex", "surface"):
+    if metric not in _DELAY_METRICS:
         raise ValueError(f"unknown delay metric {metric!r}")
-    alpha = float(softplus(np.float64(alpha_raw)))
+    alpha = float(softplus(require_finite("alpha_raw", np.float64(alpha_raw))))
     radii = np.array([circumscribed_radius(b) for b in boxes])
-    points = np.asarray(points, dtype=np.float64)
+    points = require_finite("points", np.asarray(points, dtype=np.float64))
     d = np.empty((points.shape[0], len(boxes)), dtype=np.float64)
     for j, box in enumerate(boxes):
         if metric == "center":
@@ -452,11 +453,12 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
     h0 = require_finite("h0", np.asarray(h0, dtype=np.float64))
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("x must be a non-empty (M, C) array")
-    if h0.ndim != 2 or h0.shape[1] != x.shape[1]:
-        raise ValueError("h0 must be (K, C) with the same C as x")
+    if h0.ndim != 2 or h0.shape[0] == 0 or h0.shape[1] != x.shape[1]:
+        raise ValueError("h0 must be a non-empty (K, C) array with the same C as x")
     mk = (x.shape[0], h0.shape[0])
-    if s.ndim != 3 or s.shape[:2] != mk or delay.shape != mk:
-        raise ValueError(f"s must be (M, K, D) and delay (M, K) with (M, K) = {mk}, "
+    mkd = mk + (w.forward.delta_from_s.in_features,)
+    if s.shape != mkd or delay.shape != mk:
+        raise ValueError(f"s must be (M, K, D) and delay (M, K) with (M, K, D) = {mkd}, "
                          f"got s {s.shape}, delay {delay.shape}")
 
     m, e = x.shape[0], w.in_x.out_features

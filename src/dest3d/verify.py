@@ -45,14 +45,13 @@ __all__ = [
 class EquivalenceReport:
     """Aggregated oracle result; pass iff max_abs_err <= tolerance.
 
-    For grad_check, max_abs_err holds the gated metric (0 where the absolute
-    gap is already <= 1e-8, else the relative gap) so the same pass rule
-    applies; max_rel_err is informational everywhere.
+    max_abs_err is the largest error the suite gates on. For grad_check it is
+    the gated metric (0 where the absolute gap is already <= 1e-8, else the
+    relative gap), so the same pass rule applies.
     """
 
     suite: str
     max_abs_err: float
-    max_rel_err: float
     cases: int
     tolerance: float
 
@@ -64,7 +63,6 @@ class EquivalenceReport:
         return {
             "suite": self.suite,
             "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
             "cases": self.cases,
             "tolerance": self.tolerance,
             "pass": self.passed,
@@ -129,23 +127,22 @@ def _random_scan_inputs(stream: PrngStream, m: int, k: int, e: int) -> ScanInput
                       h0=stream.normal((k, e), 0.0, 1.0))
 
 
-def _case_attn(stream: PrngStream, perturb: float) -> tuple[float, float]:
+def _case_attn(stream: PrngStream, perturb: float) -> float:
     m = int(stream.integers(4, 65))
     k = int(stream.integers(1, 9))
     c = int(stream.integers(2, 9))
     q0 = stream.normal((k, c), 0.0, 1.0)
     keys = stream.normal((m, c), 0.0, 1.0)
     values = stream.normal((m, c), 0.0, 1.0)
-    worst_abs = worst_rel = 0.0
+    worst = 0.0
     for sim in ("exp_dot", "rbf"):
         ref = attention_direct(q0, keys, values, sim)
         diff = np.abs(attention_recurrence(q0, keys, values, sim) + perturb - ref)
-        worst_abs = max(worst_abs, float(diff.max()))
-        worst_rel = max(worst_rel, float((diff / (np.abs(ref) + 1e-300)).max()))
-    return worst_abs, worst_rel
+        worst = max(worst, float(diff.max()))
+    return worst
 
 
-def _case_scan_conv(stream: PrngStream, perturb: float) -> tuple[float, float]:
+def _case_scan_conv(stream: PrngStream, perturb: float) -> float:
     m = int(stream.integers(2, 65))
     k = int(stream.integers(1, 9))
     e = int(stream.integers(1, 9))
@@ -156,33 +153,29 @@ def _case_scan_conv(stream: PrngStream, perturb: float) -> tuple[float, float]:
     x = stream.normal((m, e), 0.0, 1.0)
     y_conv = lti_conv_form(a_bar0, b_bar0, c0, x) + perturb
     scan_in = ScanInputs(
-        a_bar=np.broadcast_to(a_bar0, (m, k, e)).copy(),
-        b_bar=np.broadcast_to(b_bar0, (m, k, e)).copy(),
-        c=np.broadcast_to(c0, (m, k)).copy(), x=x, h0=np.zeros((k, e)),
+        a_bar=np.broadcast_to(a_bar0, (m, k, e)),
+        b_bar=np.broadcast_to(b_bar0, (m, k, e)),
+        c=np.broadcast_to(c0, (m, k)), x=x, h0=np.zeros((k, e)),
     )
-    y_scan = scan_sequential(scan_in).y
-    diff = np.abs(y_conv - y_scan)
-    return float(diff.max()), float((diff / (np.abs(y_scan) + 1e-300)).max())
+    return float(np.abs(y_conv - scan_sequential(scan_in).y).max())
 
 
-def _case_scan_chunked(stream: PrngStream, perturb: float) -> tuple[float, float]:
+def _case_scan_chunked(stream: PrngStream, perturb: float) -> float:
     m = int(stream.integers(5, 258))
     k = int(stream.integers(1, 9))
     e = int(stream.integers(1, 17))
     inputs = _random_scan_inputs(stream, m, k, e)
     ref = scan_sequential(inputs)
-    worst_abs = worst_rel = 0.0
+    worst = 0.0
     for chunk in (1, 7, 64, m):
         out = scan_chunked(inputs, chunk)
         diff = max(float(np.abs(out.y - ref.y).max()),
                    float(np.abs(out.h_final - ref.h_final).max())) + perturb
-        worst_abs = max(worst_abs, diff)
-        worst_rel = max(worst_rel,
-                        float((np.abs(out.y - ref.y) / (np.abs(ref.y) + 1e-300)).max()))
-    return worst_abs, worst_rel
+        worst = max(worst, diff)
+    return worst
 
 
-def _case_grad(stream: PrngStream, perturb: float) -> tuple[float, float]:
+def _case_grad(stream: PrngStream, perturb: float) -> float:
     m, k, e = 6, 3, 4
     inputs = _random_scan_inputs(stream, m, k, e)
     wy = stream.normal((m, e), 0.0, 1.0)
@@ -199,19 +192,17 @@ def _case_grad(stream: PrngStream, perturb: float) -> tuple[float, float]:
         return f
 
     grads = scan_backward(inputs, dy=wy, dh_final=wh)
-    worst_gated = worst_rel = 0.0
+    worst = 0.0
     for name in ("a_bar", "b_bar", "c", "x", "h0"):
         numeric = finite_diff_grad(loss_from(name), getattr(inputs, name).copy(), 1e-5)
         analytic = getattr(grads, name) + perturb
         diff = np.abs(analytic - numeric)
-        rel = diff / np.maximum(np.abs(numeric), 1e-300)
-        gated = np.where(diff <= 1e-8, 0.0, rel)
-        worst_gated = max(worst_gated, float(gated.max()))
-        worst_rel = max(worst_rel, float(rel.max()))
-    return worst_gated, worst_rel
+        gated = np.where(diff <= 1e-8, 0.0, diff / np.maximum(np.abs(numeric), 1e-300))
+        worst = max(worst, float(gated.max()))
+    return worst
 
 
-def _case_delay(stream: PrngStream, perturb: float) -> tuple[float, float]:
+def _case_delay(stream: PrngStream, perturb: float) -> float:
     center = stream.normal((3,), 0.0, 1.0)
     size = stream.uniform((3,), 0.4, 1.2)
     box = Box3D(center=center, size=size, yaw=float(stream.uniform((), -3.0, 3.0)))
@@ -237,8 +228,7 @@ def _case_delay(stream: PrngStream, perturb: float) -> tuple[float, float]:
     # far-point suppression: delta scales by the factor, so the state-update
     # magnitude ratio with/without the kernel is the factor itself
     v_suppress = max(0.0, float(kernel[-1]) - 1e-4)
-    worst = max(v_inside, v_monotone, v_anchor, v_suppress)
-    return worst, worst
+    return max(v_inside, v_monotone, v_anchor, v_suppress)
 
 
 _SUITES = {
@@ -264,13 +254,11 @@ def run_equivalence_suite(kind: str, seeds: int = 20,
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     case, tol = _SUITES[kind]
-    worst_abs = worst_rel = 0.0
+    worst = 0.0
     for seed in range(seeds):
-        a, r = case(PrngStream(seed), perturb)
-        worst_abs = max(worst_abs, float(a))  # Python floats: to_dict() feeds json
-        worst_rel = max(worst_rel, float(r))
-    return EquivalenceReport(suite=kind, max_abs_err=worst_abs,
-                             max_rel_err=worst_rel, cases=seeds, tolerance=tol)
+        err = case(PrngStream(seed), perturb)
+        worst = max(worst, float(err))  # Python floats: to_dict() feeds json
+    return EquivalenceReport(suite=kind, max_abs_err=worst, cases=seeds, tolerance=tol)
 
 
 def _f32_attention(feats: np.ndarray) -> np.ndarray:
@@ -317,9 +305,8 @@ def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
         raise ValueError(f"need at least two sizes to fit a slope, got {m_values}")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError(f"sizes must be strictly ascending, got {m_values}")
-    for name, value, least in (("sizes", min(m_values), 1), ("repeats", repeats, 3)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    if repeats < 3:
+        raise ValueError(f"repeats must be >= 3, got {repeats}")
     cfg = DecoderConfig()
     if m_values[0] < cfg.num_states:  # decoder_stack's own floor: one point per state
         raise ValueError(f"sizes must be >= {cfg.num_states}, the decoder's states, "

@@ -69,6 +69,23 @@ def zero_residual_branches(weights):
         lw.gffn_h.out = zero_linear(lw.gffn_h.out)
 
 
+class TestConfig:
+    def test_every_int_field_is_checked_as_a_size(self):
+        names = ("num_layers", "channels", "state_dim", "corr_dim", "ffn_dim", "heads",
+                 "kernel_size", "num_states", "serialization_bits", "num_classes")
+        assert decoder_mod._SIZE_FIELDS == names
+        for name in names:
+            for bad in (0, 2.0, True):
+                with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+                    DecoderConfig(**{name: bad})
+
+    def test_delay_metric_is_one_the_kernel_takes(self):
+        for metric in issm_mod._DELAY_METRICS:
+            assert DecoderConfig(delay_metric=metric).delay_metric == metric
+        with pytest.raises(ValueError, match="unknown delay_metric 'nearest'"):
+            DecoderConfig(delay_metric="nearest")
+
+
 class TestWeightsInit:
     def test_one_correlation_form_per_layer(self):
         # both modes draw both forms in the same order and keep the one they

@@ -650,6 +650,13 @@ class TestCliVerify:
         assert [r["suite"] for r in doc] == list(SUITE_NAMES)
         assert all(r["pass"] is False for r in doc)
 
+    def test_json_reports_only_the_gated_error(self, capsys):
+        assert main(["verify", "--json", "--seeds", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["suite"] for r in doc] == list(SUITE_NAMES)
+        for r in doc:
+            assert set(r) == {"suite", "max_abs_err", "cases", "tolerance", "pass"}
+
     def test_unknown_suite_exit_2(self):
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 2
@@ -668,7 +675,7 @@ class TestCliBench:
         (("--m-list", "64"), "at least two sizes"),
         (("--m-list", "64,64"), "strictly ascending"),
         (("--m-list", "128,64"), "strictly ascending"),
-        (("--m-list", "0,64"), "sizes must be >= 1, got 0"),
+        (("--m-list", "0,64"), "sizes must be >= 16, the decoder's states, got 0"),
         (("--m-list", "8,64"), "sizes must be >= 16, the decoder's states, got 8"),
     ])
     def test_rejects_sizes_it_cannot_fit(self, args, named, monkeypatch, capsys):

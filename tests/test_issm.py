@@ -264,6 +264,15 @@ class TestSpatialCorrelation:
         s = spatial_correlation(rng.normal((6, 3)), make_boxes(rng, 2), table)
         np.testing.assert_allclose(s, 2.5, rtol=1e-12)
 
+    @pytest.mark.parametrize("form", ["table", "mlp"])
+    def test_non_finite_point_rejected(self, form):
+        rng = PrngStream(3)
+        corr = correlation_table_init(rng, 3) if form == "table" else correlation_mlp_init(rng, 3)
+        pts = rng.normal((4, 3))
+        pts[2, 1] = np.nan
+        with pytest.raises(ValueError, match="points"):
+            spatial_correlation(pts, make_boxes(rng, 2), corr)
+
     def test_center_sample_deterministic(self):
         rng = PrngStream(1)
         table = correlation_table_init(rng, 4)
@@ -444,6 +453,17 @@ class TestDelayKernel:
         factors = delay_kernel(boxes, centers, alpha_raw=1.0)
         for i in range(3):
             assert factors[i, i] == 1.0
+
+    @pytest.mark.parametrize("alpha_raw, bad, named", [
+        (np.nan, False, "alpha_raw"), (np.inf, False, "alpha_raw"), (1.0, True, "points")])
+    def test_non_finite_input_rejected(self, alpha_raw, bad, named):
+        rng = PrngStream(9)
+        boxes = make_boxes(rng, 2)
+        pts = np.stack([b.center for b in boxes])  # at the centers: 0 * inf there
+        if bad:
+            pts[1, 0] = np.nan
+        with pytest.raises(ValueError, match=named):
+            delay_kernel(boxes, pts, alpha_raw)
 
     def test_disabled_kernel(self):
         rng = PrngStream(8)
@@ -672,15 +692,20 @@ class TestIbsForward:
             ibs_forward(np.zeros((0, 4)), h0,
                         *conditioning(np.zeros((0, 3)), boxes, w, table), w)
 
+    def test_no_states_rejected(self):
+        x, _, points, _, w, table = self.micro(4)
+        with pytest.raises(ValueError, match="h0"):
+            ibs_forward(x, np.zeros((0, 4)), *conditioning(points, [], w, table), w)
+
     def test_box_count_mismatch(self):
-        # s and delay must be (M, K, D) and (M, K) for the M rows of x and
-        # the K states of h0
+        # s and delay must be (M, K, D) and (M, K) for the M rows of x, the K
+        # states of h0 and the D the weights project s from
         x, h0, points, boxes, w, table = self.micro(5)
         s, delay = conditioning(points, boxes, w, table)
         s_short, delay_short = conditioning(points, boxes[:-1], w, table)
         for bad in ((s_short, delay), (s, delay_short), (s[:-1], delay),
-                    (s, delay[:-1]), (s[..., 0], delay)):
-            with pytest.raises(ValueError):
+                    (s, delay[:-1]), (s[..., 0], delay), (s[..., :-1], delay)):
+            with pytest.raises(ValueError, match="s must be"):
                 ibs_forward(x, h0, *bad, w)
 
     def test_mlp_mode_runs(self):

@@ -172,11 +172,9 @@ class TestSuites:
         assert report.max_abs_err <= 1e-14
 
     def test_report_invariant(self):
-        r = EquivalenceReport(suite="x", max_abs_err=1e-13, max_rel_err=0.0,
-                              cases=1, tolerance=1e-12)
+        r = EquivalenceReport(suite="x", max_abs_err=1e-13, cases=1, tolerance=1e-12)
         assert r.passed
-        r2 = EquivalenceReport(suite="x", max_abs_err=1e-11, max_rel_err=0.0,
-                               cases=1, tolerance=1e-12)
+        r2 = EquivalenceReport(suite="x", max_abs_err=1e-11, cases=1, tolerance=1e-12)
         assert not r2.passed
         assert r.to_dict()["pass"] is True
 
