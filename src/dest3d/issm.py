@@ -221,7 +221,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                     w = frac_pair[:, upper, np.arange(3)]  # (rows, 8, 3)
                     weights = w[..., 0] * w[..., 1] * w[..., 2]
                     idx = (i0 @ strides)[:, None] + upper @ strides
-                    out[blk, j] = (weights[:, None] @ flat.take(idx, axis=0))[:, 0]
+                    np.matmul(weights[:, None], flat.take(idx, axis=0), out=out[blk, j, None])
 
         _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
         return out
@@ -230,6 +230,9 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
         ph = points @ hidden.weight.T
         if hidden.bias is not None:
             ph += hidden.bias
+        # C order: into a strided column of out, a product with head.weight.T
+        # itself took 2.3x longer at (2048, 16) on one OpenBLAS thread
+        w_out = np.ascontiguousarray(head.weight.T)
         out = np.empty((m, k, head.out_features), dtype=np.float64)
 
         def fill(lo: int, hi: int) -> None:
@@ -238,7 +241,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                 acc.fill(0.0)
                 for vh in box_vertices(boxes[j]) @ hidden.weight.T:
                     acc += silu(np.subtract(ph, vh, out=a), out=b)
-                out[:, j] = acc @ head.weight.T
+                np.matmul(acc, w_out, out=out[:, j])
 
         _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
         if head.bias is not None:

@@ -153,30 +153,30 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), overflow-safe for large |x|.
-
-    np.logaddexp(0, x) evaluates the same formula one element at a time; as
-    whole-array operations it runs faster and agrees with it within one
-    rounding. The result goes to out when given (out=x works in place, with
-    one scratch array of x's size); 0-d input gives a 0-d array.
+    """log(1 + exp(x)) as max(log1p(exp(min(x, 50))), x): past 50 the log
+    term rounds to 50, so x wins and nothing overflows; within one rounding
+    of np.logaddexp(0, x). One scratch array whether or not out is given
+    (out=x works in place); 0-d input gives a 0-d array.
     """
     x = np.asarray(x, dtype=np.float64)
-    t = np.abs(x, out=np.empty_like(x))
-    np.negative(t, out=t)
+    t = np.minimum(x, 50.0, out=np.empty_like(x))
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    out = np.maximum(x, 0.0, out=np.empty_like(x) if out is None else out)
-    return np.add(out, t, out=out)
+    return np.maximum(t, x, out=t if out is None else out)
 
 
 def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x * sigmoid(x), with sigmoid's branch-free select.
-
-    The result goes to out when given; out must not overlap x, which is
-    read again after sigmoid has written out. 0-d input gives a 0-d array.
+    """x / (1 + exp(-x)); where exp(-x) overflows (x below about -709.8) this
+    gives -0.0, not NaN. The result goes to out when given; out must not
+    overlap x, which is read again after out is written. 0-d input gives a
+    0-d array.
     """
-    s = sigmoid(x, out=out)
-    return np.multiply(x, s, out=s)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(x, out, out=out)
 
 
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,50 @@ class TestActivation:
         assert softplus(-np.inf) == 0.0
         assert softplus(np.inf) == np.inf
         assert np.isnan(softplus(np.nan))
+
+    def test_silu_matches_scalar_reference(self):
+        def ref(v):  # v * sigmoid(v), sigmoid in its two-branch form
+            if v >= 0:
+                return v * (1.0 / (1.0 + math.exp(-v)))
+            e = math.exp(v)
+            return v * (e / (1.0 + e))
+
+        edges = [0.0, -0.0, 5e-324, -5e-324, 709.7, -709.7, 709.8, -709.8,
+                 745.2, -745.2, np.inf, -np.inf]
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001), edges])
+        with np.errstate(invalid="ignore"):  # -inf: -inf / inf, as -inf * 0
+            got = silu(x)
+        expect = np.array([ref(v) for v in x.tolist()])
+        finite = np.isfinite(expect)
+        assert not np.isnan(got[np.isfinite(x)]).any()
+        np.testing.assert_array_equal(got[~finite], expect[~finite])
+        got, expect = got[finite], expect[finite]
+        err = np.abs(got - expect)
+        big = np.abs(expect) > 1e-300
+        assert (err[big] <= 1e-15 * np.abs(expect[big])).all()
+        # where exp(-x) overflows, silu gives -0.0 for a true value of at
+        # most about 3.9e-306 in magnitude
+        assert (err[~big] <= 4e-306).all()
+        low = silu(np.array(-800.0))
+        assert low == 0.0 and np.signbit(low)
+
+    @staticmethod
+    def traced_peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_allocations(self):
+        # silu into out needs no scratch array; softplus holds one of x's size
+        x = PrngStream(17).normal((256, 512), std=30.0)
+        buf = np.empty_like(x)
+        assert self.traced_peak(silu, x, out=buf) < x.nbytes / 2
+        assert self.traced_peak(softplus, x) <= 1.5 * x.nbytes
+        assert self.traced_peak(softplus, x, out=x) <= 1.5 * x.nbytes
 
 
 def conv_whole_sequence(x, kernel):
