@@ -10,15 +10,17 @@ bidirectional block updating both streams at once.
 
 import numpy as np
 
-from dest3d import PrngStream, delay_kernel, ibs_forward, ibs_weights_init, synth_scene
+from dest3d import BoxSet, PrngStream, delay_kernel, ibs_forward, ibs_weights_init, synth_scene
 from dest3d.issm import correlation_table_init, spatial_correlation
 from dest3d.numerics import softplus
 
 rng = PrngStream(1)
 scene = synth_scene(num_boxes=2, points_per_box=40, noise_points=40, seed=2,
                     feature_dim=16)
-boxes = scene.gt_boxes
-m, k = scene.num_points, len(boxes)
+# The boxes go to the block as one BoxSet: centers, rotations, radii and
+# vertices as arrays, computed once.
+boxes = BoxSet(scene.gt_boxes)
+m, k = scene.num_points, len(boxes.radii)
 
 # 1. Spatial correlation: a per-(point, state) feature sampled from a small
 #    learnable 10x10x10 grid at the point's box-local coordinates. Points in
@@ -32,13 +34,13 @@ print(f"spatial correlation: {s.shape} (points x states x feature)")
 #    far from a candidate barely update that candidate's state.
 alpha_raw = 1.0
 factors = delay_kernel(boxes, scene.positions, alpha_raw)
-radius0 = 0.5 * np.linalg.norm(boxes[0].size)
-d0 = np.linalg.norm(scene.positions - boxes[0].center, axis=1)
+radius0 = boxes.radii[0]
+d0 = np.linalg.norm(scene.positions - boxes.centers[0], axis=1)
 print(f"\ndelay kernel vs box 0 (R = {radius0:.3f} m):")
 for pick in (d0.argmin(), np.abs(d0 - radius0 - 1.0).argmin(), d0.argmax()):
     print(f"  point at d = {d0[pick]:5.2f} m -> factor {factors[pick, 0]:.4f}")
 alpha = float(softplus(np.float64(alpha_raw)))
-probe = boxes[0].center + np.array([radius0 + 1.0 / alpha, 0.0, 0.0])
+probe = boxes.centers[0] + np.array([radius0 + 1.0 / alpha, 0.0, 0.0])
 print(f"  probe at d = R + 1/alpha     -> factor "
       f"{delay_kernel(boxes, probe[None], alpha_raw)[0, 0]:.6f} (= 1/e)")
 

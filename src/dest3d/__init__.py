@@ -22,10 +22,8 @@ from .decoder import (
 )
 from .geometry import (
     Box3D,
+    BoxSet,
     Scene,
-    box_local_coords,
-    box_vertices,
-    circumscribed_radius,
     farthest_point_sampling,
     points_in_box,
     synth_scene,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import issm
-from .geometry import Box3D, Scene, farthest_point_sampling, points_in_box
+from .geometry import Box3D, BoxSet, Scene, farthest_point_sampling, points_in_box
 from .issm import (
     CorrelationMlp,
     CorrelationTable,
@@ -205,12 +205,13 @@ def gffn(t: np.ndarray, w: GffnWeights) -> np.ndarray:
 
 
 def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
-                  boxes: list[Box3D], layer: int, w: DecoderLayerWeights,
+                  boxes: BoxSet, layer: int, w: DecoderLayerWeights,
                   cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer; returns (x', h') with x' in the input point order.
 
     The block's s comes from the correlation form w carries, its delay from
-    cfg's delay metric, both built from the boxes on the serialized positions.
+    cfg's delay metric, both built from the BoxSet boxes on the serialized
+    positions.
     """
     order = SerializationOrder(order_for_layer(layer), cfg.serialization_bits)
     perm = serialize(positions, order)
@@ -306,10 +307,10 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
 
     States start as the farthest-point-sampled scene points (after the single
     positional-feature injection); their boxes are predicted from the initial
-    state features and refreshed after every layer. A scene whose layer
-    would hold more than physical memory in the arrays issm._layer_bytes
-    counts is refused with a MemoryError up front, not when an allocation
-    fails mid-stack.
+    state features and refreshed after every layer, and each layer reads the
+    boxes before it as one BoxSet. A scene whose layer would hold more than
+    physical memory in the arrays issm._layer_bytes counts is refused with a
+    MemoryError up front, not when an allocation fails mid-stack.
     """
     m, k = scene.num_points, cfg.num_states
     if m < k:
@@ -324,13 +325,12 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
     idx = farthest_point_sampling(scene.positions, cfg.num_states)
     state_pos = scene.positions[idx]
     h = x[idx].copy()
-    boxes = [d.box for d in detection_head(h, state_pos, weights.head, "initial detection")]
+    dets = detection_head(h, state_pos, weights.head, "initial detection")
     outputs = []
     for layer in range(cfg.num_layers):
-        x, h = decoder_layer(x, h, scene.positions, boxes, layer,
+        x, h = decoder_layer(x, h, scene.positions, BoxSet([d.box for d in dets]), layer,
                              weights.layers[layer], cfg)
         dets = detection_head(h, state_pos, weights.head, f"layer {layer} detection")
-        boxes = [d.box for d in dets]
         outputs.append(LayerOutput(h=h, detections=dets))
     return StackResult(layers=outputs, final_x=x)
 

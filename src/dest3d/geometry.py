@@ -16,10 +16,8 @@ from .numerics import PrngStream, require_finite
 
 __all__ = [
     "Box3D",
+    "BoxSet",
     "Scene",
-    "box_vertices",
-    "circumscribed_radius",
-    "box_local_coords",
     "points_in_box",
     "farthest_point_sampling",
     "synth_scene",
@@ -80,8 +78,9 @@ class Scene:
             raise ValueError("positions must be (M, 3)")
         if self.positions.shape[0] < 1:
             raise ValueError("scene needs at least one point")
-        if self.features.shape[0] != self.positions.shape[0]:
-            raise ValueError("features first dim must match number of points")
+        if self.features.ndim != 2 or self.features.shape[0] != self.positions.shape[0]:
+            raise ValueError(f"features must be (M, C) with M = {self.positions.shape[0]} "
+                             f"points, got shape {self.features.shape}")
         if self.colors is not None:
             self.colors = np.asarray(self.colors, dtype=np.float64)
             if self.colors.shape != self.positions.shape:
@@ -92,22 +91,25 @@ class Scene:
         return self.positions.shape[0]
 
 
-def box_vertices(box: Box3D) -> np.ndarray:
-    """Eight corners, canonical sign order, rotated by yaw and translated."""
-    local = _CORNER_SIGNS * (box.size / 2.0)
-    return local @ box.rotation().T + box.center
+class BoxSet:
+    """K boxes as arrays, built once from a list of Box3D for the layer that
+    reads them: centers and half sizes (K, 3), world-from-local rotations
+    (K, 3, 3), circumscribed radii (K,) and the 8 vertices (K, 8, 3) in the
+    canonical order."""
 
+    def __init__(self, boxes: list[Box3D]):
+        k = len(boxes)
+        self.centers = np.array([b.center for b in boxes]).reshape(k, 3)
+        self.half = np.array([b.size for b in boxes]).reshape(k, 3) / 2.0
+        self.rotations = np.array([b.rotation() for b in boxes]).reshape(k, 3, 3)
+        # per box: a norm along axis 1 rounds some rows differently
+        self.radii = np.array([0.5 * float(np.linalg.norm(b.size)) for b in boxes])
+        self.vertices = ((_CORNER_SIGNS * self.half[:, None]) @ self.rotations.swapaxes(1, 2)
+                         + self.centers[:, None])
 
-def circumscribed_radius(box: Box3D) -> float:
-    """Radius of the sphere through all eight vertices (yaw-invariant)."""
-    return 0.5 * float(np.linalg.norm(box.size))
-
-
-def box_local_coords(points: np.ndarray, box: Box3D) -> np.ndarray:
-    """Points in the box's yaw-aligned frame, scaled so faces sit at +/-1."""
-    points = np.asarray(points, dtype=np.float64)
-    local = (points - box.center) @ box.rotation()
-    return local / (box.size / 2.0)
+    def local(self, points: np.ndarray, j: int) -> np.ndarray:
+        """Points in box j's yaw-aligned frame, scaled so faces sit at +/-1."""
+        return (points - self.centers[j]) @ self.rotations[j] / self.half[j]
 
 
 def points_in_box(points: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarray:
@@ -116,7 +118,7 @@ def points_in_box(points: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarra
     tol widens the acceptance band so exactly-on-boundary points survive the
     local-frame round trip.
     """
-    local = box_local_coords(points, box)
+    local = BoxSet([box]).local(points, 0)
     return (np.abs(local) <= 1.0 + tol).all(axis=1)
 
 

@@ -1,6 +1,7 @@
 """Interactive state-space block: scan parameters that depend on both the
 input sequence (scene point features) and the states (object candidates,
-through their predicted boxes).
+through their predicted boxes, handed over as one geometry.BoxSet whose
+centers, rotations, half sizes, radii and vertices are computed once).
 
 Per (scene point m, state k) the geometry enters three ways:
   * a spatial correlation feature s[m, k, :], either trilinearly sampled from
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _CORNER_SIGNS, Box3D, box_local_coords, box_vertices, circumscribed_radius
+from .geometry import _CORNER_SIGNS, BoxSet
 from .numerics import (
     LinearWeights,
     PrngStream,
@@ -173,17 +174,18 @@ def _both(k: int, first, second):
         return first(), later.result()
 
 
-def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
+def spatial_correlation(points: np.ndarray, boxes: BoxSet,
                         corr: CorrelationTable | CorrelationMlp) -> np.ndarray:
-    """Per (point, box) geometric feature s of shape (M, K, D).
+    """Per (point, box) geometric feature s of shape (M, K, D), for the K
+    boxes of the BoxSet boxes.
 
     The type of corr picks the form. A CorrelationTable is sampled
-    trilinearly at clamped box-local coords: per box, one gather of the 8
+    trilinearly at clamped boxes.local coords: per box, one gather of the 8
     corners from the flattened grid and one stacked (M, 1, 8) @ (M, 8, D)
     product with their weights. A CorrelationMlp sums out(silu(hidden(point
-    - vertex))) over the 8 box vertices; both layers are affine, so hidden
-    runs on the points once and on each box's vertices, and out runs per box
-    on that box's (M, H) sum of silu, its bias added once, times 8.
+    - vertex))) over a box's 8 boxes.vertices; both layers are affine, so
+    hidden runs on the points once and on each box's vertices, and out runs
+    per box on that box's (M, H) sum of silu, its bias added once, times 8.
 
     Each box's column is computed on its own, so the boxes are filled in two
     halves through _both, which at K >= 64 on more than one CPU runs the
@@ -197,13 +199,13 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
     """
     points = require_finite("points", np.asarray(points, dtype=np.float64))
     m = points.shape[0]
-    k = len(boxes)
+    k = len(boxes.radii)
     if isinstance(corr, CorrelationTable):
         g, d = corr.grid.shape[0], corr.dim
         flat = corr.grid.reshape(g ** 3, d)
         strides = np.array([g * g, g, 1])
         # corner v takes the upper grid index on the axes where its sign is
-        # +, so the corners keep box_vertices' x-y-z order
+        # +, so the corners keep BoxSet.vertices' x-y-z order
         upper = (_CORNER_SIGNS > 0).astype(np.intp)
         out = np.empty((m, k, d), dtype=np.float64)
 
@@ -213,7 +215,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
                 frac_pair = np.empty((len(p), 2, 3))  # [1 - f | f] per axis
                 for j in range(lo, hi):
                     # clamped, the map onto [0, g-1] is exact at both ends: no second clip
-                    c = np.clip(box_local_coords(p, boxes[j]), -TABLE_EXTENT, TABLE_EXTENT)
+                    c = np.clip(boxes.local(p, j), -TABLE_EXTENT, TABLE_EXTENT)
                     c = (c + TABLE_EXTENT) / (2.0 * TABLE_EXTENT) * (g - 1.0)
                     i0 = np.minimum(c.astype(np.int64), g - 2)
                     np.subtract(c, i0, out=frac_pair[:, 1])
@@ -239,7 +241,7 @@ def spatial_correlation(points: np.ndarray, boxes: list[Box3D],
             a, b, acc = (np.empty_like(ph) for _ in range(3))
             for j in range(lo, hi):
                 acc.fill(0.0)
-                for vh in box_vertices(boxes[j]) @ hidden.weight.T:
+                for vh in boxes.vertices[j] @ hidden.weight.T:
                     acc += silu(np.subtract(ph, vh, out=a), out=b)
                 np.matmul(acc, w_out, out=out[:, j])
 
@@ -272,35 +274,34 @@ def gen_params(s: np.ndarray, x_row: np.ndarray, w_s: np.ndarray, delta: np.ndar
     return delta, bc[..., 0], bc[..., 1]
 
 
-def delay_kernel(boxes: list[Box3D], points: np.ndarray, alpha_raw: float,
+def delay_kernel(boxes: BoxSet, points: np.ndarray, alpha_raw: float,
                  metric: str = "center") -> np.ndarray:
     """Multiplicative damping in (0, 1]: exp(alpha * min(R_k - d(m,k), 0)).
 
-    d(m, k) is the distance from point m to box k's "center", nearest
-    "vertex" or nearest "surface" point, by metric. The last two read the
-    point in the box frame, q = (p - center) @ R, against the half size h:
-    the nearest vertex has q's sign on each axis, so d = norm(|q| - h), and
-    the nearest point of the box is q clipped to it, so
-    d = norm(max(|q| - h, 0)), 0 inside. alpha = softplus(alpha_raw) keeps
-    the kernel a suppressor; points within a state's circumscribed sphere are
-    untouched (factor exactly 1).
+    d(m, k) is the distance from point m to box k of the BoxSet boxes: to
+    its "center", nearest "vertex" or nearest "surface" point, by metric.
+    The last two read the point in the box frame, q = (p - center) @ R,
+    against the half size h: the nearest vertex has q's sign on each axis,
+    so d = norm(|q| - h), and the nearest point of the box is q clipped to
+    it, so d = norm(max(|q| - h, 0)), 0 inside. R_k is boxes.radii[k].
+    alpha = softplus(alpha_raw) keeps the kernel a suppressor; points within
+    a state's circumscribed sphere are untouched (factor exactly 1).
     """
     if metric not in _DELAY_METRICS:
         raise ValueError(f"unknown delay metric {metric!r}")
     alpha = float(softplus(require_finite("alpha_raw", np.float64(alpha_raw))))
-    radii = np.array([circumscribed_radius(b) for b in boxes])
     points = require_finite("points", np.asarray(points, dtype=np.float64))
-    d = np.empty((points.shape[0], len(boxes)), dtype=np.float64)
-    for j, box in enumerate(boxes):
+    d = np.empty((points.shape[0], len(boxes.radii)), dtype=np.float64)
+    for j, center in enumerate(boxes.centers):
         if metric == "center":
-            d[:, j] = np.linalg.norm(points - box.center, axis=1)
+            d[:, j] = np.linalg.norm(points - center, axis=1)
             continue
-        q = np.abs((points - box.center) @ box.rotation())
-        q -= box.size / 2.0
+        q = np.abs((points - center) @ boxes.rotations[j])
+        q -= boxes.half[j]
         if metric == "surface":
             np.maximum(q, 0.0, out=q)
         d[:, j] = np.linalg.norm(q, axis=1)
-    np.subtract(radii, d, out=d)
+    np.subtract(boxes.radii, d, out=d)
     np.minimum(d, 0.0, out=d)
     d *= alpha
     return np.exp(d, out=d)

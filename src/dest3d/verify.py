@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import DecoderConfig, _require_memory, decoder_stack, decoder_weights_init
-from .geometry import Box3D, synth_scene
+from .geometry import Box3D, BoxSet, synth_scene
 from .issm import _layer_bytes, delay_kernel
 from .numerics import PrngStream, softplus
 from .ssm import ScanInputs, _recur, discretize_zoh, finite_diff_grad, lti_conv_form, scan_backward, scan_chunked, scan_sequential
@@ -218,7 +218,7 @@ def _case_delay(stream: PrngStream, perturb: float) -> float:
     ])
     dists = np.concatenate([line, [radius + 1.0 / alpha, radius + 12.0 / alpha]])
     pts = center[None, :] + dists[:, None] * direction[None, :]
-    kernel = delay_kernel([box], pts, alpha_raw)[:, 0]
+    kernel = delay_kernel(BoxSet([box]), pts, alpha_raw)[:, 0]
     factors = kernel[:len(line)] + perturb
     inside = factors[line <= radius]
     v_inside = float(np.abs(inside - 1.0).max())

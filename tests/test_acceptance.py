@@ -18,7 +18,7 @@ from dest3d.decoder import (
     decoder_weights_init,
     positional_embedding,
 )
-from dest3d.geometry import Box3D, farthest_point_sampling, synth_scene
+from dest3d.geometry import Box3D, BoxSet, farthest_point_sampling, synth_scene
 from dest3d.issm import IbsWeights, correlation_table_init, delay_kernel, ibs_weights_init
 from dest3d.numerics import PrngStream, softplus
 from dest3d.serialization import SerializationOrder, hilbert_indices, locality_score, serialize
@@ -154,14 +154,14 @@ def test_acc_06_delay_kernel_contract():
     direction = np.array([1.0, 0.0, 0.0])
     inside_d = np.linspace(0.0, radius, 64)
     pts = box.center + inside_d[:, None] * direction
-    f_in = delay_kernel([box], pts, alpha_raw)[:, 0]
+    f_in = delay_kernel(BoxSet([box]), pts, alpha_raw)[:, 0]
     assert (f_in == 1.0).all()
     beyond_d = radius + np.linspace(1e-4, 6.0, 400)
-    f_out = delay_kernel([box], box.center + beyond_d[:, None] * direction,
+    f_out = delay_kernel(BoxSet([box]), box.center + beyond_d[:, None] * direction,
                          alpha_raw)[:, 0]
     assert (np.diff(f_out) < 0).all(), "strictly decreasing beyond radius"
     anchor = box.center + (radius + 1.0 / alpha) * direction
-    f_anchor = delay_kernel([box], anchor[None, :], alpha_raw)[0, 0]
+    f_anchor = delay_kernel(BoxSet([box]), anchor[None, :], alpha_raw)[0, 0]
     assert abs(f_anchor - np.exp(-1.0)) <= 1e-12
     # far-point update suppression below 1e-4 relative, on a random block
     k, e = 2, 6

@@ -29,7 +29,7 @@ import pytest
 
 from dest3d import issm, numerics
 from dest3d.decoder import DecoderConfig, decoder_stack, decoder_weights_init, gffn
-from dest3d.geometry import Box3D, synth_scene
+from dest3d.geometry import Box3D, BoxSet, synth_scene
 from dest3d.issm import ibs_forward, spatial_correlation
 from dest3d.numerics import PrngStream, row_blocks
 
@@ -141,7 +141,7 @@ class TestBlocksAreBitwise:
     def test_table_spatial_correlation(self, monkeypatch, two_cpus, which, cfg, k):
         corr = decoder_weights_init(PrngStream(6), cfg).layers[0].corr
         elements = self.elements(which, cfg.corr_dim)
-        boxes = random_boxes(k, seed=k)
+        boxes = BoxSet(random_boxes(k, seed=k))
         for m in sizes(max(1, elements // cfg.corr_dim)):
             points = PrngStream(m).uniform((m, 3), -5.0, 5.0)
             assert_blocks_change_nothing(monkeypatch, elements,

@@ -26,7 +26,7 @@ from dest3d.decoder import (
     point_objectness,
     positional_embedding,
 )
-from dest3d.geometry import Box3D, Scene, box_local_coords, farthest_point_sampling, synth_scene
+from dest3d.geometry import Box3D, BoxSet, Scene, farthest_point_sampling, synth_scene
 from dest3d.issm import (
     CorrelationMlp,
     CorrelationTable,
@@ -35,10 +35,19 @@ from dest3d.issm import (
     ibs_forward,
     spatial_correlation,
 )
-from dest3d.numerics import LinearWeights, PrngStream, layer_norm, linear, softmax_attention
+from dest3d.numerics import (
+    LinearWeights,
+    PrngStream,
+    layer_norm,
+    linear,
+    row_blocks,
+    softmax_attention,
+)
 from dest3d.sceneio import write_destpc
 from dest3d.serialization import SerializationOrder, order_for_layer, serialize
 from dest3d.weights_io import flatten_weights
+
+from test_geometry import box_local
 
 
 def small_cfg(**kw):
@@ -200,9 +209,9 @@ class TestDecoderLayer:
         weights = decoder_weights_init(PrngStream(seed + 50), cfg)
         rng = PrngStream(seed + 99)
         h = rng.normal((cfg.num_states, cfg.channels))
-        boxes = [Box3D(center=rng.normal((3,)), size=rng.uniform((3,), 0.3, 1.0),
-                       yaw=float(rng.uniform((), -3, 3)))
-                 for _ in range(cfg.num_states)]
+        boxes = BoxSet([Box3D(center=rng.normal((3,)), size=rng.uniform((3,), 0.3, 1.0),
+                              yaw=float(rng.uniform((), -3, 3)))
+                        for _ in range(cfg.num_states)])
         return scene, weights, h, boxes, cfg
 
     def test_residual_zero_is_identity(self):
@@ -332,7 +341,7 @@ class TestObjectnessLabels:
                       gt_boxes=[box])
         labels = objectness_labels(scene)
         for i in range(200):
-            assert labels[i] == int((np.abs(box_local_coords(positions[i:i + 1], box)) <= 1).all())
+            assert labels[i] == int((np.abs(box_local(positions[i:i + 1], box)) <= 1).all())
 
 
 class TestDecoderStack:
@@ -350,6 +359,21 @@ class TestDecoderStack:
                             feature_dim=cfg.channels)
         decoder_stack(scene, cfg, decoder_weights_init(PrngStream(27), cfg))
         assert calls == {"spatial_correlation": 3, "delay_kernel": 3}
+
+    @pytest.mark.parametrize("mode,metric", [("table", "center"), ("mlp", "vertex")])
+    def test_box_rotations_built_once_per_layer(self, monkeypatch, mode, metric):
+        # each layer reads one BoxSet of the boxes before it: K rotations a
+        # layer, also where the table walks its boxes in two row blocks
+        cfg = small_cfg(num_layers=3, corr_dim=32, correlation_mode=mode, delay_metric=metric)
+        m = 2100
+        assert len(row_blocks(m, cfg.corr_dim)) == 2
+        calls, rotation = [], Box3D.rotation
+        monkeypatch.setattr(Box3D, "rotation", lambda box: calls.append(box) or rotation(box))
+        rng = PrngStream(32)
+        scene = Scene(positions=rng.uniform((m, 3), -3.0, 3.0),
+                      features=rng.normal((m, cfg.channels)))
+        decoder_stack(scene, cfg, decoder_weights_init(PrngStream(33), cfg))
+        assert len(calls) == cfg.num_states * cfg.num_layers
 
     def test_param_step_looked_up_in_issm(self, monkeypatch):
         # perfbench's tracer wraps the chunk's parameter step and softplus at
@@ -386,7 +410,7 @@ class TestDecoderStack:
         x0 = scene.features + positional_embedding(scene.positions, weights)
         idx = farthest_point_sampling(scene.positions, cfg.num_states)
         h0 = x0[idx]
-        boxes = [d.box for d in detection_head(h0, scene.positions[idx], weights.head)]
+        boxes = BoxSet([d.box for d in detection_head(h0, scene.positions[idx], weights.head)])
         x1, h1 = decoder_layer(x0, h0, scene.positions, boxes, 0, weights.layers[0], cfg)
         np.testing.assert_allclose(result.final_x, x1, atol=1e-13)
         np.testing.assert_allclose(result.layers[0].h, h1, atol=1e-13)

@@ -3,9 +3,8 @@ import pytest
 
 from dest3d.geometry import (
     Box3D,
-    box_local_coords,
-    box_vertices,
-    circumscribed_radius,
+    BoxSet,
+    Scene,
     farthest_point_sampling,
     points_in_box,
     synth_scene,
@@ -15,6 +14,33 @@ from dest3d.geometry import (
 def rotz(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+# Per-box transcriptions of what BoxSet computes for all boxes at once. The
+# oracles that check the decoder's geometry read these, not a BoxSet.
+CORNER_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                        dtype=np.float64)
+
+
+def box_vertices(box):
+    """Eight corners, canonical sign order, rotated by yaw and translated."""
+    return (CORNER_SIGNS * (box.size / 2.0)) @ box.rotation().T + box.center
+
+
+def box_radius(box):
+    """Radius of the sphere through all eight vertices."""
+    return 0.5 * float(np.linalg.norm(box.size))
+
+
+def box_local(points, box):
+    """Points in the box's yaw-aligned frame, scaled so faces sit at +/-1."""
+    return (points - box.center) @ box.rotation() / (box.size / 2.0)
+
+
+def random_boxes(k, seed):
+    rng = np.random.default_rng(seed)
+    return [Box3D(center=rng.normal(size=3) * 3.0, size=rng.uniform(0.05, 2.0, size=3),
+                  yaw=float(rng.uniform(-4.0, 4.0))) for _ in range(k)]
 
 
 class TestBox3D:
@@ -39,14 +65,14 @@ class TestBox3D:
 
 class TestVertices:
     def test_unit_cube(self):
-        verts = box_vertices(Box3D(center=np.zeros(3), size=np.ones(3)))
+        verts = BoxSet([Box3D(center=np.zeros(3), size=np.ones(3))]).vertices[0]
         expected = {(sx / 2, sy / 2, sz / 2)
                     for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)}
         assert {tuple(np.round(v, 12)) for v in verts} == expected
 
     def test_quarter_turn_same_corner_set(self):
-        v0 = box_vertices(Box3D(center=np.zeros(3), size=np.ones(3), yaw=0.0))
-        v1 = box_vertices(Box3D(center=np.zeros(3), size=np.ones(3), yaw=np.pi / 2))
+        v0, v1 = BoxSet([Box3D(center=np.zeros(3), size=np.ones(3), yaw=yaw)
+                         for yaw in (0.0, np.pi / 2)]).vertices
         s0 = sorted(map(tuple, np.round(v0, 12)))
         s1 = sorted(map(tuple, np.round(v1, 12)))
         assert s0 == s1
@@ -54,7 +80,7 @@ class TestVertices:
     def test_rotation_matrix_oracle(self):
         box = Box3D(center=np.array([1.0, 2.0, 3.0]), size=np.array([2.0, 4.0, 6.0]),
                     yaw=0.3)
-        verts = box_vertices(box)
+        verts = BoxSet([box]).vertices[0]
         signs = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
         for vert, (sx, sy, sz) in zip(verts, signs):
             corner = np.array([sx * 1.0, sy * 2.0, sz * 3.0])
@@ -64,7 +90,8 @@ class TestVertices:
     def test_local_coords_of_vertices_are_sign_patterns(self):
         box = Box3D(center=np.array([0.3, -0.7, 1.1]), size=np.array([0.8, 1.5, 0.4]),
                     yaw=-1.2)
-        local = box_local_coords(box_vertices(box), box)
+        boxes = BoxSet([box])
+        local = boxes.local(boxes.vertices[0], 0)
         expected = np.array([[sx, sy, sz]
                              for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
                             dtype=float)
@@ -73,25 +100,25 @@ class TestVertices:
 
 class TestRadius:
     def test_unit_cube_closed_form(self):
-        r = circumscribed_radius(Box3D(center=np.zeros(3), size=np.ones(3)))
+        r = BoxSet([Box3D(center=np.zeros(3), size=np.ones(3))]).radii[0]
         np.testing.assert_allclose(r, np.sqrt(3) / 2, rtol=1e-12)
 
     def test_elongated_box(self):
-        r = circumscribed_radius(Box3D(center=np.zeros(3),
-                                       size=np.array([2.0, 0.1, 0.1])))
+        r = BoxSet([Box3D(center=np.zeros(3), size=np.array([2.0, 0.1, 0.1]))]).radii[0]
         np.testing.assert_allclose(r, np.sqrt(1 + 0.0025 + 0.0025), rtol=1e-12)
 
     def test_yaw_invariant(self):
         size = np.array([1.0, 2.0, 0.5])
-        rs = [circumscribed_radius(Box3D(center=np.zeros(3), size=size, yaw=y))
-              for y in (-2.0, 0.0, 0.9, 3.0)]
-        assert max(rs) - min(rs) == 0.0
+        rs = BoxSet([Box3D(center=np.zeros(3), size=size, yaw=y)
+                     for y in (-2.0, 0.0, 0.9, 3.0)]).radii
+        assert rs.max() - rs.min() == 0.0
 
     def test_equals_max_vertex_distance(self):
         box = Box3D(center=np.array([1.0, -2.0, 0.5]), size=np.array([0.7, 1.3, 2.2]),
                     yaw=0.8)
-        d = np.linalg.norm(box_vertices(box) - box.center, axis=1)
-        np.testing.assert_allclose(circumscribed_radius(box), d.max(), atol=1e-12)
+        boxes = BoxSet([box])
+        d = np.linalg.norm(boxes.vertices[0] - box.center, axis=1)
+        np.testing.assert_allclose(boxes.radii[0], d.max(), atol=1e-12)
         np.testing.assert_allclose(d, d.max(), atol=1e-12)  # sphere through all 8
 
 
@@ -99,22 +126,45 @@ class TestLocalCoords:
     def test_center_maps_to_origin(self):
         box = Box3D(center=np.array([1.0, 2.0, 3.0]), size=np.array([2.0, 1.0, 4.0]),
                     yaw=0.7)
-        np.testing.assert_allclose(box_local_coords(box.center[None], box), 0.0,
+        np.testing.assert_allclose(BoxSet([box]).local(box.center[None], 0), 0.0,
                                    atol=1e-15)
 
     def test_axis_aligned_corner(self):
         box = Box3D(center=np.zeros(3), size=np.array([2.0, 4.0, 6.0]))
         corner = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(box_local_coords(corner[None], box)[0],
+        np.testing.assert_allclose(BoxSet([box]).local(corner[None], 0)[0],
                                    [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_round_trip(self):
         box = Box3D(center=np.array([0.5, -1.0, 2.0]), size=np.array([1.2, 0.8, 2.5]),
                     yaw=0.7)
         p = np.array([[1.3, -0.2, 2.9]])
-        local = box_local_coords(p, box)
+        local = BoxSet([box]).local(p, 0)
         back = (local * (box.size / 2.0)) @ box.rotation().T + box.center
         np.testing.assert_allclose(back, p, atol=1e-12)
+
+
+class TestBoxSet:
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_bitwise_equal_to_per_box_forms(self, k):
+        boxes = random_boxes(k, seed=k)
+        got = BoxSet(boxes)
+        points = np.random.default_rng(100 + k).normal(size=(50, 3)) * 3.0
+        assert got.centers.shape == got.half.shape == (k, 3)
+        assert got.rotations.shape == (k, 3, 3) and got.radii.shape == (k,)
+        assert got.vertices.shape == (k, 8, 3)
+        for j, box in enumerate(boxes):
+            assert np.array_equal(got.rotations[j], box.rotation())
+            assert np.array_equal(got.vertices[j], box_vertices(box))
+            assert got.radii[j] == box_radius(box)
+            assert np.array_equal(got.local(points, j), box_local(points, box))
+
+
+class TestScene:
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 3), (), (3, 2)])
+    def test_features_must_be_points_by_channels(self, shape):
+        with pytest.raises(ValueError, match="features"):
+            Scene(positions=np.zeros((4, 3)), features=np.zeros(shape))
 
 
 class TestPointInBox:
@@ -124,7 +174,7 @@ class TestPointInBox:
 
     def test_far_point_outside(self):
         box = Box3D(center=np.zeros(3), size=np.ones(3))
-        r = circumscribed_radius(box)
+        r = box_radius(box)
         assert points_in_box(np.array([[2 * r, 0.0, 0.0]]), box).tolist() == [False]
 
     def test_agrees_with_local_coords(self):
@@ -132,7 +182,7 @@ class TestPointInBox:
         box = Box3D(center=rng.normal(size=3), size=np.abs(rng.normal(size=3)) + 0.3,
                     yaw=-0.6)
         pts = rng.normal(size=(1000, 3))
-        expected = [bool((np.abs(box_local_coords(p[None], box)[0]) <= 1).all()) for p in pts]
+        expected = [bool((np.abs(box_local(p[None], box)[0]) <= 1).all()) for p in pts]
         assert points_in_box(pts, box).tolist() == expected
 
 
@@ -170,7 +220,7 @@ class TestSynthScene:
         scene = synth_scene(num_boxes=2, points_per_box=50, noise_points=0, seed=2)
         for b, box in enumerate(scene.gt_boxes):
             pts = scene.positions[b * 50:(b + 1) * 50]
-            local = box_local_coords(pts, box)
+            local = box_local(pts, box)
             np.testing.assert_allclose(np.abs(local).max(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):

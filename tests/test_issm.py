@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dest3d import issm, numerics
-from dest3d.geometry import Box3D, box_vertices, circumscribed_radius, synth_scene
+from dest3d.geometry import Box3D, BoxSet, synth_scene
 from dest3d.issm import (
     TABLE_EXTENT,
     CorrelationMlp,
@@ -39,6 +39,8 @@ from dest3d.numerics import (
 )
 from dest3d.ssm import ScanInputs, discretize_zoh, scan_sequential
 
+from test_geometry import box_radius, box_vertices
+
 
 def make_boxes(rng, k):
     return [Box3D(center=rng.normal((3,)), size=rng.uniform((3,), 0.4, 1.2),
@@ -67,6 +69,7 @@ def probe_points(rng, boxes):
 
 def conditioning(points, boxes, w: IbsWeights, corr, metric="center"):
     """The (s, delay) pair ibs_forward takes, built as decoder_layer builds it."""
+    boxes = BoxSet(boxes)
     return (spatial_correlation(points, boxes, corr),
             delay_kernel(boxes, points, w.alpha_raw, metric=metric))
 
@@ -261,7 +264,7 @@ class TestSpatialCorrelation:
     def test_constant_table_ignores_geometry(self):
         rng = PrngStream(0)
         table = CorrelationTable(grid=np.full((10, 10, 10, 3), 2.5))
-        s = spatial_correlation(rng.normal((6, 3)), make_boxes(rng, 2), table)
+        s = spatial_correlation(rng.normal((6, 3)), BoxSet(make_boxes(rng, 2)), table)
         np.testing.assert_allclose(s, 2.5, rtol=1e-12)
 
     @pytest.mark.parametrize("form", ["table", "mlp"])
@@ -271,14 +274,14 @@ class TestSpatialCorrelation:
         pts = rng.normal((4, 3))
         pts[2, 1] = np.nan
         with pytest.raises(ValueError, match="points"):
-            spatial_correlation(pts, make_boxes(rng, 2), corr)
+            spatial_correlation(pts, BoxSet(make_boxes(rng, 2)), corr)
 
     def test_center_sample_deterministic(self):
         rng = PrngStream(1)
         table = correlation_table_init(rng, 4)
         box = make_boxes(rng, 1)[0]
-        s1 = spatial_correlation(box.center[None, :], [box], table)
-        s2 = spatial_correlation(box.center[None, :], [box], table)
+        s1 = spatial_correlation(box.center[None, :], BoxSet([box]), table)
+        s2 = spatial_correlation(box.center[None, :], BoxSet([box]), table)
         np.testing.assert_array_equal(s1, s2)
         assert s1.shape == (1, 1, 4)
 
@@ -287,7 +290,7 @@ class TestSpatialCorrelation:
         beta = np.array([0.3, -1.1])
         mlp = CorrelationMlp(hidden=LinearWeights(np.zeros((5, 3)), np.zeros(5)),
                              out=LinearWeights(np.zeros((2, 5)), beta))
-        s = spatial_correlation(rng.normal((4, 3)), make_boxes(rng, 3), mlp)
+        s = spatial_correlation(rng.normal((4, 3)), BoxSet(make_boxes(rng, 3)), mlp)
         np.testing.assert_allclose(s, np.broadcast_to(8 * beta, (4, 3, 2)), rtol=1e-12)
 
     @pytest.mark.parametrize("corr", [None, "table"])
@@ -295,14 +298,14 @@ class TestSpatialCorrelation:
         # anything but the two forms fails by type, naming the type it got
         rng = PrngStream(2)
         with pytest.raises(TypeError, match=type(corr).__name__):
-            spatial_correlation(rng.normal((4, 3)), make_boxes(rng, 2), corr)
+            spatial_correlation(rng.normal((4, 3)), BoxSet(make_boxes(rng, 2)), corr)
 
     def test_matches_scalar_oracle(self):
         rng = PrngStream(3)
         table = correlation_table_init(rng, 5)
         boxes = make_boxes(rng, 2)
         pts = rng.normal((7, 3))
-        s = spatial_correlation(pts, boxes, table)
+        s = spatial_correlation(pts, BoxSet(boxes), table)
         oracle = s_spatial_correlation([list(map(float, p)) for p in pts], boxes, table)
         np.testing.assert_allclose(s, np.array(oracle), atol=1e-12)
 
@@ -326,7 +329,7 @@ class TestSpatialCorrelation:
                     offset = [float(p[i] - v[i]) for i in range(3)]
                     hidden = [s_silu(h) for h in s_linear(offset, mlp.hidden)]
                     oracle[m, j] += s_linear(hidden, mlp.out)
-        assert max_rel_err(spatial_correlation(pts, boxes, mlp), oracle) < 1e-12
+        assert max_rel_err(spatial_correlation(pts, BoxSet(boxes), mlp), oracle) < 1e-12
 
     def test_mlp_bitwise_equal_to_strided_vertex_sum(self):
         # at the mlp_vertex shape, the per-box accumulator gives the same
@@ -343,7 +346,7 @@ class TestSpatialCorrelation:
                 hsum[:, j] += silu(ph - vh)
         expected = (hsum.reshape(m * k, h) @ mlp.out.weight.T).reshape(m, k, d)
         expected += 8.0 * mlp.out.bias
-        assert np.array_equal(spatial_correlation(points, boxes, mlp), expected)
+        assert np.array_equal(spatial_correlation(points, BoxSet(boxes), mlp), expected)
 
     @pytest.mark.parametrize("form", ["table", "mlp"])
     def test_peak_memory_per_box(self, form):
@@ -356,7 +359,7 @@ class TestSpatialCorrelation:
         rng = PrngStream(5)
         corr = (correlation_table_init(rng, d) if form == "table"
                 else correlation_mlp_init(rng, d))
-        points, boxes = rng.normal((m, 3), 0.0, 2.0), make_boxes(rng, k)
+        points, boxes = rng.normal((m, 3), 0.0, 2.0), BoxSet(make_boxes(rng, k))
         bound = 10 * 2**20 if form == "table" else 6.5 * 2**20
         assert bound < m * k * 8 * d * 8
         started = not tracemalloc.is_tracing()
@@ -450,7 +453,7 @@ class TestDelayKernel:
         rng = PrngStream(7)
         boxes = make_boxes(rng, 3)
         centers = np.stack([b.center for b in boxes])
-        factors = delay_kernel(boxes, centers, alpha_raw=1.0)
+        factors = delay_kernel(BoxSet(boxes), centers, alpha_raw=1.0)
         for i in range(3):
             assert factors[i, i] == 1.0
 
@@ -463,12 +466,12 @@ class TestDelayKernel:
         if bad:
             pts[1, 0] = np.nan
         with pytest.raises(ValueError, match=named):
-            delay_kernel(boxes, pts, alpha_raw)
+            delay_kernel(BoxSet(boxes), pts, alpha_raw)
 
     def test_disabled_kernel(self):
         rng = PrngStream(8)
         boxes = make_boxes(rng, 2)
-        factors = delay_kernel(boxes, rng.normal((10, 3)) * 10, alpha_raw=-80.0)
+        factors = delay_kernel(BoxSet(boxes), rng.normal((10, 3)) * 10, alpha_raw=-80.0)
         np.testing.assert_allclose(factors, 1.0, atol=1e-12)
 
     def test_closed_form_value(self):
@@ -476,7 +479,7 @@ class TestDelayKernel:
         alpha_raw = float(np.log(np.expm1(1.0)))
         box = Box3D(center=np.zeros(3), size=2.0 * np.ones(3) / np.sqrt(3))
         np.testing.assert_allclose(0.5 * np.linalg.norm(box.size), 1.0, rtol=1e-12)
-        factor = delay_kernel([box], np.array([[2.0, 0.0, 0.0]]), alpha_raw)
+        factor = delay_kernel(BoxSet([box]), np.array([[2.0, 0.0, 0.0]]), alpha_raw)
         np.testing.assert_allclose(factor[0, 0], np.exp(-1), rtol=1e-10)
 
     def test_unit_at_exact_radius_and_anchor(self):
@@ -485,7 +488,7 @@ class TestDelayKernel:
         alpha_raw = 1.3
         alpha = float(np.logaddexp(0, alpha_raw))
         pts = np.array([[r, 0, 0], [r + 1.0 / alpha, 0, 0]])
-        factors = delay_kernel([box], pts, alpha_raw)[:, 0]
+        factors = delay_kernel(BoxSet([box]), pts, alpha_raw)[:, 0]
         assert factors[0] == 1.0
         np.testing.assert_allclose(factors[1], np.exp(-1), atol=1e-12)
 
@@ -495,27 +498,28 @@ class TestDelayKernel:
         d = r + np.linspace(0.01, 4.0, 200)
         pts = np.zeros((200, 3))
         pts[:, 0] = d
-        f = delay_kernel([box], pts, alpha_raw=0.7)[:, 0]
+        f = delay_kernel(BoxSet([box]), pts, alpha_raw=0.7)[:, 0]
         assert (np.diff(f) < 0).all()
 
     def test_metrics_agree_inside(self):
         box = Box3D(center=np.zeros(3), size=np.ones(3))
         for metric in ("center", "vertex", "surface"):
-            f = delay_kernel([box], np.zeros((1, 3)), 1.0, metric=metric)
+            f = delay_kernel(BoxSet([box]), np.zeros((1, 3)), 1.0, metric=metric)
             assert f[0, 0] == 1.0
 
     @staticmethod
-    def distances(boxes, points, metric, monkeypatch):
+    def distances(boxes, points, metric):
         # a zero radius makes every factor exp(-alpha d), with alpha = 1 here,
         # so d reads back as -log(factor)
-        monkeypatch.setattr(issm, "circumscribed_radius", lambda box: 0.0)
+        boxes = BoxSet(boxes)
+        boxes.radii[:] = 0.0
         return -np.log(delay_kernel(boxes, points, math.log(math.e - 1.0), metric))
 
-    def test_vertex_matches_nearest_vertex_oracle(self, monkeypatch):
+    def test_vertex_matches_nearest_vertex_oracle(self):
         rng = PrngStream(11)
         boxes = make_boxes(rng, 4)
         pts = probe_points(rng, boxes)
-        d = self.distances(boxes, pts, "vertex", monkeypatch)
+        d = self.distances(boxes, pts, "vertex")
         oracle = np.stack([np.linalg.norm(pts[:, None] - box_vertices(b)[None], axis=2).min(axis=1)
                            for b in boxes], axis=1)
         np.testing.assert_allclose(d, oracle, rtol=0, atol=1e-12)
@@ -523,11 +527,11 @@ class TestDelayKernel:
         at_vertex = np.concatenate([d[20 * j + 12:20 * j + 20, j] for j in range(4)])
         np.testing.assert_allclose(at_vertex, 0.0, atol=1e-12)
 
-    def test_surface_matches_clip_rotate_back_oracle(self, monkeypatch):
+    def test_surface_matches_clip_rotate_back_oracle(self):
         rng = PrngStream(12)
         boxes = make_boxes(rng, 4)
         pts = probe_points(rng, boxes)
-        d = self.distances(boxes, pts, "surface", monkeypatch)
+        d = self.distances(boxes, pts, "surface")
         oracle = np.empty_like(d)
         for j, box in enumerate(boxes):
             local = (pts - box.center) @ box.rotation() / (box.size / 2.0)
@@ -553,7 +557,7 @@ class TestDelayKernel:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            got = delay_kernel(boxes, points, alpha_raw, metric)
+            got = delay_kernel(BoxSet(boxes), points, alpha_raw, metric)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -564,7 +568,7 @@ class TestDelayKernel:
             q = np.abs((points - box.center) @ box.rotation()) - box.size / 2.0
             d[:, j] = np.linalg.norm({"center": points - box.center, "vertex": q,
                                       "surface": np.maximum(q, 0.0)}[metric], axis=1)
-        radii = np.array([circumscribed_radius(b) for b in boxes])
+        radii = np.array([box_radius(b) for b in boxes])
         alpha = float(softplus(np.float64(alpha_raw)))
         assert np.array_equal(got, np.exp(alpha * np.minimum(radii[None, :] - d, 0.0)))
         assert (got < 1.0).any()
@@ -574,7 +578,7 @@ class TestDelayKernel:
         box = Box3D(center=np.zeros(3), size=np.ones(3))
         for boxes in ([box], []):
             with pytest.raises(ValueError, match="voronoi"):
-                delay_kernel(boxes, np.zeros((3, 3)), 1.0, metric="voronoi")
+                delay_kernel(BoxSet(boxes), np.zeros((3, 3)), 1.0, metric="voronoi")
 
 
 class TestIbsForward:
@@ -940,7 +944,7 @@ class TestTwoThreads:
         rng = PrngStream(6001)
         corr = (correlation_table_init(rng, 5) if form == "table"
                 else correlation_mlp_init(rng, 5))
-        points, boxes = rng.normal((300, 3), 0.0, 2.0), make_boxes(rng, 64)
+        points, boxes = rng.normal((300, 3), 0.0, 2.0), BoxSet(make_boxes(rng, 64))
         (serial, n1), (threaded, n2) = self.both_ways(
             monkeypatch, lambda: spatial_correlation(points, boxes, corr))
         assert (n1, n2) == (0, 1)
@@ -948,7 +952,7 @@ class TestTwoThreads:
 
     def test_no_thread_below_64_states(self, monkeypatch):
         x, h0, (s, delay), w = self.block_case(6002, k=16)
-        points, boxes = PrngStream(6003).normal((50, 3)), make_boxes(PrngStream(6004), 63)
+        points, boxes = PrngStream(6003).normal((50, 3)), BoxSet(make_boxes(PrngStream(6004), 63))
         started = forced_threads(monkeypatch, 2)
         ibs_forward(x, h0, s, delay, w)
         for corr in (correlation_table_init(PrngStream(6005), 3),

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dest3d.decoder import decoder_stack, decoder_weights_init
-from dest3d.geometry import Box3D, Scene
+from dest3d.geometry import Box3D, BoxSet, Scene
 from dest3d.issm import (
     CorrelationMlp,
     _chunk_rows,
@@ -98,8 +98,8 @@ class TestRigidMotion:
     @staticmethod
     def moved(points, boxes, theta, t):
         rot = rotz(theta)
-        return points @ rot.T + t, [Box3D(center=rot @ b.center + t, size=b.size,
-                                          yaw=b.yaw + theta) for b in boxes]
+        return points @ rot.T + t, BoxSet([Box3D(center=rot @ b.center + t, size=b.size,
+                                                 yaw=b.yaw + theta) for b in boxes])
 
     @given(seed=st.integers(0, 2**16), theta=st.floats(-math.pi, math.pi),
            t=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
@@ -110,6 +110,7 @@ class TestRigidMotion:
         boxes = make_boxes(rng, 3)
         pts = probe_points(rng, boxes)
         pts2, boxes2 = self.moved(pts, boxes, theta, np.array(t))
+        boxes = BoxSet(boxes)
         assert max_rel_err(spatial_correlation(pts2, boxes2, table),
                            spatial_correlation(pts, boxes, table)) < 1e-12
         for metric in ("center", "vertex", "surface"):
@@ -126,6 +127,7 @@ class TestRigidMotion:
         boxes = make_boxes(rng, 3)
         pts = probe_points(rng, boxes)
         pts2, boxes2 = self.moved(pts, boxes, 0.0, np.array(t))
+        boxes = BoxSet(boxes)
         assert max_rel_err(spatial_correlation(pts2, boxes2, mlp),
                            spatial_correlation(pts, boxes, mlp)) < 1e-12
 
@@ -142,6 +144,7 @@ class TestRigidMotion:
         boxes = make_boxes(rng, 3)
         pts = probe_points(rng, boxes)
         pts2, boxes2 = self.moved(pts, boxes, theta, np.array(t))
+        boxes = BoxSet(boxes)
         assert max_rel_err(spatial_correlation(pts2, boxes2, mlp),
                            spatial_correlation(pts, boxes, turned)) < 1e-12
 
