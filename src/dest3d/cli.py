@@ -46,28 +46,24 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(DecoderConfig)}
 _EXTRA_CONFIG_KEYS = {"seed"}
 
 
-class UsageError(Exception):
-    pass
-
-
 def load_run_config(path: str | None, overrides: dict) -> tuple[DecoderConfig, int]:
     """JSON config document; CLI flags override config keys; unknown keys rejected."""
     doc: dict = {}
     if path:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
-            raise UsageError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
         unknown = set(doc) - _CONFIG_FIELDS - _EXTRA_CONFIG_KEYS
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
     seed = doc.pop("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise UsageError(f"seed must be an int, got {seed!r}")
+        raise ValueError(f"seed must be an int, got {seed!r}")
     try:
         cfg = DecoderConfig(**{k: v for k, v in doc.items() if k in _CONFIG_FIELDS})
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
     return cfg, seed
 
 
@@ -87,7 +83,7 @@ def cmd_gen_scene(args) -> int:
 
 def cmd_serialize(args) -> int:
     if args.score and args.knn < 1:
-        raise UsageError(f"--knn must be >= 1, got {args.knn}")
+        raise ValueError(f"--knn must be >= 1, got {args.knn}")
     positions, _ = read_points(args.input)
     order = SerializationOrder(args.order, args.bits)
     perm = serialize(positions, order)
@@ -257,8 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, FileNotFoundError, ChildProcessError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

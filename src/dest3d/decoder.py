@@ -11,6 +11,7 @@ those boxes drive the next layer's spatial correlation and delay kernel.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,7 +23,6 @@ from .issm import (
     CorrelationTable,
     IbsWeights,
     _DELAY_METRICS,
-    _physical_memory,
     correlation_mlp_init,
     correlation_table_init,
     ibs_forward,
@@ -284,6 +284,14 @@ def point_objectness(x: np.ndarray, w: DecoderWeights) -> np.ndarray:
     """Per-scene-point foreground probability from final scene features."""
     hidden = silu(linear(x, w.point_obj_hidden))
     return sigmoid(linear(hidden, w.point_obj_out))[:, 0]
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _require_memory(need: int, who: str, what: str) -> None:

@@ -82,7 +82,7 @@ class Scene:
             raise ValueError(f"features must be (M, C) with M = {self.positions.shape[0]} "
                              f"points, got shape {self.features.shape}")
         if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64)
+            self.colors = require_finite("colors", np.asarray(self.colors, dtype=np.float64))
             if self.colors.shape != self.positions.shape:
                 raise ValueError("colors must be (M, 3)")
 

@@ -82,10 +82,6 @@ class CorrelationTable:
         if self.grid.ndim != 4 or self.grid.shape[:3] != (10, 10, 10):
             raise ValueError(f"grid must be (10, 10, 10, D), got {self.grid.shape}")
 
-    @property
-    def dim(self) -> int:
-        return self.grid.shape[3]
-
 
 @dataclass
 class CorrelationMlp:
@@ -134,14 +130,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _two_threads(k: int) -> bool:
     """Whether _both runs a layer's two independent halves, its two scan
     directions or the two halves of its correlation's boxes, on two threads.
@@ -187,10 +175,11 @@ def spatial_correlation(points: np.ndarray, boxes: BoxSet,
     hidden runs on the points once and on each box's vertices, and out runs
     per box on that box's (M, H) sum of silu, its bias added once, times 8.
 
-    Each box's column is computed on its own, so the boxes are filled in two
-    halves through _both, which at K >= 64 on more than one CPU runs the
-    second half on a worker thread, with its own scratch, into its own
-    columns of the one output. The result is bit-identical either way. The
+    Each form sets up only its constants and a fill of one range of boxes;
+    each box's column is computed on its own, so the boxes are filled in
+    two halves through one _both call, which at K >= 64 on more than one
+    CPU runs the second half on a worker thread, with its own scratch, into
+    its own columns of the one output. The result is bit-identical either way. The
     table form walks each half's boxes inside row_blocks of the points, of
     width D, so a box's scratch stays within L2 at any M. Its 2048-row
     blocks ran 1.4-1.5x faster than one block at M >= 8192; blocks of 512
@@ -201,13 +190,13 @@ def spatial_correlation(points: np.ndarray, boxes: BoxSet,
     m = points.shape[0]
     k = len(boxes.radii)
     if isinstance(corr, CorrelationTable):
-        g, d = corr.grid.shape[0], corr.dim
+        g, d = corr.grid.shape[0], corr.grid.shape[3]
+        bias = None
         flat = corr.grid.reshape(g ** 3, d)
         strides = np.array([g * g, g, 1])
         # corner v takes the upper grid index on the axes where its sign is
         # +, so the corners keep BoxSet.vertices' x-y-z order
         upper = (_CORNER_SIGNS > 0).astype(np.intp)
-        out = np.empty((m, k, d), dtype=np.float64)
 
         def fill(lo: int, hi: int) -> None:
             for blk in row_blocks(m, d):
@@ -224,18 +213,15 @@ def spatial_correlation(points: np.ndarray, boxes: BoxSet,
                     weights = w[..., 0] * w[..., 1] * w[..., 2]
                     idx = (i0 @ strides)[:, None] + upper @ strides
                     np.matmul(weights[:, None], flat.take(idx, axis=0), out=out[blk, j, None])
-
-        _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
-        return out
-    if isinstance(corr, CorrelationMlp):
+    elif isinstance(corr, CorrelationMlp):
         hidden, head = corr.hidden, corr.out
+        d, bias = head.out_features, head.bias
         ph = points @ hidden.weight.T
         if hidden.bias is not None:
             ph += hidden.bias
         # C order: into a strided column of out, a product with head.weight.T
         # itself took 2.3x longer at (2048, 16) on one OpenBLAS thread
         w_out = np.ascontiguousarray(head.weight.T)
-        out = np.empty((m, k, head.out_features), dtype=np.float64)
 
         def fill(lo: int, hi: int) -> None:
             a, b, acc = (np.empty_like(ph) for _ in range(3))
@@ -244,13 +230,14 @@ def spatial_correlation(points: np.ndarray, boxes: BoxSet,
                 for vh in boxes.vertices[j] @ hidden.weight.T:
                     acc += silu(np.subtract(ph, vh, out=a), out=b)
                 np.matmul(acc, w_out, out=out[:, j])
-
-        _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
-        if head.bias is not None:
-            out += 8.0 * head.bias
-        return out
-    raise TypeError("corr must be a CorrelationTable or a CorrelationMlp, "
-                    f"got {type(corr).__name__}")
+    else:
+        raise TypeError("corr must be a CorrelationTable or a CorrelationMlp, "
+                        f"got {type(corr).__name__}")
+    out = np.empty((m, k, d), dtype=np.float64)
+    _both(k, lambda: fill(0, k // 2), lambda: fill(k // 2, k))
+    if bias is not None:
+        out += 8.0 * bias
+    return out
 
 
 # Not in __all__; a dest3d.issm global because perfbench's tracer and tests look it up here.
@@ -340,16 +327,9 @@ def _chunk_rows(k: int, e: int) -> int:
     return max(24, 2**14 // (k * e))
 
 
-def _prelude_blocks(m: int, k: int, e: int) -> list[slice]:
-    """The row blocks _run_direction runs its prelude and scans in: the
-    row_blocks rule at width E+2 (the [delta | b | c] rows), rounded up to
-    whole _chunk_rows(K, E) chunks, the last block also taking the rows left
-    over, so the chunk edges are those of one pass over all M rows."""
-    return row_blocks(m, e + 2, unit=_chunk_rows(k, e))
-
-
 def _longest_prelude_block(m: int, k: int, e: int) -> int:
-    """Rows of the last, longest _prelude_blocks(m, k, e) block, without
+    """Rows of the last, longest block of row_blocks(m, e + 2,
+    unit=_chunk_rows(k, e)), the blocks _run_direction runs in, without
     building the list: all m rows below one block, else one block plus the
     rows left over."""
     rows = block_rows(e + 2, _chunk_rows(k, e))
@@ -367,9 +347,10 @@ def _layer_bytes(m: int, k: int, c: int, e: int, d: int) -> int:
     the two directions' (M, E) outputs; and per direction that runs at once
     (two when _two_threads(K) holds) the three (rows, K, E) and one (rows,
     K, 2) chunk buffers and the (B, E) and (B, E+2) prelude buffers, B the
-    longest _prelude_blocks block. It leaves out the per-stage scratch, which
-    row_blocks bounds at about BLOCK_ELEMENTS f64 values per array at any M
-    (per thread at K >= 64).
+    longest block of row_blocks(M, E + 2, unit=_chunk_rows(K, E)), as
+    _longest_prelude_block counts it. It leaves out the per-stage scratch,
+    which row_blocks bounds at about BLOCK_ELEMENTS f64 values per array at
+    any M (per thread at K >= 64).
     """
     rows = min(m, _chunk_rows(k, e))
     scans = 2 if _two_threads(k) else 1
@@ -381,8 +362,10 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
                    delay: np.ndarray, w: DirectionWeights) -> tuple[np.ndarray, np.ndarray]:
     """One causal scan over the rows of x_in in order. Returns (y, h_final).
 
-    y (M, E) is the only array made at full M. The rows run in
-    _prelude_blocks, each whole _chunk_rows(K, E) chunks but the last: a
+    y (M, E) is the only array made at full M. The rows run in row_blocks
+    at width E+2 (the [delta | b | c] rows) with unit=_chunk_rows(K, E): each
+    block but the last is whole chunks, and the last also takes the rows
+    left over, so the chunk edges are those of one pass over all M rows. A
     block, with its ksize - 1 rows of context before it, goes through the
     causal conv and SiLU into x_conv and is projected onto [delta | b | c],
     biases included, into x_row, two buffers of the longest block's rows
@@ -407,7 +390,7 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
     bc_buf = np.empty((rows, k, 2))
     y = np.empty((m, e))
     h = h0_hat
-    for blk in _prelude_blocks(m, k, e):
+    for blk in row_blocks(m, e + 2, unit=step):
         n = blk.stop - blk.start
         ctx = min(blk.start, context)
         conv = depthwise_conv1d(x_in[blk.start - ctx:blk.stop], w.conv_kernel)

@@ -3,10 +3,14 @@
 Binary layout (little-endian):
     8 bytes  magic "DESTPC1\\0"
     u32      number of points M
-    u8       has_color flag
+    u8       has_color flag, 0 or 1
     3 bytes  reserved (zero)
     M*3 f32  positions
     M*3 f32  colors, only when has_color
+
+A file must be exactly as long as its header declares, 16 + M*12 bytes, or
+16 + M*24 with colors; a shorter or longer one is refused, so colors behind
+a has_color = 0 header are never silently dropped.
 
 Text format: one point per line, 3 or 6 whitespace-separated decimals,
 '#' starts a comment. Boxes travel in a JSON sidecar next to the cloud.
@@ -89,10 +93,12 @@ def read_destpc(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a DESTPC1 file")
     m, has_color = struct.unpack_from("<IB3x", raw, 8)
+    if has_color not in (0, 1):
+        raise ValueError(f"{path}: has_color flag must be 0 or 1, got {has_color}")
     offset = 16
-    need = m * 12 * (2 if has_color else 1)
-    if len(raw) < offset + need:
-        raise ValueError(f"{path}: truncated payload")
+    size = offset + m * 12 * (1 + has_color)
+    if len(raw) != size:
+        raise ValueError(f"{path}: the header declares {size} bytes, the file has {len(raw)}")
     positions = np.frombuffer(raw, dtype="<f4", count=m * 3, offset=offset)
     positions = positions.reshape(m, 3).astype(np.float64)
     colors = None

@@ -166,6 +166,13 @@ class TestScene:
         with pytest.raises(ValueError, match="features"):
             Scene(positions=np.zeros((4, 3)), features=np.zeros(shape))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_colors_must_be_finite(self, value):
+        colors = np.zeros((4, 3))
+        colors[2, 1] = value
+        with pytest.raises(ValueError, match="^colors contains non-finite values"):
+            Scene(positions=np.zeros((4, 3)), features=np.zeros((4, 2)), colors=colors)
+
 
 class TestPointInBox:
     def test_center_inside(self):

@@ -67,6 +67,32 @@ class TestSceneIO:
         with pytest.raises(ValueError):
             read_destpc(path)
 
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_has_color_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        path = tmp_path / "cloud.destpc"
+        write_destpc(path, np.zeros((2, 3)), np.zeros((2, 3)))
+        raw = bytearray(path.read_bytes())
+        raw[12] = flag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"has_color flag must be 0 or 1, got {flag}$"):
+            read_destpc(path)
+
+    @pytest.mark.parametrize("colors, extra", [
+        (False, 24),  # colors behind a has_color = 0 header
+        (True, 1),
+        (False, -1),
+        (True, -12),
+    ])
+    def test_payload_must_match_header_size(self, tmp_path, colors, extra):
+        path = tmp_path / "cloud.destpc"
+        write_destpc(path, np.ones((2, 3)), np.ones((2, 3)) if colors else None)
+        raw = path.read_bytes()
+        size = len(raw)
+        path.write_bytes(raw + b"\x00" * extra if extra > 0 else raw[:extra])
+        with pytest.raises(ValueError, match=f": the header declares {size} bytes, "
+                                             f"the file has {size + extra}$"):
+            read_destpc(path)
+
     def test_text_round_trip(self, tmp_path):
         pos = np.array([[0.25, -1.5, 3.0], [1.0, 2.0, 3.0]])
         path = tmp_path / "cloud.txt"
@@ -218,8 +244,7 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"num_layers": 2, "bogus_key": 1}))
-        from dest3d.cli import UsageError
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="unknown config keys"):
             load_run_config(str(path), {})
 
     def test_flag_overrides_config(self, tmp_path):
@@ -618,6 +643,46 @@ class TestCliDemo:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag_byte, extra", [(b"\x02", b""), (b"\x00", b"\x00" * 4)])
+    def test_malformed_destpc_header_exit_2(self, scene_path, flag_byte, extra):
+        raw = open(scene_path, "rb").read()
+        with open(scene_path, "wb") as fh:
+            fh.write(raw[:12] + flag_byte + raw[13:] + extra)
+        code, out, err = run_cli("demo", scene_path, "--layers", "1", "--states", "3",
+                                 "--channels", "16")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {scene_path}: ")
+        assert "Traceback" not in err
+
+    def test_non_finite_text_colors_exit_2(self, tmp_path):
+        path = tmp_path / "cloud.txt"
+        path.write_text("".join(f"{i} {i % 3} {i % 5} 0.5 nan 0.5\n" for i in range(8)))
+        code, out, err = run_cli("demo", str(path), "--layers", "1", "--states", "3",
+                                 "--channels", "16")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: colors contains non-finite values"]
+
+    @pytest.mark.parametrize("where", ["config", "sidecar", "manifest"])
+    def test_invalid_json_exit_2(self, scene_path, tmp_path, where):
+        truncated = '{"num_layers": 2,'
+        args = ["demo", scene_path, "--layers", "1", "--states", "3", "--channels", "16"]
+        if where == "config":
+            (tmp_path / "run.json").write_text(truncated)
+            args += ["--config", str(tmp_path / "run.json")]
+        elif where == "sidecar":
+            boxes_sidecar_path(scene_path).write_text(truncated)
+        else:
+            (tmp_path / "w.bin").write_bytes(b"")
+            (tmp_path / "w.manifest.json").write_text(truncated)
+            args += ["--weights", str(tmp_path / "w.bin")]
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
     def test_unknown_config_key_exit_2(self, scene_path, tmp_path):

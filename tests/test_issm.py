@@ -17,7 +17,6 @@ from dest3d.issm import (
     _layer_bytes,
     _longest_prelude_block,
     _param_weights,
-    _prelude_blocks,
     IbsWeights,
     correlation_mlp_init,
     correlation_table_init,
@@ -34,6 +33,7 @@ from dest3d.numerics import (
     depthwise_conv1d,
     layer_norm,
     linear,
+    row_blocks,
     silu,
     softplus,
 )
@@ -990,14 +990,13 @@ class TestLayerBytes:
         # exact multiples of it and every remainder, and one M of many blocks
         block = block_rows(e + 2, _chunk_rows(k, e))
         for m in [*range(1, 3 * block + 5), 100007]:
-            last = _prelude_blocks(m, k, e)[-1]
+            last = row_blocks(m, e + 2, unit=_chunk_rows(k, e))[-1]
             assert _longest_prelude_block(m, k, e) == last.stop - last.start, m
 
     def test_estimate_builds_no_block_list(self, monkeypatch):
         def listed(*args, **kwargs):
             raise AssertionError("the estimate listed the row blocks")
 
-        for module, name in ((issm, "_prelude_blocks"), (issm, "row_blocks"),
-                             (numerics, "row_blocks")):
+        for module, name in ((issm, "row_blocks"), (numerics, "row_blocks")):
             monkeypatch.setattr(module, name, listed)
         assert _layer_bytes(2 * 10**9, 16, 32, 32, 16) > 8 * 2 * 10**9 * 16 * 17
