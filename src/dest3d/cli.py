@@ -50,7 +50,10 @@ def load_run_config(path: str | None, overrides: dict) -> tuple[DecoderConfig, i
     """JSON config document; CLI flags override config keys; unknown keys rejected."""
     doc: dict = {}
     if path:
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # a JSON syntax or text decoding error
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(doc) - _CONFIG_FIELDS - _EXTRA_CONFIG_KEYS
@@ -143,13 +146,10 @@ def _demo_lines(args) -> list[dict]:
     probs = point_objectness(result.final_x, weights)
     loss = binary_focal_loss(probs, objectness_labels(scene))
     # finite weights can still overflow; refuse by name rather than print NaN
-    # (decoder_stack already refuses non-finite boxes)
+    # (decoder_stack already refuses non-finite detections)
     lines = []
     for layer_idx, layer in enumerate(result.layers):
         for det in layer.detections:
-            for name, value in (("class_logits", det.class_logits),
-                                ("score", det.objectness)):
-                require_finite(f"layer {layer_idx} detection {name}", value)
             lines.append({
                 "layer": layer_idx,
                 "center": [round(float(v), 6) for v in det.box.center],

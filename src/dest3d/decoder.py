@@ -238,15 +238,15 @@ def detection_head(h: np.ndarray, ref_positions: np.ndarray,
 
     Centers are offsets from the reference positions; sizes go through
     softplus plus a floor so they stay positive; yaw comes from a sin/cos
-    pair via atan2 (zero weights give yaw 0). A non-finite center, size or
-    yaw is refused by name, e.g. "<label> yaw contains non-finite values".
+    pair via atan2 (zero weights give yaw 0). Every output is refused by
+    name if not finite, e.g. "<label> yaw contains non-finite values".
     """
     centers = require_finite(f"{label} center", ref_positions + linear(h, w.offset))
     sizes = require_finite(f"{label} size", softplus(linear(h, w.size)) + SIZE_FLOOR)
     yaw = require_finite(f"{label} yaw", np.arctan2(linear(h, w.yaw_sin)[:, 0],
                                                     linear(h, w.yaw_cos)[:, 0]))
-    logits = linear(h, w.cls)
-    obj = sigmoid(linear(h, w.obj))[:, 0]
+    logits = require_finite(f"{label} class_logits", linear(h, w.cls))
+    obj = require_finite(f"{label} score", sigmoid(linear(h, w.obj))[:, 0])
     return [
         Detection(box=Box3D(center=centers[i], size=sizes[i], yaw=float(yaw[i])),
                   class_logits=logits[i], objectness=float(obj[i]))

@@ -4,7 +4,7 @@ Binary layout (little-endian):
     8 bytes  magic "DESTPC1\\0"
     u32      number of points M
     u8       has_color flag, 0 or 1
-    3 bytes  reserved (zero)
+    3 bytes  reserved, must be zero
     M*3 f32  positions
     M*3 f32  colors, only when has_color
 
@@ -92,9 +92,11 @@ def read_destpc(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a DESTPC1 file")
-    m, has_color = struct.unpack_from("<IB3x", raw, 8)
+    m, has_color, reserved = struct.unpack_from("<IB3s", raw, 8)
     if has_color not in (0, 1):
         raise ValueError(f"{path}: has_color flag must be 0 or 1, got {has_color}")
+    if reserved != bytes(3):
+        raise ValueError(f"{path}: reserved header bytes must be zero, got {reserved.hex(' ')}")
     offset = 16
     size = offset + m * 12 * (1 + has_color)
     if len(raw) != size:
@@ -179,7 +181,10 @@ def _is_number(value) -> bool:
 def read_boxes_json(path: str | Path) -> list[Box3D]:
     """Boxes from a JSON list of {center, size, yaw, class_id} objects; a
     malformed entry is refused with its index."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSON syntax or text decoding error
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, list):
         raise ValueError(f"{path}: box sidecar must be a JSON list of box objects")
     boxes = []

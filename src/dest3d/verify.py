@@ -205,10 +205,10 @@ def _case_grad(stream: PrngStream, perturb: float) -> float:
 def _case_delay(stream: PrngStream, perturb: float) -> float:
     center = stream.normal((3,), 0.0, 1.0)
     size = stream.uniform((3,), 0.4, 1.2)
-    box = Box3D(center=center, size=size, yaw=float(stream.uniform((), -3.0, 3.0)))
+    boxes = BoxSet([Box3D(center=center, size=size, yaw=float(stream.uniform((), -3.0, 3.0)))])
     alpha_raw = float(stream.uniform((), 0.0, 2.0))
     alpha = float(softplus(np.float64(alpha_raw)))
-    radius = 0.5 * float(np.linalg.norm(size))
+    radius = float(boxes.radii[0])
     direction = stream.normal((3,), 0.0, 1.0)
     direction /= np.linalg.norm(direction)
     # a line of 160 points out from the center, then the 1/e anchor and a far point
@@ -218,7 +218,7 @@ def _case_delay(stream: PrngStream, perturb: float) -> float:
     ])
     dists = np.concatenate([line, [radius + 1.0 / alpha, radius + 12.0 / alpha]])
     pts = center[None, :] + dists[:, None] * direction[None, :]
-    kernel = delay_kernel(BoxSet([box]), pts, alpha_raw)[:, 0]
+    kernel = delay_kernel(boxes, pts, alpha_raw)[:, 0]
     factors = kernel[:len(line)] + perturb
     inside = factors[line <= radius]
     v_inside = float(np.abs(inside - 1.0).max())

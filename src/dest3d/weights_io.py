@@ -1,17 +1,15 @@
-"""Weight serialization: one flat little-endian binary blob plus a JSON
-manifest mapping each array name to its shape, dtype, and byte offset.
+"""Weight serialization: one uncompressed .npz of named float arrays.
 
 flatten_weights walks the weight dataclasses generically (nested
 dataclasses join names with '.', list items with their index), so the
-container stays schema-free: unflatten_weights fills the arrays that walk
-finds in a freshly initialized bundle of the same configuration, in place.
+container stays schema-free: unflatten_weights fills and checks the arrays
+that walk finds in a freshly initialized bundle of the same configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
+import io
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +17,7 @@ import numpy as np
 from .numerics import require_finite
 from .sceneio import atomic_write_bytes
 
-__all__ = [
-    "flatten_weights",
-    "unflatten_weights",
-    "save_weights",
-    "load_weights",
-    "manifest_path",
-]
+__all__ = ["flatten_weights", "unflatten_weights", "save_weights", "load_weights"]
 
 def _walk(obj, prefix: str, out: dict[str, np.ndarray]) -> None:
     if dataclasses.is_dataclass(obj):
@@ -73,61 +65,31 @@ def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
         target[...] = value
 
 
-def manifest_path(bin_path: str | Path) -> Path:
-    return Path(bin_path).with_suffix(".manifest.json")
+def save_weights(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write the arrays as one uncompressed .npz archive, in one rename."""
+    if {"file", "allow_pickle"} & set(arrays):  # flatten_weights' names contain a dot
+        raise ValueError("'file' and 'allow_pickle' are np.savez parameters, not weight names")
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    atomic_write_bytes(path, buf.getvalue())
 
 
-def save_weights(bin_path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write the arrays back-to-back (little-endian) plus the manifest."""
-    entries = {}
-    blobs = []
-    offset = 0
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
-        le = arr.astype(arr.dtype.newbyteorder("<")) if arr.dtype.byteorder == ">" else arr
-        payload = np.ascontiguousarray(le).tobytes()
-        entries[name] = {
-            "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
-            "offset": offset,
-            "nbytes": len(payload),
-        }
-        blobs.append(payload)
-        offset += len(payload)
-    atomic_write_bytes(bin_path, b"".join(blobs))
-    atomic_write_bytes(manifest_path(bin_path),
-                       (json.dumps(entries, indent=1, sort_keys=True) + "\n").encode())
-
-
-def load_weights(bin_path: str | Path) -> dict[str, np.ndarray]:
-    raw = Path(bin_path).read_bytes()
-    manifest = json.loads(manifest_path(bin_path).read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError("weight manifest must be a JSON object of entries")
-    out = {}
-    for name, meta in manifest.items():
-        try:
-            dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-            shape, offset, nbytes = meta["shape"], meta["offset"], meta["nbytes"]
-            if not isinstance(shape, list) or any(type(n) is not int for n in shape):
-                raise TypeError(f"shape {shape!r} is not a list of ints")
-            if type(offset) is not int or type(nbytes) is not int:
-                raise TypeError(f"offset {offset!r} and nbytes {nbytes!r} must be ints")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"weight manifest entry {name!r}: bad field {exc}") from None
-        count = math.prod(shape)
-        if dtype.kind != "f":
-            raise ValueError(f"weight manifest entry {name!r}: dtype {meta['dtype']!r} "
-                             f"is not a floating-point type")
-        if count < 0 or nbytes != count * dtype.itemsize:
-            raise ValueError(f"weight manifest entry {name!r}: nbytes {nbytes} != "
-                             f"{count} x {dtype.itemsize} bytes of shape {shape}")
-        if min(shape, default=0) < 0:
-            raise ValueError(f"weight manifest entry {name!r}: shape {shape} "
-                             f"has a negative dimension")
-        if not 0 <= offset <= len(raw) - nbytes:
-            raise ValueError(f"weight manifest entry {name!r}: bytes [{offset}, "
-                             f"{offset + nbytes}) lie outside the {len(raw)}-byte file")
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        out[name] = arr.reshape(shape).astype(np.dtype(meta["dtype"]))
-    return out
+def load_weights(path: str | Path) -> dict[str, np.ndarray]:
+    """Name -> array map of an .npz weight file, read without pickle. A file
+    or entry that is not an .npz of float arrays is refused by one ValueError
+    naming the path; only MemoryError (a huge header shape) passes."""
+    raw = Path(path).read_bytes()  # so an OSError is the file's, not a bad zip offset's
+    try:
+        if not raw.startswith((b"PK\x03\x04", b"PK\x05\x06")):  # np.load would try .npy, pickle
+            raise ValueError("not a zip archive")
+        arrays = dict(np.load(io.BytesIO(raw), allow_pickle=False).items())
+    except MemoryError:
+        raise
+    except Exception as exc:  # numpy and zipfile raise a dozen types on bad bytes
+        reason = str(exc) or type(exc).__name__
+        raise ValueError(f"{path}: not an .npz weight file ({reason})") from None
+    for name, arr in arrays.items():
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind == "f"):
+            kind = f"dtype {arr.dtype}" if isinstance(arr, np.ndarray) else "not an .npy member"
+            raise ValueError(f"{path}: weight {name!r} is not a floating-point array ({kind})")
+    return arrays

@@ -1,7 +1,9 @@
+import io
 import json
 import struct
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -77,6 +79,19 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"has_color flag must be 0 or 1, got {flag}$"):
             read_destpc(path)
 
+    @pytest.mark.parametrize("reserved", [b"\xff\xff\xff", b"\x00\x00\x01"])
+    def test_reserved_header_bytes_must_be_zero(self, tmp_path, reserved):
+        path = tmp_path / "cloud.destpc"
+        write_destpc(path, np.zeros((2, 3)))
+        assert read_destpc(path)[0].shape == (2, 3)   # as written, it loads
+        raw = bytearray(path.read_bytes())
+        raw[13:16] = reserved
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            read_destpc(path)
+        assert str(info.value) == (f"{path}: reserved header bytes must be zero, "
+                                   f"got {reserved.hex(' ')}")
+
     @pytest.mark.parametrize("colors, extra", [
         (False, 24),  # colors behind a has_color = 0 header
         (True, 1),
@@ -137,15 +152,55 @@ class TestSceneIO:
         assert leftovers == []
 
 
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _zip(member: str, payload: bytes) -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr(member, payload)
+    return buf.getvalue()
+
+
+def _npy_header(shape) -> bytes:
+    """An .npy member holding only a float64 header of this shape."""
+    header = repr({"descr": "<f8", "fortran_order": False, "shape": shape}).encode()
+    return b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+
+
+_SAVED = _npz(a=np.arange(64.0))
+
+# weight files load_weights refuses, each with a part of the reason it gives
+MALFORMED_WEIGHTS = {
+    "empty": (b"", "not a zip archive"),
+    "random bytes": (np.random.default_rng(0).bytes(256), "not a zip archive"),
+    "half": (_SAVED[:len(_SAVED) // 2], "not a zip file"),
+    "npy": (zipfile.ZipFile(io.BytesIO(_SAVED)).read("a.npy"), "not a zip archive"),
+    "txt member": (_zip("notes.txt", b"hello"),
+                   "'notes.txt' is not a floating-point array (not an .npy member)"),
+    "object": (_npz(a=np.array([None], dtype=object)), "Object arrays cannot be loaded"),
+    "V8": (_npz(a=np.zeros(2, dtype="V8")), "'a' is not a floating-point array (dtype |V8)"),
+    "M8": (_npz(a=np.zeros(2, dtype="<M8[ns]")),
+           "'a' is not a floating-point array (dtype datetime64[ns])"),
+    "U2": (_npz(a=np.zeros(2, dtype="<U2")), "'a' is not a floating-point array (dtype <U2)"),
+    "int": (_npz(a=np.zeros(2, dtype=np.int64)),
+            "'a' is not a floating-point array (dtype int64)"),
+    "shape 1e21": (_zip("a.npy", _npy_header((10**21,))), "too large"),
+}
+
+
 class TestWeightsIO:
     def test_round_trip_through_container(self, tmp_path):
         cfg = DecoderConfig(num_layers=2, channels=8, state_dim=8, corr_dim=4,
                             ffn_dim=16, heads=2, num_states=3, num_classes=4)
         w1 = decoder_weights_init(PrngStream(1), cfg)
         flat = flatten_weights(w1)
-        path = tmp_path / "weights.bin"
+        path = tmp_path / "weights.npz"
         save_weights(path, flat)
-        assert (tmp_path / "weights.manifest.json").exists()
+        assert list(tmp_path.iterdir()) == [path]   # no sidecar, no temp file
         w2 = decoder_weights_init(PrngStream(99), cfg)   # different values
         unflatten_weights(w2, load_weights(path))
         flat2 = flatten_weights(w2)
@@ -154,57 +209,20 @@ class TestWeightsIO:
             np.testing.assert_array_equal(np.asarray(flat[name]),
                                           np.asarray(flat2[name]), err_msg=name)
 
-    def test_manifest_offsets(self, tmp_path):
-        arrays = {"a": np.arange(6, dtype=np.float64).reshape(2, 3),
-                  "b": np.float32([1, 2])}
-        path = tmp_path / "w.bin"
+    def test_dtypes_and_byte_order_kept(self, tmp_path):
+        arrays = {"a": np.arange(6, dtype=">f8").reshape(2, 3), "b": np.float32([1, 2])}
+        path = tmp_path / "w.npz"
         save_weights(path, arrays)
-        manifest = json.loads((tmp_path / "w.manifest.json").read_text())
-        assert manifest["a"]["shape"] == [2, 3]
-        assert manifest["a"]["offset"] == 0
-        assert manifest["b"]["offset"] == 48
         loaded = load_weights(path)
+        assert {k: v.dtype for k, v in loaded.items()} == {k: v.dtype for k, v in arrays.items()}
         np.testing.assert_array_equal(loaded["a"], arrays["a"])
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("offset", 10_000, "outside the 60-byte file"),
-        ("offset", -8, "outside the 60-byte file"),
-        ("nbytes", 40, "nbytes 40 != 6 x 8 bytes"),
-        ("dtype", "no-such-dtype", "bad field"),
-        ("shape", "ab", "bad field"),
-        ("shape", [-6], "nbytes 48 != -6 x 8 bytes"),
-        ("dtype", "V8", "dtype 'V8' is not a floating-point type"),
-        ("dtype", "<M8[ns]", r"dtype '<M8\[ns\]' is not a floating-point type"),
-        ("dtype", "O", "dtype 'O' is not a floating-point type"),
-        ("shape", [6.0], r"bad field shape \[6.0\] is not a list of ints"),
-        ("shape", [True], r"bad field shape \[True\] is not a list of ints"),
-        ("shape", None, "bad field shape None is not a list of ints"),
-        ("shape", [-2, -3], r"shape \[-2, -3\] has a negative dimension"),
-        ("offset", 8.7, "bad field offset 8.7 and nbytes 48 must be ints"),
-        ("offset", True, "bad field offset True and nbytes 48 must be ints"),
-        ("offset", "0", "bad field offset '0' and nbytes 48 must be ints"),
-        ("offset", 1.0, "bad field offset 1.0 and nbytes 48 must be ints"),
-        ("nbytes", 48.0, "bad field offset 0 and nbytes 48.0 must be ints"),
-        ("nbytes", "48", "bad field offset 0 and nbytes '48' must be ints"),
-    ])
-    def test_bad_manifest_entry_named(self, tmp_path, field, value, message):
-        path = tmp_path / "w.bin"
-        save_weights(path, {"a": np.arange(6, dtype=np.float64),
-                            "b": np.float32([1, 2, 3])})
-        mpath = tmp_path / "w.manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["a"][field] = value
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=f"entry 'a'.*{message}"):
-            load_weights(path)
-
-    def test_manifest_not_an_object_rejected(self, tmp_path):
-        path = tmp_path / "w.bin"
-        save_weights(path, {"a": np.arange(6, dtype=np.float64)})
-        (tmp_path / "w.manifest.json").write_text("[1, 2]")
-        with pytest.raises(ValueError, match="JSON object"):
-            load_weights(path)
+    @pytest.mark.parametrize("name", ["file", "allow_pickle"])
+    def test_savez_parameter_name_refused(self, tmp_path, name):
+        with pytest.raises(ValueError, match="'file' and 'allow_pickle' are np.savez parameters"):
+            save_weights(tmp_path / "w.npz", {name: np.zeros(2)})
+        assert list(tmp_path.iterdir()) == []
 
     def test_shape_mismatch_named(self):
         cfg = DecoderConfig(num_layers=1, channels=8, state_dim=8, corr_dim=4,
@@ -438,12 +456,28 @@ class TestCliDemo:
         _, out2, _ = run_cli(*args)
         assert out1 == out2
 
-    def test_weights_round_trip_changes_nothing(self, scene_path, tmp_path):
-        wpath = str(tmp_path / "w.bin")
+    @pytest.fixture()
+    def saved(self, scene_path, tmp_path):
+        """A one-layer demo run's args, the w.npz it saved and its stdout."""
         args = ("demo", scene_path, "--layers", "1", "--states", "3",
                 "--channels", "16", "--seed", "2")
-        _, out1, _ = run_cli(*args, "--save-weights", wpath)
-        _, out2, _ = run_cli(*args, "--weights", wpath)
+        wpath = tmp_path / "w.npz"
+        code, out, _ = run_cli(*args, "--save-weights", str(wpath))
+        assert code == 0
+        return args, wpath, out
+
+    @staticmethod
+    def _run_with(saved, arrays):
+        """Save arrays over the fixture's w.npz and rerun its demo on them."""
+        args, wpath, _ = saved
+        save_weights(wpath, arrays)
+        return run_cli(*args, "--weights", str(wpath))
+
+    def test_weights_round_trip_changes_nothing(self, saved):
+        args, wpath, out1 = saved
+        assert sorted(p.name for p in wpath.parent.iterdir()) == [
+            "scene.boxes.json", "scene.destpc", "w.npz"]
+        _, out2, _ = run_cli(*args, "--weights", str(wpath))
         assert out1 == out2
 
     def test_config_file(self, scene_path, tmp_path):
@@ -454,115 +488,66 @@ class TestCliDemo:
         assert code == 0
         assert len(out.strip().splitlines()) == 3 + 1
 
-    def test_non_finite_weight_exit_2(self, scene_path, tmp_path):
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "1", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        arrays = load_weights(wpath)
+    def test_non_finite_weight_exit_2(self, saved):
+        arrays = load_weights(saved[1])
         arrays["point_obj_out.weight"][0, 0] = np.nan
-        save_weights(wpath, arrays)
-        code, out, err = run_cli(*args, "--weights", str(wpath))
+        code, out, err = self._run_with(saved, arrays)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "point_obj_out.weight" in err
 
-    def test_positive_transition_rate_exit_2(self, scene_path, tmp_path):
-        # loaded, a_vec = 1e3 made numpy print warnings and the second
-        # layer's boxes overflow; refused at load it is one line
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "2", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        arrays = load_weights(wpath)
-        arrays["layers.1.ibs.forward.a_vec"][:] = 1e3
-        save_weights(wpath, arrays)
-        code, out, err = run_cli(*args, "--weights", str(wpath))
+    def test_positive_transition_rate_exit_2(self, saved):
+        # loaded, a_vec = 1e3 made numpy print warnings and the boxes
+        # overflow; refused at load it is one line
+        arrays = load_weights(saved[1])
+        arrays["layers.0.ibs.forward.a_vec"][:] = 1e3
+        code, out, err = self._run_with(saved, arrays)
         assert code == 2
         assert out == ""
-        assert err.splitlines() == ["error: weight layers.1.ibs.forward.a_vec must be <= 0 "
+        assert err.splitlines() == ["error: weight layers.0.ibs.forward.a_vec must be <= 0 "
                                     "(a scan transition rate), got 1000"]
 
-    def test_manifest_offset_past_end_exit_2(self, scene_path, tmp_path):
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "1", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        mpath = tmp_path / "w.manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["head.obj.bias"]["offset"] = wpath.stat().st_size
-        mpath.write_text(json.dumps(manifest))
-        code, out, err = run_cli(*args, "--weights", str(wpath))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "'head.obj.bias'" in err
-
     @pytest.mark.parametrize("entry, edit, named", [
-        # a manifest shape that is not a list of ints
-        ("head.obj.bias", {"shape": [1.0]}, "'head.obj.bias': bad field shape"),
-        # a scalar weight stored with two values
-        ("layers.0.ibs.alpha_raw", {"shape": [2], "nbytes": 16},
-         "shape mismatch at layers.0.ibs.alpha_raw"),
         # the table extent, a constant, stored as if it were a weight
         ("layers.0.table.extent", 0.0, "extra=['layers.0.table.extent']"),
+        # a scalar weight stored with two values
+        ("layers.0.ibs.alpha_raw", [0.0, 0.0], "shape mismatch at layers.0.ibs.alpha_raw"),
         ("layers.0.table.extent", -1.0, "extra=['layers.0.table.extent']"),
-        # offsets that int() would truncate (8.7) or read from byte 1 (true, 1.0)
-        ("head.obj.bias", {"offset": 8.7}, "'head.obj.bias': bad field offset 8.7"),
-        ("head.obj.bias", {"offset": True}, "'head.obj.bias': bad field offset True"),
-        ("head.obj.bias", {"offset": "0"}, "'head.obj.bias': bad field offset '0'"),
-        ("head.obj.bias", {"offset": 1.0}, "'head.obj.bias': bad field offset 1.0"),
     ])
-    def test_malformed_container_exit_2(self, scene_path, tmp_path, entry, edit, named):
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "1", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        if isinstance(edit, dict):
-            mpath = tmp_path / "w.manifest.json"
-            manifest = json.loads(mpath.read_text())
-            manifest[entry].update(edit)
-            mpath.write_text(json.dumps(manifest))
-        else:
-            arrays = load_weights(wpath)
-            arrays[entry] = np.array(edit)
-            save_weights(wpath, arrays)
-        code, out, err = run_cli(*args, "--weights", str(wpath))
+    def test_malformed_container_exit_2(self, saved, entry, edit, named):
+        arrays = load_weights(saved[1])
+        arrays[entry] = np.array(edit)
+        code, out, err = self._run_with(saved, arrays)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
 
-    @pytest.mark.parametrize("dtype", ["V8", "<M8[ns]", "O"])
-    def test_non_float_manifest_dtype_exit_2(self, scene_path, tmp_path, dtype):
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "1", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        mpath = tmp_path / "w.manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["head.obj.bias"]["dtype"] = dtype
-        mpath.write_text(json.dumps(manifest))
-        code, out, err = run_cli(*args, "--weights", str(wpath))
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_WEIGHTS))
+    def test_malformed_weight_file_exit_2(self, scene_path, tmp_path, capsys, kind):
+        payload, reason = MALFORMED_WEIGHTS[kind]
+        wpath = tmp_path / "w.npz"
+        wpath.write_bytes(payload)
+        code = main(["demo", scene_path, "--layers", "1", "--states", "3",
+                     "--channels", "16", "--weights", str(wpath)])
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "'head.obj.bias'" in err
-        assert "Traceback" not in err
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {wpath}: ") and reason in captured.err
 
     @pytest.mark.parametrize("names,message", [
-        (["head.obj.weight"], "error: layer 0 detection score contains non-finite values"),
+        (["head.obj.weight"], "error: initial detection score contains non-finite values"),
         (["point_obj_hidden.weight", "point_obj_out.weight"],
          "error: point objectness contains non-finite values"),
+        (["head.cls.weight"],
+         "error: initial detection class_logits contains non-finite values"),
     ])
-    def test_overflowing_finite_weights_exit_2(self, scene_path, tmp_path, names, message):
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "1", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        arrays = load_weights(wpath)
+    def test_overflowing_finite_weights_exit_2(self, saved, names, message):
+        arrays = load_weights(saved[1])
         for name in names:
             arrays[name][:] = 1e308
-        save_weights(wpath, arrays)
-        code, out, err = run_cli(*args, "--weights", str(wpath))
+        code, out, err = self._run_with(saved, arrays)
         assert code == 2
         assert out == ""
         assert err.splitlines()[-1] == message
@@ -575,15 +560,10 @@ class TestCliDemo:
         ("layers.0.ibs.out_h.weight",
          "error: layer 0 detection center contains non-finite values"),
     ])
-    def test_overflowing_box_names_its_source(self, scene_path, tmp_path, name, message):
-        wpath = tmp_path / "w.bin"
-        args = ("demo", scene_path, "--layers", "1", "--states", "3",
-                "--channels", "16", "--seed", "2")
-        assert run_cli(*args, "--save-weights", str(wpath))[0] == 0
-        arrays = load_weights(wpath)
+    def test_overflowing_box_names_its_source(self, saved, name, message):
+        arrays = load_weights(saved[1])
         arrays[name][:] = 1e308
-        save_weights(wpath, arrays)
-        code, out, err = run_cli(*args, "--weights", str(wpath))
+        code, out, err = self._run_with(saved, arrays)
         assert code == 2
         assert out == ""
         assert err.splitlines()[-1] == message
@@ -666,23 +646,27 @@ class TestCliDemo:
         assert out == ""
         assert err.splitlines() == ["error: colors contains non-finite values"]
 
-    @pytest.mark.parametrize("where", ["config", "sidecar", "manifest"])
+    @pytest.mark.parametrize("where", ["config", "sidecar", "weights"])
     def test_invalid_json_exit_2(self, scene_path, tmp_path, where):
         truncated = '{"num_layers": 2,'
         args = ["demo", scene_path, "--layers", "1", "--states", "3", "--channels", "16"]
         if where == "config":
-            (tmp_path / "run.json").write_text(truncated)
-            args += ["--config", str(tmp_path / "run.json")]
+            path = tmp_path / "run.json"
+            path.write_text(truncated)
+            args += ["--config", str(path)]
         elif where == "sidecar":
-            boxes_sidecar_path(scene_path).write_text(truncated)
-        else:
-            (tmp_path / "w.bin").write_bytes(b"")
-            (tmp_path / "w.manifest.json").write_text(truncated)
-            args += ["--weights", str(tmp_path / "w.bin")]
+            path = boxes_sidecar_path(scene_path)
+            path.write_text(truncated)
+        else:  # half of a saved weight container
+            path = tmp_path / "w.npz"
+            cfg = DecoderConfig(num_layers=1, num_states=3, channels=16)
+            save_weights(path, flatten_weights(decoder_weights_init(PrngStream(0), cfg)))
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+            args += ["--weights", str(path)]
         code, out, err = run_cli(*args)
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
 
     def test_unknown_config_key_exit_2(self, scene_path, tmp_path):
