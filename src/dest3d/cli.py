@@ -1,6 +1,9 @@
 """Command-line surface: scene generation, serialization, a forward demo,
 the verification suites, and the complexity benchmark.
 
+Binary clouds and weights share one .npz format, read by sceneio.load_npz;
+gen-scene and demo --save-weights write byte-identical files on reruns.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/config error. Every
 subcommand is deterministic for a fixed --seed (benchmark timings aside).
 """
@@ -29,15 +32,16 @@ from .geometry import Scene, synth_scene
 from .numerics import PrngStream, require_finite
 from .sceneio import (
     boxes_sidecar_path,
+    load_npz,
     read_boxes_json,
     read_points,
+    save_npz,
     write_boxes_json,
-    write_destpc,
     write_text_points,
 )
 from .serialization import AXIS_ORDERS, SerializationOrder, locality_score, serialize
 from .verify import SUITE_NAMES, complexity_bench, run_equivalence_suite
-from .weights_io import flatten_weights, load_weights, save_weights, unflatten_weights
+from .weights_io import flatten_weights, unflatten_weights
 
 __all__ = ["main"]
 
@@ -75,7 +79,7 @@ def cmd_gen_scene(args) -> int:
                         noise_points=args.noise, extent=args.extent, seed=args.seed)
     out = Path(args.output)
     if args.format == "binary":
-        write_destpc(out, scene.positions, scene.colors)
+        save_npz(out, {"positions": scene.positions, "colors": scene.colors})
     else:
         write_text_points(out, scene.positions, scene.colors)
     write_boxes_json(boxes_sidecar_path(out), scene.gt_boxes)
@@ -106,7 +110,8 @@ def _scene_from_file(path: str, cfg: DecoderConfig, seed: int) -> Scene:
     boxes = read_boxes_json(sidecar) if sidecar.exists() else []
     # no encoder at this scale: features are a seeded stand-in, position
     # information enters through the decoder's positional embedding
-    feats = PrngStream(seed ^ 0x5CE17E).normal((positions.shape[0], cfg.channels), 0.0, 1.0)
+    # (shape[:1], so 0-d .npz positions reach Scene's shape check)
+    feats = PrngStream(seed ^ 0x5CE17E).normal(positions.shape[:1] + (cfg.channels,), 0.0, 1.0)
     return Scene(positions=positions, features=feats, colors=colors, gt_boxes=boxes)
 
 
@@ -136,12 +141,13 @@ def _demo_lines(args) -> list[dict]:
                  "channels": args.channels, "serialization_bits": args.bits,
                  "seed": args.seed}
     cfg, seed = load_run_config(args.config, overrides)
+    stream = PrngStream(seed)  # first, so a negative seed is named as given
     scene = _scene_from_file(args.input, cfg, seed)
-    weights = decoder_weights_init(PrngStream(seed), cfg)
+    weights = decoder_weights_init(stream, cfg)
     if args.weights:
-        unflatten_weights(weights, load_weights(args.weights))
+        unflatten_weights(weights, load_npz(args.weights))
     if args.save_weights:
-        save_weights(args.save_weights, flatten_weights(weights))
+        save_npz(args.save_weights, flatten_weights(weights))
     result = decoder_stack(scene, cfg, weights)
     probs = point_objectness(result.final_x, weights)
     loss = binary_focal_loss(probs, objectness_labels(scene))

@@ -49,6 +49,8 @@ class PrngStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:

@@ -1,16 +1,9 @@
-"""Point-cloud file formats and the ground-truth box sidecar.
+"""Point-cloud and weight files, and the ground-truth box sidecar.
 
-Binary layout (little-endian):
-    8 bytes  magic "DESTPC1\\0"
-    u32      number of points M
-    u8       has_color flag, 0 or 1
-    3 bytes  reserved, must be zero
-    M*3 f32  positions
-    M*3 f32  colors, only when has_color
-
-A file must be exactly as long as its header declares, 16 + M*12 bytes, or
-16 + M*24 with colors; a shorter or longer one is refused, so colors behind
-a has_color = 0 header are never silently dropped.
+Binary clouds and weights share one container: an uncompressed .npz of
+named floating-point arrays, written by save_npz and read back, without
+pickle, by load_npz. A cloud holds "positions" (M, 3) and optionally
+"colors" (M, 3), both float64 as Scene holds them.
 
 Text format: one point per line, 3 or 6 whitespace-separated decimals,
 '#' starts a comment. Boxes travel in a JSON sidecar next to the cloud.
@@ -19,9 +12,9 @@ All writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import struct
 import tempfile
 from pathlib import Path
 
@@ -30,9 +23,8 @@ import numpy as np
 from .geometry import Box3D
 
 __all__ = [
-    "MAGIC",
-    "write_destpc",
-    "read_destpc",
+    "save_npz",
+    "load_npz",
     "write_text_points",
     "read_text_points",
     "read_points",
@@ -42,7 +34,7 @@ __all__ = [
     "atomic_write_bytes",
 ]
 
-MAGIC = b"DESTPC1\x00"
+_ZIP_SIGNATURES = (b"PK\x03\x04", b"PK\x05\x06")  # a local file header, an empty archive
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -59,55 +51,34 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-def _as_f32(name: str, values: np.ndarray) -> np.ndarray:
-    """values as little-endian float32, refused unless every entry is finite
-    there; a value past float32's range would otherwise be written as inf."""
-    with np.errstate(over="ignore"):
-        out = np.asarray(values, dtype="<f4")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} must be finite in float32 (DESTPC1 stores float32, "
-                         f"|value| <= {np.finfo(np.float32).max:.4g})")
-    return out
+def save_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write the arrays as one uncompressed .npz archive, in one rename."""
+    if {"file", "allow_pickle"} & set(arrays):
+        raise ValueError("'file' and 'allow_pickle' are np.savez parameters, not array names")
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    atomic_write_bytes(path, buf.getvalue())
 
 
-def write_destpc(path: str | Path, positions: np.ndarray,
-                 colors: np.ndarray | None = None) -> None:
-    """Write a DESTPC1 file; positions or colors that are not finite in
-    float32 are refused before anything is written."""
-    positions = _as_f32("positions", positions)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError("positions must be (M, 3)")
-    m = positions.shape[0]
-    parts = [MAGIC, struct.pack("<IB3x", m, 1 if colors is not None else 0),
-             positions.tobytes()]
-    if colors is not None:
-        colors = _as_f32("colors", colors)
-        if colors.shape != positions.shape:
-            raise ValueError("colors must be (M, 3)")
-        parts.append(colors.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
-
-
-def read_destpc(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != MAGIC:
-        raise ValueError(f"{path}: not a DESTPC1 file")
-    m, has_color, reserved = struct.unpack_from("<IB3s", raw, 8)
-    if has_color not in (0, 1):
-        raise ValueError(f"{path}: has_color flag must be 0 or 1, got {has_color}")
-    if reserved != bytes(3):
-        raise ValueError(f"{path}: reserved header bytes must be zero, got {reserved.hex(' ')}")
-    offset = 16
-    size = offset + m * 12 * (1 + has_color)
-    if len(raw) != size:
-        raise ValueError(f"{path}: the header declares {size} bytes, the file has {len(raw)}")
-    positions = np.frombuffer(raw, dtype="<f4", count=m * 3, offset=offset)
-    positions = positions.reshape(m, 3).astype(np.float64)
-    colors = None
-    if has_color:
-        colors = np.frombuffer(raw, dtype="<f4", count=m * 3, offset=offset + m * 12)
-        colors = colors.reshape(m, 3).astype(np.float64)
-    return positions, colors
+def load_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """Name -> array map of an .npz file, read without pickle. A file or
+    entry that is not an .npz of float arrays is refused by one ValueError
+    naming the path; only MemoryError (a huge header shape) passes."""
+    raw = Path(path).read_bytes()  # so an OSError is the file's, not a bad zip offset's
+    try:
+        if not raw.startswith(_ZIP_SIGNATURES):  # np.load would try .npy, pickle
+            raise ValueError("not a zip archive")
+        arrays = dict(np.load(io.BytesIO(raw), allow_pickle=False).items())
+    except MemoryError:
+        raise
+    except Exception as exc:  # numpy and zipfile raise a dozen types on bad bytes
+        reason = str(exc) or type(exc).__name__
+        raise ValueError(f"{path}: not an .npz file ({reason})") from None
+    for name, arr in arrays.items():
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind == "f"):
+            kind = f"dtype {arr.dtype}" if isinstance(arr, np.ndarray) else "not an .npy member"
+            raise ValueError(f"{path}: entry {name!r} is not a floating-point array ({kind})")
+    return arrays
 
 
 def write_text_points(path: str | Path, positions: np.ndarray,
@@ -123,8 +94,12 @@ def write_text_points(path: str | Path, positions: np.ndarray,
 
 
 def read_text_points(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:  # a binary file that is not an .npz
+        raise ValueError(f"{path}: {exc}") from None
     positions, colors = [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -148,13 +123,19 @@ def read_text_points(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def read_points(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Dispatch on the magic header: binary DESTPC1 or whitespace text."""
-    path = Path(path)
+    """Dispatch on the zip signature: an .npz of positions and optionally
+    colors, else whitespace text."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-    if head == MAGIC:
-        return read_destpc(path)
-    return read_text_points(path)
+        head = fh.read(4)
+    if head not in _ZIP_SIGNATURES:
+        return read_text_points(path)
+    arrays = load_npz(path)
+    missing = sorted({"positions"} - set(arrays))
+    extra = sorted(set(arrays) - {"positions", "colors"})
+    if missing or extra:
+        raise ValueError(f"{path}: a cloud .npz holds 'positions' and optionally 'colors', "
+                         f"missing={missing} extra={extra[:4]}")
+    return arrays["positions"], arrays.get("colors")
 
 
 def boxes_sidecar_path(cloud_path: str | Path) -> Path:

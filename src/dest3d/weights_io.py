@@ -1,23 +1,21 @@
-"""Weight serialization: one uncompressed .npz of named float arrays.
+"""Weight bundles as flat name -> array maps, the form sceneio's .npz holds.
 
 flatten_weights walks the weight dataclasses generically (nested
 dataclasses join names with '.', list items with their index), so the
-container stays schema-free: unflatten_weights fills and checks the arrays
+file stays schema-free: unflatten_weights fills and checks the arrays
 that walk finds in a freshly initialized bundle of the same configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
-from pathlib import Path
 
 import numpy as np
 
 from .numerics import require_finite
-from .sceneio import atomic_write_bytes
 
-__all__ = ["flatten_weights", "unflatten_weights", "save_weights", "load_weights"]
+__all__ = ["flatten_weights", "unflatten_weights"]
+
 
 def _walk(obj, prefix: str, out: dict[str, np.ndarray]) -> None:
     if dataclasses.is_dataclass(obj):
@@ -63,33 +61,3 @@ def unflatten_weights(weights, arrays: dict[str, np.ndarray]) -> None:
             raise ValueError(f"weight {name} must be <= 0 (a scan transition rate), "
                              f"got {float(value.max()):g}")
         target[...] = value
-
-
-def save_weights(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write the arrays as one uncompressed .npz archive, in one rename."""
-    if {"file", "allow_pickle"} & set(arrays):  # flatten_weights' names contain a dot
-        raise ValueError("'file' and 'allow_pickle' are np.savez parameters, not weight names")
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    atomic_write_bytes(path, buf.getvalue())
-
-
-def load_weights(path: str | Path) -> dict[str, np.ndarray]:
-    """Name -> array map of an .npz weight file, read without pickle. A file
-    or entry that is not an .npz of float arrays is refused by one ValueError
-    naming the path; only MemoryError (a huge header shape) passes."""
-    raw = Path(path).read_bytes()  # so an OSError is the file's, not a bad zip offset's
-    try:
-        if not raw.startswith((b"PK\x03\x04", b"PK\x05\x06")):  # np.load would try .npy, pickle
-            raise ValueError("not a zip archive")
-        arrays = dict(np.load(io.BytesIO(raw), allow_pickle=False).items())
-    except MemoryError:
-        raise
-    except Exception as exc:  # numpy and zipfile raise a dozen types on bad bytes
-        reason = str(exc) or type(exc).__name__
-        raise ValueError(f"{path}: not an .npz weight file ({reason})") from None
-    for name, arr in arrays.items():
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind == "f"):
-            kind = f"dtype {arr.dtype}" if isinstance(arr, np.ndarray) else "not an .npy member"
-            raise ValueError(f"{path}: weight {name!r} is not a floating-point array ({kind})")
-    return arrays

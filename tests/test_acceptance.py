@@ -306,7 +306,7 @@ def test_acc_10_focal_loss_sanity():
 
 
 def test_acc_11_end_to_end_smoke(tmp_path):
-    scene_path = str(tmp_path / "scene.destpc")
+    scene_path = str(tmp_path / "scene.npz")
     gen = subprocess.run([sys.executable, "-m", "dest3d.cli", "gen-scene",
                           "--boxes", "3", "--points-per-box", "64",
                           "--noise", "64", "--seed", "11", "-o", scene_path],

@@ -43,7 +43,7 @@ from dest3d.numerics import (
     row_blocks,
     softmax_attention,
 )
-from dest3d.sceneio import write_destpc
+from dest3d.sceneio import save_npz
 from dest3d.serialization import SerializationOrder, order_for_layer, serialize
 from dest3d.weights_io import flatten_weights
 
@@ -543,8 +543,8 @@ class TestDecoderStack:
         with pytest.raises(MemoryError, match=f"M={m} points x K={k} states"):
             decoder_stack(scene, cfg, decoder_weights_init(PrngStream(38), cfg))
 
-        path = tmp_path / "scene.destpc"
-        write_destpc(path, scene.positions)
+        path = tmp_path / "scene.npz"
+        save_npz(path, {"positions": scene.positions})
         assert cli_main(["demo", str(path), "--layers", "1", "--states", str(k)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,9 +1,12 @@
 import io
 import json
-import struct
+import os
+import re
+import shlex
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,21 +14,22 @@ import pytest
 import dest3d.cli as cli_mod
 from dest3d.cli import load_run_config, main
 from dest3d.decoder import DecoderConfig, decoder_weights_init
-from dest3d.geometry import Box3D
+from dest3d.geometry import Box3D, synth_scene
 from dest3d.numerics import PrngStream
 from dest3d.sceneio import (
-    MAGIC,
     boxes_sidecar_path,
+    load_npz,
     read_boxes_json,
-    read_destpc,
     read_points,
     read_text_points,
+    save_npz,
     write_boxes_json,
-    write_destpc,
     write_text_points,
 )
 from dest3d.verify import SUITE_NAMES
-from dest3d.weights_io import flatten_weights, load_weights, save_weights, unflatten_weights
+from dest3d.weights_io import flatten_weights, unflatten_weights
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, cwd=None):
@@ -39,74 +43,44 @@ class TestSceneIO:
         rng = PrngStream(0)
         pos = rng.normal((20, 3))
         col = rng.uniform((20, 3))
-        path = tmp_path / "cloud.destpc"
-        write_destpc(path, pos, col)
-        pos2, col2 = read_destpc(path)
-        np.testing.assert_allclose(pos2, pos, atol=1e-6)  # f32 storage
-        np.testing.assert_allclose(col2, col, atol=1e-6)
+        path = tmp_path / "cloud.npz"
+        save_npz(path, {"positions": pos, "colors": col})
+        pos2, col2 = read_points(path)
+        assert pos2.dtype == col2.dtype == np.float64
+        np.testing.assert_array_equal(pos2, pos)  # f64 storage: bit-equal
+        np.testing.assert_array_equal(col2, col)
 
     def test_header_layout(self, tmp_path):
-        path = tmp_path / "cloud.destpc"
-        write_destpc(path, np.zeros((7, 3)))
-        raw = path.read_bytes()
-        assert raw[:8] == MAGIC
-        m, has_color = struct.unpack_from("<IB3x", raw, 8)
-        assert m == 7 and has_color == 0
-        assert len(raw) == 16 + 7 * 12
-
-    @pytest.mark.parametrize("field", ["positions", "colors"])
-    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
-    def test_not_finite_in_float32_refused(self, tmp_path, field, value):
-        arrays = {"positions": np.zeros((2, 3)), "colors": np.zeros((2, 3))}
-        arrays[field][1, 2] = value
-        with pytest.raises(ValueError, match=f"^{field} must be finite in float32"):
-            write_destpc(tmp_path / "x.destpc", **arrays)
-        assert list(tmp_path.iterdir()) == []
+        # one .npy member per array, its header declaring little-endian f64
+        path = tmp_path / "cloud.npz"
+        save_npz(path, {"positions": np.zeros((7, 3))})
+        with zipfile.ZipFile(path) as zf:
+            assert zf.namelist() == ["positions.npy"]
+            member = io.BytesIO(zf.read("positions.npy"))
+        np.lib.format.read_magic(member)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+        assert (shape, fortran, dtype.str) == ((7, 3), False, "<f8")
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bogus.destpc"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 20)
-        with pytest.raises(ValueError):
-            read_destpc(path)
+        # without a zip signature a file is read as text, and refused as such
+        path = tmp_path / "bogus.npz"
+        path.write_bytes(b"NOTAZIP!" + b"\x00" * 20)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected 3 or 6"):
+            read_points(path)
 
-    @pytest.mark.parametrize("flag", [2, 255])
-    def test_has_color_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
-        path = tmp_path / "cloud.destpc"
-        write_destpc(path, np.zeros((2, 3)), np.zeros((2, 3)))
-        raw = bytearray(path.read_bytes())
-        raw[12] = flag
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=f"has_color flag must be 0 or 1, got {flag}$"):
-            read_destpc(path)
-
-    @pytest.mark.parametrize("reserved", [b"\xff\xff\xff", b"\x00\x00\x01"])
-    def test_reserved_header_bytes_must_be_zero(self, tmp_path, reserved):
-        path = tmp_path / "cloud.destpc"
-        write_destpc(path, np.zeros((2, 3)))
-        assert read_destpc(path)[0].shape == (2, 3)   # as written, it loads
-        raw = bytearray(path.read_bytes())
-        raw[13:16] = reserved
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError) as info:
-            read_destpc(path)
-        assert str(info.value) == (f"{path}: reserved header bytes must be zero, "
-                                   f"got {reserved.hex(' ')}")
-
-    @pytest.mark.parametrize("colors, extra", [
-        (False, 24),  # colors behind a has_color = 0 header
-        (True, 1),
-        (False, -1),
-        (True, -12),
+    @pytest.mark.parametrize("arrays, missing, extra", [
+        ({"colors": np.zeros((2, 3))}, ["positions"], []),
+        ({}, ["positions"], []),
+        ({"positions": np.zeros((2, 3)), "normals": np.zeros((2, 3))}, [], ["normals"]),
+        ({f"w{i}": np.zeros(1) for i in range(6)}, ["positions"], ["w0", "w1", "w2", "w3"]),
     ])
-    def test_payload_must_match_header_size(self, tmp_path, colors, extra):
-        path = tmp_path / "cloud.destpc"
-        write_destpc(path, np.ones((2, 3)), np.ones((2, 3)) if colors else None)
-        raw = path.read_bytes()
-        size = len(raw)
-        path.write_bytes(raw + b"\x00" * extra if extra > 0 else raw[:extra])
-        with pytest.raises(ValueError, match=f": the header declares {size} bytes, "
-                                             f"the file has {size + extra}$"):
-            read_destpc(path)
+    def test_cloud_key_set_refused(self, tmp_path, arrays, missing, extra):
+        path = tmp_path / "cloud.npz"
+        save_npz(path, arrays)
+        with pytest.raises(ValueError) as info:
+            read_points(path)
+        assert str(info.value) == (f"{path}: a cloud .npz holds 'positions' and optionally "
+                                   f"'colors', missing={missing} extra={extra}")
 
     def test_text_round_trip(self, tmp_path):
         pos = np.array([[0.25, -1.5, 3.0], [1.0, 2.0, 3.0]])
@@ -130,16 +104,17 @@ class TestSceneIO:
 
     def test_read_points_dispatch(self, tmp_path):
         pos = np.ones((3, 3))
-        bin_path, txt_path = tmp_path / "a.destpc", tmp_path / "b.txt"
-        write_destpc(bin_path, pos)
+        bin_path, txt_path = tmp_path / "a.txt", tmp_path / "b.npz"  # suffixes do not count
+        save_npz(bin_path, {"positions": pos})
         write_text_points(txt_path, pos)
-        np.testing.assert_allclose(read_points(bin_path)[0], pos, atol=1e-6)
+        assert read_points(bin_path)[1] is None
+        np.testing.assert_array_equal(read_points(bin_path)[0], pos)
         np.testing.assert_allclose(read_points(txt_path)[0], pos, atol=1e-8)
 
     def test_boxes_sidecar_round_trip(self, tmp_path):
         boxes = [Box3D(center=np.array([1.0, 2, 3]), size=np.ones(3), yaw=0.5,
                        class_id=4)]
-        path = boxes_sidecar_path(tmp_path / "scene.destpc")
+        path = boxes_sidecar_path(tmp_path / "scene.npz")
         write_boxes_json(path, boxes)
         loaded = read_boxes_json(path)
         assert len(loaded) == 1
@@ -147,7 +122,7 @@ class TestSceneIO:
         assert loaded[0].class_id == 4
 
     def test_no_temp_litter(self, tmp_path):
-        write_destpc(tmp_path / "x.destpc", np.zeros((2, 3)))
+        save_npz(tmp_path / "x.npz", {"positions": np.zeros((2, 3))})
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
@@ -173,8 +148,9 @@ def _npy_header(shape) -> bytes:
 
 _SAVED = _npz(a=np.arange(64.0))
 
-# weight files load_weights refuses, each with a part of the reason it gives
-MALFORMED_WEIGHTS = {
+# files load_npz refuses, each with a part of the reason it gives; read as a
+# cloud, those without a zip signature go to the text reader instead
+MALFORMED_NPZ = {
     "empty": (b"", "not a zip archive"),
     "random bytes": (np.random.default_rng(0).bytes(256), "not a zip archive"),
     "half": (_SAVED[:len(_SAVED) // 2], "not a zip file"),
@@ -199,10 +175,10 @@ class TestWeightsIO:
         w1 = decoder_weights_init(PrngStream(1), cfg)
         flat = flatten_weights(w1)
         path = tmp_path / "weights.npz"
-        save_weights(path, flat)
+        save_npz(path, flat)
         assert list(tmp_path.iterdir()) == [path]   # no sidecar, no temp file
         w2 = decoder_weights_init(PrngStream(99), cfg)   # different values
-        unflatten_weights(w2, load_weights(path))
+        unflatten_weights(w2, load_npz(path))
         flat2 = flatten_weights(w2)
         assert set(flat) == set(flat2)
         for name in flat:
@@ -212,8 +188,8 @@ class TestWeightsIO:
     def test_dtypes_and_byte_order_kept(self, tmp_path):
         arrays = {"a": np.arange(6, dtype=">f8").reshape(2, 3), "b": np.float32([1, 2])}
         path = tmp_path / "w.npz"
-        save_weights(path, arrays)
-        loaded = load_weights(path)
+        save_npz(path, arrays)
+        loaded = load_npz(path)
         assert {k: v.dtype for k, v in loaded.items()} == {k: v.dtype for k, v in arrays.items()}
         np.testing.assert_array_equal(loaded["a"], arrays["a"])
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
@@ -221,7 +197,7 @@ class TestWeightsIO:
     @pytest.mark.parametrize("name", ["file", "allow_pickle"])
     def test_savez_parameter_name_refused(self, tmp_path, name):
         with pytest.raises(ValueError, match="'file' and 'allow_pickle' are np.savez parameters"):
-            save_weights(tmp_path / "w.npz", {name: np.zeros(2)})
+            save_npz(tmp_path / "w.npz", {name: np.zeros(2)})
         assert list(tmp_path.iterdir()) == []
 
     def test_shape_mismatch_named(self):
@@ -281,53 +257,55 @@ class TestRunConfig:
 class TestCliGenScene:
     def test_writes_header_and_sidecar(self, tmp_path):
         code, out, _ = run_cli("gen-scene", "--boxes", "3", "--seed", "7",
-                               "-o", str(tmp_path / "scene.destpc"))
+                               "-o", str(tmp_path / "scene.npz"))
         assert code == 0
-        raw = (tmp_path / "scene.destpc").read_bytes()
-        assert raw[:8] == MAGIC
-        m, _ = struct.unpack_from("<IB3x", raw, 8)
-        assert m == 3 * 128 + 256
+        scene = synth_scene(num_boxes=3, seed=7)
+        with np.load(tmp_path / "scene.npz") as npz:
+            assert sorted(npz.files) == ["colors", "positions"]
+            for name in npz.files:
+                assert npz[name].dtype == np.float64
+            assert npz["positions"].shape == (3 * 128 + 256, 3)
+            np.testing.assert_array_equal(npz["positions"], scene.positions)
+            np.testing.assert_array_equal(npz["colors"], scene.colors)
         assert (tmp_path / "scene.boxes.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
-        for name in ("a.destpc", "b.destpc"):
+        for name in ("a.npz", "b.npz"):
             code, _, _ = run_cli("gen-scene", "--boxes", "2", "--seed", "3",
                                  "-o", str(tmp_path / name))
             assert code == 0
-        assert (tmp_path / "a.destpc").read_bytes() == (tmp_path / "b.destpc").read_bytes()
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_empty_scene_usage_error(self, tmp_path):
         code, _, err = run_cli("gen-scene", "--boxes", "0", "--noise", "0",
-                               "-o", str(tmp_path / "x.destpc"))
+                               "-o", str(tmp_path / "x.npz"))
         assert code == 2
         assert "error" in err.lower()
 
     @pytest.mark.parametrize("extent", ["inf", "nan"])
     def test_non_finite_extent_named(self, tmp_path, extent):
         code, _, err = run_cli("gen-scene", "--extent", extent,
-                               "-o", str(tmp_path / "x.destpc"))
+                               "-o", str(tmp_path / "x.npz"))
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: extent must be finite")
 
-    def test_extent_past_float32_refused_before_writing(self, tmp_path):
-        # 1e39 is finite in f64 but not in DESTPC1's float32: nothing is
-        # written, and numpy's cast warning is not printed
-        code, out, err = run_cli("gen-scene", "--extent", "1e39",
-                                 "-o", str(tmp_path / "x.destpc"))
+    @pytest.mark.parametrize("fmt, name", [("binary", "x.npz"), ("text", "x.txt")])
+    def test_extent_past_float32_written(self, tmp_path, fmt, name):
+        # 1e39 is finite in float64, which both formats hold
+        code, _, err = run_cli("gen-scene", "--extent", "1e39", "--format", fmt,
+                               "-o", str(tmp_path / name))
+        assert code == 0, err
+        assert err == ""
+        positions, _ = read_points(tmp_path / name)
+        assert np.isfinite(positions).all() and np.abs(positions).max() > 1e38
+
+    def test_negative_seed_named(self, tmp_path):
+        code, out, err = run_cli("gen-scene", "--seed", "-5", "-o", str(tmp_path / "x.npz"))
         assert code == 2
         assert out == ""
-        assert "Traceback" not in err and "warning" not in err.lower()
-        assert err.splitlines() == [
-            "error: positions must be finite in float32 (DESTPC1 stores float32, "
-            "|value| <= 3.403e+38)"]
+        assert err.splitlines() == ["error: seed must be >= 0, got -5"]
         assert list(tmp_path.iterdir()) == []
-        # the text format holds the same scene
-        code, _, err = run_cli("gen-scene", "--extent", "1e39", "--format", "text",
-                               "-o", str(tmp_path / "x.txt"))
-        assert code == 0, err
-        positions, _ = read_text_points(tmp_path / "x.txt")
-        assert np.isfinite(positions).all() and np.abs(positions).max() > 1e38
 
 
 class TestCliSerialize:
@@ -383,9 +361,9 @@ class TestCliDemo:
     def scene_path(self, tmp_path):
         code, _, _ = run_cli("gen-scene", "--boxes", "2", "--points-per-box", "24",
                              "--noise", "32", "--seed", "5",
-                             "-o", str(tmp_path / "scene.destpc"))
+                             "-o", str(tmp_path / "scene.npz"))
         assert code == 0
-        return str(tmp_path / "scene.destpc")
+        return str(tmp_path / "scene.npz")
 
     def test_contract(self, scene_path):
         code, out, _ = run_cli("demo", scene_path, "--layers", "2", "--states", "4",
@@ -407,7 +385,7 @@ class TestCliDemo:
         def raises(args):
             raise exc
         monkeypatch.setattr(cli_mod, "_demo_lines", raises)
-        code = main(["demo", "scene.destpc", "--states", "4"])
+        code = main(["demo", "scene.npz", "--states", "4"])
         captured = capsys.readouterr()
         err_lines = [l for l in captured.err.splitlines() if l.strip()]
         assert code == 2
@@ -470,15 +448,36 @@ class TestCliDemo:
     def _run_with(saved, arrays):
         """Save arrays over the fixture's w.npz and rerun its demo on them."""
         args, wpath, _ = saved
-        save_weights(wpath, arrays)
+        save_npz(wpath, arrays)
         return run_cli(*args, "--weights", str(wpath))
 
     def test_weights_round_trip_changes_nothing(self, saved):
         args, wpath, out1 = saved
         assert sorted(p.name for p in wpath.parent.iterdir()) == [
-            "scene.boxes.json", "scene.destpc", "w.npz"]
+            "scene.boxes.json", "scene.npz", "w.npz"]
         _, out2, _ = run_cli(*args, "--weights", str(wpath))
         assert out1 == out2
+
+    def test_saved_weights_byte_identical_reruns(self, saved, tmp_path):
+        args, wpath, _ = saved
+        again = tmp_path / "again.npz"
+        code, _, _ = run_cli(*args, "--save-weights", str(again))
+        assert code == 0
+        assert again.read_bytes() == wpath.read_bytes()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_named(self, scene_path, tmp_path, where):
+        args = ["demo", scene_path, "--layers", "1", "--states", "3", "--channels", "16"]
+        if where == "flag":
+            args += ["--seed", "-1"]
+        else:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"seed": -1}))
+            args += ["--config", str(cfg_path)]
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: seed must be >= 0, got -1"]
 
     def test_config_file(self, scene_path, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -489,7 +488,7 @@ class TestCliDemo:
         assert len(out.strip().splitlines()) == 3 + 1
 
     def test_non_finite_weight_exit_2(self, saved):
-        arrays = load_weights(saved[1])
+        arrays = load_npz(saved[1])
         arrays["point_obj_out.weight"][0, 0] = np.nan
         code, out, err = self._run_with(saved, arrays)
         assert code == 2
@@ -499,7 +498,7 @@ class TestCliDemo:
     def test_positive_transition_rate_exit_2(self, saved):
         # loaded, a_vec = 1e3 made numpy print warnings and the boxes
         # overflow; refused at load it is one line
-        arrays = load_weights(saved[1])
+        arrays = load_npz(saved[1])
         arrays["layers.0.ibs.forward.a_vec"][:] = 1e3
         code, out, err = self._run_with(saved, arrays)
         assert code == 2
@@ -515,7 +514,7 @@ class TestCliDemo:
         ("layers.0.table.extent", -1.0, "extra=['layers.0.table.extent']"),
     ])
     def test_malformed_container_exit_2(self, saved, entry, edit, named):
-        arrays = load_weights(saved[1])
+        arrays = load_npz(saved[1])
         arrays[entry] = np.array(edit)
         code, out, err = self._run_with(saved, arrays)
         assert code == 2
@@ -523,9 +522,9 @@ class TestCliDemo:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
 
-    @pytest.mark.parametrize("kind", sorted(MALFORMED_WEIGHTS))
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_NPZ))
     def test_malformed_weight_file_exit_2(self, scene_path, tmp_path, capsys, kind):
-        payload, reason = MALFORMED_WEIGHTS[kind]
+        payload, reason = MALFORMED_NPZ[kind]
         wpath = tmp_path / "w.npz"
         wpath.write_bytes(payload)
         code = main(["demo", scene_path, "--layers", "1", "--states", "3",
@@ -544,7 +543,7 @@ class TestCliDemo:
          "error: initial detection class_logits contains non-finite values"),
     ])
     def test_overflowing_finite_weights_exit_2(self, saved, names, message):
-        arrays = load_weights(saved[1])
+        arrays = load_npz(saved[1])
         for name in names:
             arrays[name][:] = 1e308
         code, out, err = self._run_with(saved, arrays)
@@ -561,7 +560,7 @@ class TestCliDemo:
          "error: layer 0 detection center contains non-finite values"),
     ])
     def test_overflowing_box_names_its_source(self, saved, name, message):
-        arrays = load_weights(saved[1])
+        arrays = load_npz(saved[1])
         arrays[name][:] = 1e308
         code, out, err = self._run_with(saved, arrays)
         assert code == 2
@@ -625,17 +624,54 @@ class TestCliDemo:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag_byte, extra", [(b"\x02", b""), (b"\x00", b"\x00" * 4)])
-    def test_malformed_destpc_header_exit_2(self, scene_path, flag_byte, extra):
-        raw = open(scene_path, "rb").read()
-        with open(scene_path, "wb") as fh:
-            fh.write(raw[:12] + flag_byte + raw[13:] + extra)
-        code, out, err = run_cli("demo", scene_path, "--layers", "1", "--states", "3",
-                                 "--channels", "16")
+    @pytest.mark.parametrize("command", ["demo", "serialize"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_NPZ) + ["extra key", "weights"])
+    def test_malformed_cloud_exit_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "cloud.npz"
+        if kind == "extra key":
+            save_npz(path, {"positions": np.zeros((4, 3)), "normals": np.zeros((4, 3))})
+            reason = "missing=[] extra=['normals']"
+        elif kind == "weights":
+            cfg = DecoderConfig(num_layers=1, num_states=3, channels=16)
+            arrays = flatten_weights(decoder_weights_init(PrngStream(0), cfg))
+            save_npz(path, arrays)
+            reason = f"missing=['positions'] extra={sorted(arrays)[:4]}\n"
+        else:
+            payload, reason = MALFORMED_NPZ[kind]
+            path.write_bytes(payload)
+            # without a zip signature the file is read, and refused, as text
+            reason = {"empty": ": no points found", "random bytes": "codec can't decode",
+                      "npy": "codec can't decode"}.get(kind, reason)
+        args = ["--layers", "1", "--states", "3", "--channels", "16"] if command == "demo" else []
+        code = main([command, str(path), *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {path}") and reason in captured.err
+
+    @pytest.mark.parametrize("command, name", [
+        ("demo", "positions"), ("demo", "colors"), ("serialize", "positions")])
+    def test_non_finite_npz_cloud_exit_2(self, tmp_path, command, name):
+        arrays = {"positions": np.arange(24.0).reshape(8, 3), "colors": np.zeros((8, 3))}
+        arrays[name][1, 2] = np.inf
+        path = tmp_path / "cloud.npz"
+        save_npz(path, arrays)
+        args = ["--layers", "1", "--states", "3", "--channels", "16"] if command == "demo" else []
+        code, out, err = run_cli(command, str(path), *args)
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {scene_path}: ")
-        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {name} contains non-finite values"]
+
+    @pytest.mark.parametrize("shape", [(), (5,), (0, 3), (4, 2)])
+    def test_misshapen_npz_positions_exit_2(self, tmp_path, capsys, shape):
+        path = tmp_path / "cloud.npz"
+        save_npz(path, {"positions": np.zeros(shape)})
+        code = main(["demo", str(path), "--layers", "1", "--states", "3", "--channels", "16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
     def test_non_finite_text_colors_exit_2(self, tmp_path):
         path = tmp_path / "cloud.txt"
@@ -660,7 +696,7 @@ class TestCliDemo:
         else:  # half of a saved weight container
             path = tmp_path / "w.npz"
             cfg = DecoderConfig(num_layers=1, num_states=3, channels=16)
-            save_weights(path, flatten_weights(decoder_weights_init(PrngStream(0), cfg)))
+            save_npz(path, flatten_weights(decoder_weights_init(PrngStream(0), cfg)))
             path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
             args += ["--weights", str(path)]
         code, out, err = run_cli(*args)
@@ -774,3 +810,17 @@ class TestCliBench:
         assert code == 0
         assert captured.err == ""
         assert "slope" in captured.out
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """Every dest3d line of README's CLI block but bench exits 0, in order."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("dest3d ") and not line.startswith("dest3d bench")]
+    assert [c[1] for c in commands] == ["gen-scene", "serialize", "demo", "verify", "verify"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "dest3d", *argv[1:]], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)

@@ -347,3 +347,7 @@ class TestPrng:
             PrngStream(1).uniform((3,), low=2.0, high=1.0)
         with pytest.raises(ValueError):
             PrngStream(1).normal((3,), std=-1.0)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            PrngStream(-1)
