@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, ChildProcessError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

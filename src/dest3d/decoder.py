@@ -204,32 +204,51 @@ def gffn(t: np.ndarray, w: GffnWeights) -> np.ndarray:
     return out
 
 
-def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
-                  boxes: BoxSet, layer: int, w: DecoderLayerWeights,
-                  cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer; returns (x', h') with x' in the input point order.
+def _layer(xp: np.ndarray, h: np.ndarray, pp: np.ndarray, boxes: BoxSet,
+           w: DecoderLayerWeights, cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The body of one decoder layer: xp holds the scene stream and pp the
+    positions in the layer's serialized order. Returns (x', h') with x' in
+    that order.
 
     The block's s comes from the correlation form w carries, its delay from
-    cfg's delay metric, both built from the BoxSet boxes on the serialized
-    positions.
+    cfg's delay metric, both built from the BoxSet boxes on pp; at full M
+    the layer holds what issm._layer_bytes counts.
     """
-    order = SerializationOrder(order_for_layer(layer), cfg.serialization_bits)
-    perm = serialize(positions, order)
-    xp = x[perm]
-    pp = positions[perm]
     # Called through the module: perfbench's tracer wraps these two names only
     # in dest3d.issm's globals, and would not see a from-imported copy. Not
     # bound to locals, so s (M, K, D) is freed when the block returns.
     x1, h1 = ibs_forward(xp, h, issm.spatial_correlation(pp, boxes, w.corr),
                          issm.delay_kernel(boxes, pp, w.ibs.alpha_raw, metric=cfg.delay_metric),
                          w.ibs)
-    del xp, pp  # not held through the FFNs: lowers the process's peak RSS
     h2 = inter_state_attention(h1, w.attn, cfg.heads)
-    x2 = gffn(x1, w.gffn_x)
-    h3 = gffn(h2, w.gffn_h)
-    x_out = np.empty_like(x2)
-    x_out[perm] = x2
-    return x_out, h3
+    return gffn(x1, w.gffn_x), gffn(h2, w.gffn_h)
+
+
+def _layer_perm(positions: np.ndarray, layer: int, cfg: DecoderConfig) -> np.ndarray:
+    """The permutation that puts the points in layer's serialized order."""
+    return serialize(positions, SerializationOrder(order_for_layer(layer),
+                                                   cfg.serialization_bits))
+
+
+def _unserialize(xs: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """xs, whose row i belongs to point perm[i], in the input point order."""
+    x = np.empty_like(xs)
+    x[perm] = xs
+    return x
+
+
+def decoder_layer(x: np.ndarray, h: np.ndarray, positions: np.ndarray,
+                  boxes: BoxSet, layer: int, w: DecoderLayerWeights,
+                  cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One decoder layer; returns (x', h') with x' in the input point order.
+
+    A thin wrapper over the layer body decoder_stack runs: the caller's x
+    stays held next to the body's serialized copy, one (M, C) array more
+    than issm._layer_bytes counts.
+    """
+    perm = _layer_perm(positions, layer, cfg)
+    xs, h_out = _layer(x[perm], h, positions[perm], boxes, w, cfg)
+    return _unserialize(xs, perm), h_out
 
 
 def detection_head(h: np.ndarray, ref_positions: np.ndarray,
@@ -316,8 +335,10 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
     States start as the farthest-point-sampled scene points (after the single
     positional-feature injection); their boxes are predicted from the initial
     state features and refreshed after every layer, and each layer reads the
-    boxes before it as one BoxSet. A scene whose layer would hold more than
-    physical memory in the arrays issm._layer_bytes counts is refused with a
+    boxes before it as one BoxSet. Each layer's scene stream is gathered
+    into its serialized order here, so the input-order copy is freed before
+    the block runs. A scene whose layer would hold more than physical
+    memory in the arrays issm._layer_bytes counts is refused with a
     MemoryError up front, not when an allocation fails mid-stack.
     """
     m, k = scene.num_points, cfg.num_states
@@ -327,7 +348,8 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
         raise ValueError(
             f"scene features width {scene.features.shape[1]} != config channels {cfg.channels}"
         )
-    _require_memory(issm._layer_bytes(m, k, cfg.channels, cfg.state_dim, cfg.corr_dim),
+    _require_memory(issm._layer_bytes(m, k, cfg.channels, cfg.state_dim, cfg.corr_dim,
+                                      cfg.kernel_size),
                     f"M={m} points x K={k} states", "one layer's arrays")
     x = scene.features + positional_embedding(scene.positions, weights)
     idx = farthest_point_sampling(scene.positions, cfg.num_states)
@@ -336,8 +358,11 @@ def decoder_stack(scene: Scene, cfg: DecoderConfig,
     dets = detection_head(h, state_pos, weights.head, "initial detection")
     outputs = []
     for layer in range(cfg.num_layers):
-        x, h = decoder_layer(x, h, scene.positions, BoxSet([d.box for d in dets]), layer,
-                             weights.layers[layer], cfg)
+        perm = _layer_perm(scene.positions, layer, cfg)
+        x = x[perm]  # rebound, so the input-order copy is freed before the block runs
+        x, h = _layer(x, h, scene.positions[perm], BoxSet([d.box for d in dets]),
+                      weights.layers[layer], cfg)
+        x = _unserialize(x, perm)
         dets = detection_head(h, state_pos, weights.head, f"layer {layer} detection")
         outputs.append(LayerOutput(h=h, detections=dets))
     return StackResult(layers=outputs, final_x=x)

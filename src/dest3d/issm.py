@@ -18,13 +18,14 @@ Per (scene point m, state k) the geometry enters three ways:
 
 ibs_forward takes s and the delay factors as arrays and runs the resulting
 scan over the serialized sequence in both directions with direction-specific
-weights, gates the outputs with a shared SiLU(z), and applies residual output
-projections to both streams.
+weights, gates the summed outputs with a shared SiLU(z), and applies residual
+output projections to both streams.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,65 +337,76 @@ def _longest_prelude_block(m: int, k: int, e: int) -> int:
     return m if m < rows else rows + m % rows
 
 
-def _layer_bytes(m: int, k: int, c: int, e: int, d: int) -> int:
+def _layer_bytes(m: int, k: int, c: int, e: int, d: int, ksize: int) -> int:
     """Bytes a decoder layer of M points, K states, C channels, E state
-    channels and D correlation channels holds at most in the arrays that
-    grow with M, reached in ibs_forward (x_hat and its output are counted
-    together, though the first is dropped before the second is made).
+    channels, D correlation channels and conv kernel size ksize holds at
+    most, reached while ibs_forward scans.
 
-    It counts s (M, K, D) and the delay (M, K); the (M, C) input, its
-    serialized copy and ibs_forward's (M, C) output; the (M, E) x_hat and
-    the two directions' (M, E) outputs; and per direction that runs at once
-    (two when _two_threads(K) holds) the three (rows, K, E) and one (rows,
-    K, 2) chunk buffers and the (B, E) and (B, E+2) prelude buffers, B the
+    At full M it holds s (M, K, D), the delay (M, K), its (M, C) input in
+    serialized order and ibs_forward's one (M, E) sum of both directions'
+    outputs. Each direction that runs at once (two when _two_threads(K)
+    holds) adds its buffers, three (rows, K, E) and one (rows, K, 2) chunk
+    buffers and the (B, E) and (B, E+2) prelude buffers, and its scratch,
+    bounded by two (rows, K, E) arrays of a chunk's softplus and scan and
+    three (B + ksize - 1, max(C, E)) arrays of a block's layer norm, in_x
+    projection and conv. rows is min(M, _chunk_rows(K, E)) and B the
     longest block of row_blocks(M, E + 2, unit=_chunk_rows(K, E)), as
-    _longest_prelude_block counts it. It leaves out the per-stage scratch,
-    which row_blocks bounds at about BLOCK_ELEMENTS f64 values per array at
-    any M (per thread at K >= 64).
+    _longest_prelude_block counts it. The combine then adds an (M, C)
+    output, none when C == E, where it writes over the sum; the FFNs after
+    the scan hold three (M, C) arrays, counted when they are more (their
+    row-block scratch is not).
     """
     rows = min(m, _chunk_rows(k, e))
+    longest = _longest_prelude_block(m, k, e)
     scans = 2 if _two_threads(k) else 1
-    per_scan = rows * k * (3 * e + 2) + _longest_prelude_block(m, k, e) * (2 * e + 2)
-    return 8 * (m * k * (d + 1) + 3 * m * (c + e) + scans * per_scan)
+    per_scan = (rows * k * (5 * e + 2) + longest * (2 * e + 2)
+                + 3 * (longest + ksize - 1) * max(c, e))
+    held = m * (k * (d + 1) + c + e)
+    y = 0 if c == e else m * c
+    return 8 * max(held + max(scans * per_scan, y), 3 * m * c)
 
 
-def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
-                   delay: np.ndarray, w: DirectionWeights) -> tuple[np.ndarray, np.ndarray]:
-    """One causal scan over the rows of x_in in order. Returns (y, h_final).
+def _run_direction(x: np.ndarray, h0_hat: np.ndarray, s: np.ndarray, delay: np.ndarray,
+                   w: IbsWeights, dw: DirectionWeights, acc: np.ndarray,
+                   lock: threading.Lock) -> np.ndarray:
+    """One causal scan over the rows of x in order, with the direction
+    weights dw; adds its output y (M, E) into acc under lock and returns
+    the final state.
 
-    y (M, E) is the only array made at full M. The rows run in row_blocks
-    at width E+2 (the [delta | b | c] rows) with unit=_chunk_rows(K, E): each
-    block but the last is whole chunks, and the last also takes the rows
-    left over, so the chunk edges are those of one pass over all M rows. A
-    block, with its ksize - 1 rows of context before it, goes through the
-    causal conv and SiLU into x_conv and is projected onto [delta | b | c],
-    biases included, into x_row, two buffers of the longest block's rows
-    allocated here. Then the block's chunks are scanned, reusing four more
-    buffers of min(M, _chunk_rows(K, E)) rows: gen_params adds the s
-    projection, softplus and the delay act in place on delta, a_bar =
-    exp(delta * a) and b_bar = delta * b fill two more buffers, and
-    scan_sequential carries the state on (delta >= 0 by construction, so no
-    chunk is checked), so the (M, K, E) parameters are never held at full
-    size. The backward direction is this function on reversed views of
-    x_in, s and delay.
+    No array is made at full M. The rows run in row_blocks at width E+2
+    (the [delta | b | c] rows) with unit=_chunk_rows(K, E): each block but
+    the last is whole chunks, and the last also takes the rows left over,
+    so the chunk edges are those of one pass over all M rows. A block, with
+    its ksize - 1 rows of context before it, is layer-normed and projected
+    by in_x, goes through the causal conv and SiLU into x_conv, and is
+    projected onto [delta | b | c], biases included, into x_row, two
+    buffers of the longest block's rows allocated here. Then the block's
+    chunks are scanned, reusing four more buffers of min(M,
+    _chunk_rows(K, E)) rows: gen_params adds the s projection, softplus and
+    the delay act in place on delta, a_bar = exp(delta * a) and b_bar =
+    delta * b fill two more buffers, and scan_sequential carries the state
+    on (delta >= 0 by construction, so no chunk is checked), so the (M, K,
+    E) parameters are never held at full size. The backward direction is
+    this function on reversed views of x, s, delay and acc.
     """
-    m, e = x_in.shape
+    m, e = x.shape[0], w.in_x.out_features
     k = h0_hat.shape[0]
-    context = w.conv_kernel.shape[1] - 1
-    w_x, w_s, bias = _param_weights(w)
+    context = dw.conv_kernel.shape[1] - 1
+    w_x, w_s, bias = _param_weights(dw)
     longest = _longest_prelude_block(m, k, e)
     x_conv, x_row = np.empty((longest, e)), np.empty((longest, e + 2))
     step = _chunk_rows(k, e)
     rows = min(m, step)
     delta_buf, a_bar_buf, b_bar_buf = (np.empty((rows, k, e)) for _ in range(3))
     bc_buf = np.empty((rows, k, 2))
-    y = np.empty((m, e))
     h = h0_hat
     for blk in row_blocks(m, e + 2, unit=step):
         n = blk.stop - blk.start
         ctx = min(blk.start, context)
-        conv = depthwise_conv1d(x_in[blk.start - ctx:blk.stop], w.conv_kernel)
-        silu(conv[ctx:], out=x_conv[:n])
+        x_hat = linear(layer_norm(x[blk.start - ctx:blk.stop], w.norm_x_gamma, w.norm_x_beta),
+                       w.in_x)
+        silu(depthwise_conv1d(x_hat, dw.conv_kernel)[ctx:], out=x_conv[:n])
+        del x_hat  # the block's projected and convolved rows are not held through its chunks
         np.matmul(x_conv[:n], w_x, out=x_row[:n])
         x_row[:n] += bias
         for lo in range(0, n, step):
@@ -403,14 +415,15 @@ def _run_direction(x_in: np.ndarray, h0_hat: np.ndarray, s: np.ndarray,
             delta, b, c = gen_params(s[pts], x_row[sl], w_s, delta_buf[buf], bc_buf[buf])
             softplus(delta, out=delta)
             delta *= delay[pts, :, None]
-            a_bar = np.multiply(delta, w.a_vec, out=a_bar_buf[buf])
+            a_bar = np.multiply(delta, dw.a_vec, out=a_bar_buf[buf])
             np.exp(a_bar, out=a_bar)
             b_bar = np.multiply(delta, b[:, :, None], out=b_bar_buf[buf])
             out = scan_sequential(ScanInputs(a_bar=a_bar, b_bar=b_bar, c=c,
                                              x=x_conv[sl], h0=h))
-            y[pts] = out.y
+            with lock:
+                acc[pts] += out.y
             h = out.h_final
-    return y, h
+    return h
 
 
 def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
@@ -427,14 +440,15 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
 
     The two directions share no state, so they run through _both: at K >= 64
     on more than one CPU the backward one runs on a worker thread while this
-    thread runs the forward one, each with its own buffers; the result is
-    bit-identical to running them one after the other. Besides its inputs
-    and the (M, C) output, the call holds at full M only x_hat (M, E), which
-    both scans read and which is dropped before the combine, and the two
-    directions' (M, E) outputs. Everything else runs over row_blocks: the x
-    stream's layer norm and in_x projection, and the combine, which builds
-    the SiLU(z) gate from a second layer norm of its block, so the
-    normalized copy and the gate are never held at (M, C) or (M, E).
+    thread runs the forward one, each with its own buffers. Each adds its
+    chunk outputs into one zeroed (M, E) sum under a lock; 0 + a + b is
+    0 + b + a bit for bit, so the result is bit-identical to running them
+    one after the other. Besides its inputs, that sum is the only array the
+    call makes at full M: each direction normalizes and projects its own
+    block of x (see _run_direction), and the combine, which builds the
+    SiLU(z) gate from a second layer norm of its block, runs over row_blocks
+    and, when C == E, writes y over the rows of the sum it has read, so it
+    makes no (M, C) array while s and delay are held.
     """
     x = require_finite("x", np.asarray(x, dtype=np.float64))
     h0 = require_finite("h0", np.asarray(h0, dtype=np.float64))
@@ -449,29 +463,18 @@ def ibs_forward(x: np.ndarray, h0: np.ndarray, s: np.ndarray, delay: np.ndarray,
                          f"got s {s.shape}, delay {delay.shape}")
 
     m, e = x.shape[0], w.in_x.out_features
-    width = max(x.shape[1], e)
-    x_hat = np.empty((m, e))
-    for blk in row_blocks(m, width):
-        x_hat[blk] = linear(layer_norm(x[blk], w.norm_x_gamma, w.norm_x_beta), w.in_x)
-    hn = layer_norm(h0, w.norm_h_gamma, w.norm_h_beta)
-    h_hat0 = linear(hn, w.in_h)
-
-    def forward():
-        return _run_direction(x_hat, h_hat0, s, delay, w.forward)
-
-    # The backward scan is the forward code on reversed views; its output is
-    # flipped back so row t is serialized position t again.
-    def backward():
-        return _run_direction(x_hat[::-1], h_hat0, s[::-1], delay[::-1], w.backward)
-
-    (y_fwd, h_fwd), (y_bwd, h_bwd) = _both(h0.shape[0], forward, backward)
-    del x_hat, forward, backward  # not held through the combine and its output
-    y_bwd = y_bwd[::-1]
-
-    y = np.empty_like(x)
-    for blk in row_blocks(m, width):
-        gated = np.add(y_fwd[blk], y_bwd[blk])
-        gated *= silu(linear(layer_norm(x[blk], w.norm_x_gamma, w.norm_x_beta), w.in_z))
+    h_hat0 = linear(layer_norm(h0, w.norm_h_gamma, w.norm_h_beta), w.in_h)
+    acc, lock = np.zeros((m, e)), threading.Lock()
+    # The backward scan is the forward code on reversed views; it adds its
+    # output into the reversed sum, so row t is serialized position t again.
+    h_fwd, h_bwd = _both(
+        h0.shape[0],
+        lambda: _run_direction(x, h_hat0, s, delay, w, w.forward, acc, lock),
+        lambda: _run_direction(x[::-1], h_hat0, s[::-1], delay[::-1], w, w.backward,
+                               acc[::-1], lock))
+    y = acc if x.shape[1] == e else np.empty_like(x)
+    for blk in row_blocks(m, max(x.shape[1], e)):
+        gated = acc[blk] * silu(linear(layer_norm(x[blk], w.norm_x_gamma, w.norm_x_beta), w.in_z))
         np.add(linear(gated, w.out_y), x[blk], out=y[blk])
     h_out = linear(h_fwd + h_bwd, w.out_h) + h0
     return y, h_out

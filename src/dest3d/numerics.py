@@ -119,15 +119,19 @@ def linear(x: np.ndarray, w: LinearWeights) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                eps: float = 1e-6) -> np.ndarray:
-    """Per-row normalization over the last axis, then affine."""
+    """Per-row normalization over the last axis, then affine: x is centred
+    once, and the centred rows are divided, scaled and shifted in place."""
     x = np.asarray(x)
     if x.shape[-1] == 0:
         raise ValueError("layer_norm: last dimension must be >= 1")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be > 0")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(d).mean(axis=-1, keepdims=True)
+    d /= np.sqrt(var + eps)
+    d *= gamma
+    d += beta
+    return d
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

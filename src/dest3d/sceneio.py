@@ -38,16 +38,20 @@ _ZIP_SIGNATURES = (b"PK\x03\x04", b"PK\x05\x06")  # a local file header, an empt
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write-temp-then-rename so interrupted runs never leave truncated files."""
+    """Write-temp-then-rename so interrupted runs never leave truncated files.
+    A failure leaves no temp file, and an OSError names path, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -312,7 +312,7 @@ def complexity_bench(m_values: list[int], repeats: int = 5) -> dict:
         raise ValueError(f"sizes must be >= {cfg.num_states}, the decoder's states, "
                          f"got {m_values[0]}")
     _require_memory(sum(_layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim,
-                                     cfg.corr_dim) for m in m_values),
+                                     cfg.corr_dim, cfg.kernel_size) for m in m_values),
                     f"sizes {m_values}", "the decoder layer's arrays")
     # imported here, not at the top: subprocess alone adds 0.6 MB of RSS to
     # every process that imports dest3d

@@ -254,6 +254,14 @@ class TestRunConfig:
         assert seed == 0
 
 
+def unwritable_targets(tmp_path):
+    """Output paths no file can be written to, with the message naming each:
+    one in a missing directory, and an existing directory."""
+    (tmp_path / "existing_dir").mkdir()
+    return [(tmp_path / "missing" / "dir" / "s.npz", "[Errno 2] No such file or directory"),
+            (tmp_path / "existing_dir", "[Errno 21] Is a directory")]
+
+
 class TestCliGenScene:
     def test_writes_header_and_sidecar(self, tmp_path):
         code, out, _ = run_cli("gen-scene", "--boxes", "3", "--seed", "7",
@@ -299,6 +307,15 @@ class TestCliGenScene:
         assert err == ""
         positions, _ = read_points(tmp_path / name)
         assert np.isfinite(positions).all() and np.abs(positions).max() > 1e38
+
+    @pytest.mark.parametrize("fmt", ["binary", "text"])
+    def test_unwritable_output_named(self, tmp_path, fmt):
+        for target, message in unwritable_targets(tmp_path):
+            code, out, err = run_cli("gen-scene", "--format", fmt, "-o", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: {message}: '{target}'"]
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_negative_seed_named(self, tmp_path):
         code, out, err = run_cli("gen-scene", "--seed", "-5", "-o", str(tmp_path / "x.npz"))
@@ -401,7 +418,8 @@ class TestCliDemo:
         weights = sum(a.nbytes for a in flatten_weights(
             decoder_weights_init(PrngStream(0), cfg)).values())
         need = decoder_mod.issm._layer_bytes(len(read_points(scene_path)[0]), cfg.num_states,
-                                             cfg.channels, cfg.state_dim, cfg.corr_dim)
+                                             cfg.channels, cfg.state_dim, cfg.corr_dim,
+                                             cfg.kernel_size)
         assert weights < need - 1
         monkeypatch.setattr(decoder_mod, "_physical_memory", lambda: need - 1)
         code = main(["demo", scene_path, "--layers", "1", "--states", "4",
@@ -457,6 +475,16 @@ class TestCliDemo:
             "scene.boxes.json", "scene.npz", "w.npz"]
         _, out2, _ = run_cli(*args, "--weights", str(wpath))
         assert out1 == out2
+
+    def test_unwritable_save_weights_named(self, scene_path, tmp_path):
+        before = sorted(tmp_path.rglob("*"))
+        for target, message in unwritable_targets(tmp_path):
+            code, out, err = run_cli("demo", scene_path, "--layers", "1", "--states", "3",
+                                     "--channels", "16", "--save-weights", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: {message}: '{target}'"]
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [tmp_path / "existing_dir"])
 
     def test_saved_weights_byte_identical_reruns(self, saved, tmp_path):
         args, wpath, _ = saved

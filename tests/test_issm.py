@@ -910,12 +910,12 @@ class TestTwoThreads:
     machine, and they must give the same bits."""
 
     @staticmethod
-    def block_case(seed, k, m=3 * _chunk_rows(64, 32) + 5):
+    def block_case(seed, k, m=3 * _chunk_rows(64, 32) + 5, c=8):
         # at K=64, E=32: three full chunks and a partial tail per direction
         rng = PrngStream(seed)
-        w = ibs_weights_init(rng, channels=8, state_dim=32, corr_dim=4)
+        w = ibs_weights_init(rng, channels=c, state_dim=32, corr_dim=4)
         table = correlation_table_init(rng, 4)
-        x, h0 = rng.normal((m, 8)), rng.normal((k, 8))
+        x, h0 = rng.normal((m, c)), rng.normal((k, c))
         points = rng.normal((m, 3), 0.0, 2.0)
         return x, h0, conditioning(points, make_boxes(rng, k), w, table), w
 
@@ -937,6 +937,20 @@ class TestTwoThreads:
             monkeypatch, lambda: ibs_forward(x, h0, s, delay, w))
         assert (n1, n2) == (0, 1)
         for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    # both directions add their chunks into one sum under a lock: at these
+    # M the middle rows are in a forward and a backward chunk whose edges
+    # differ, within one prelude block (252) and across two (2005); at
+    # C == E the combine writes y over that sum
+    @pytest.mark.parametrize("m,c", [(10 * _chunk_rows(64, 32) + 12, 8),
+                                     (2 * block_rows(34, _chunk_rows(64, 32)) + 37, 32)])
+    def test_ibs_forward_same_bits_where_the_directions_meet(self, monkeypatch, m, c):
+        x, h0, (s, delay), w = self.block_case(6008 + m, k=64, m=m, c=c)
+        (serial, n1), (threaded, n2) = self.both_ways(
+            monkeypatch, lambda: ibs_forward(x, h0, s, delay, w))
+        assert (n1, n2) == (0, 1)
+        for a, b in zip(serial, threaded, strict=True):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("form", ["table", "mlp"])
@@ -999,4 +1013,4 @@ class TestLayerBytes:
 
         for module, name in ((issm, "row_blocks"), (numerics, "row_blocks")):
             monkeypatch.setattr(module, name, listed)
-        assert _layer_bytes(2 * 10**9, 16, 32, 32, 16) > 8 * 2 * 10**9 * 16 * 17
+        assert _layer_bytes(2 * 10**9, 16, 32, 32, 16, 8) > 8 * 2 * 10**9 * 16 * 17

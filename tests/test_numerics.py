@@ -147,6 +147,20 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [1031, 519, 64, 8192])
+    def test_same_bits_as_the_two_pass_form(self, rows):
+        # centred once and finished in place, it is the textbook form bit
+        # for bit, at the row counts the decoder's blocks pass it; a reversed
+        # view, as the backward scan passes, included
+        stream = PrngStream(rows)
+        x = stream.normal((rows, 32), 0.5, 2.0)
+        gamma, beta, eps = stream.normal((32,)), stream.normal((32,)), 1e-6
+        for rows_in in (x, x[::-1]):
+            mu = rows_in.mean(axis=-1, keepdims=True)
+            var = ((rows_in - mu) ** 2).mean(axis=-1, keepdims=True)
+            want = (rows_in - mu) / np.sqrt(var + eps) * gamma + beta
+            assert np.array_equal(layer_norm(rows_in, gamma, beta, eps), want)
+
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
             layer_norm(np.zeros((2, 0)), np.ones(0), np.zeros(0))

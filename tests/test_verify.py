@@ -242,7 +242,7 @@ class TestBench:
         # the child holds at once
         cfg = DecoderConfig()
         need = sum(issm._layer_bytes(m, cfg.num_states, cfg.channels, cfg.state_dim,
-                                     cfg.corr_dim) for m in (64, 128))
+                                     cfg.corr_dim, cfg.kernel_size) for m in (64, 128))
         monkeypatch.setattr(decoder, "_physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             complexity_bench([64, 128], repeats=3)
